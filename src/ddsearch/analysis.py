@@ -25,10 +25,6 @@ class AnalysisError(ValueError):
     """A trace does not support the requested analysis."""
 
 
-# Region where the dyadic objective is nonpositive: [-sqrt(2)-1, 0].  An
-# incumbent with objective value <= 0 has necessarily left the positive
-# branch, so membership is tested through the objective value.
-ESCAPE_REGION = (-math.sqrt(2.0) - 1.0, 0.0)
 GLOBAL_MINIMIZER = (-1.0,)
 CONVERGENCE_TOL = 1e-3
 
@@ -335,9 +331,7 @@ def monte_carlo_escape(
         if escaped_at is not None:
             n_escaped += 1
             first_escape.append(escaped_at)
-        final = trace.final_incumbent()
-        distance = math.sqrt(sum((a - b) * (a - b) for a, b in zip(final, GLOBAL_MINIMIZER)))
-        if distance <= CONVERGENCE_TOL:
+        if math.dist(trace.final_incumbent(), GLOBAL_MINIMIZER) <= CONVERGENCE_TOL:
             n_converged += 1
     return EscapeStats(
         n_trials=n_trials,

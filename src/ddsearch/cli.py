@@ -10,6 +10,7 @@ config error, 3 runtime objective error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 
@@ -90,6 +91,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     objective = get_objective(args.objective)
     if objective.dimension != 1:
         return _fail(f"objective {args.objective!r} is not one-dimensional", EXIT_INPUT_ERROR)
+    if not (math.isfinite(args.x_min) and math.isfinite(args.x_max)):
+        return _fail(f"x_min and x_max must be finite, got {args.x_min}, {args.x_max}", EXIT_INPUT_ERROR)
     if not args.x_min < args.x_max:
         return _fail(f"x_min must be < x_max, got {args.x_min} >= {args.x_max}", EXIT_INPUT_ERROR)
     if args.n_points < 2:
@@ -152,12 +155,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigFileError, ConfigError, UnknownNameError, traceio.TraceFormatError, AnalysisError) as exc:
+    except (ConfigFileError, ConfigError, UnknownNameError, traceio.TraceFormatError, AnalysisError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
     except InitializationError as exc:
         return _fail(str(exc), EXIT_OBJECTIVE_ERROR)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT_ERROR)
 
 
 if __name__ == "__main__":

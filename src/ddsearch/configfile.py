@@ -1,7 +1,7 @@
 """Strict INI-style experiment configuration files.
 
 Three sections: ``[objective]`` (name), ``[algorithm]`` (every solver
-parameter), ``[output]`` (trace_path, format).  Unknown sections or keys are
+parameter), ``[output]`` (trace_path).  Unknown sections or keys are
 rejected so a typo cannot silently reconfigure an experiment; numeric values
 are decimal literals.
 """
@@ -9,30 +9,18 @@ are decimal literals.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import re
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import AlgoConfig
 
-TRACE_FORMATS = ("jsonl",)
-
 _OBJECTIVE_KEYS = {"name"}
-_ALGORITHM_REQUIRED = {
-    "x0",
-    "alpha0",
-    "beta1",
-    "beta2",
-    "gamma",
-    "search_schedule",
-    "poll_directions",
-    "forcing",
-    "seed",
-    "max_iterations",
-    "alpha_min",
-}
+_ALGORITHM_KEYS = {f.name for f in dataclasses.fields(AlgoConfig)}
 _ALGORITHM_OPTIONAL = {"revealing_radius", "revealing_count"}
-_OUTPUT_KEYS = {"trace_path", "format"}
+_OUTPUT_KEYS = {"trace_path"}
 
 
 class ConfigFileError(ValueError):
@@ -44,7 +32,6 @@ class ExperimentConfig:
     objective_name: str
     algo: AlgoConfig
     trace_path: str
-    trace_format: str
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -66,6 +53,21 @@ def _parse_vector(section: str, key: str, raw: str) -> tuple[float, ...]:
     if not tokens:
         raise ConfigFileError(f"field [{section}] {key}: empty vector")
     return tuple(_parse_float(section, key, t) for t in tokens)
+
+
+def _parse_name(section: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
+# AlgoConfig field type -> parser of its config value
+_PARSERS = {
+    tuple[float, ...]: _parse_vector,
+    float: _parse_float,
+    float | None: _parse_float,
+    int: _parse_int,
+    str: _parse_name,
+}
+_ALGORITHM_TYPES = typing.get_type_hints(AlgoConfig)
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -104,41 +106,13 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             raise ConfigFileError(f"missing field [{section}] {sorted(absent)[0]} in {path}")
 
     check_keys("objective", _OBJECTIVE_KEYS, _OBJECTIVE_KEYS)
-    check_keys("algorithm", _ALGORITHM_REQUIRED | _ALGORITHM_OPTIONAL, _ALGORITHM_REQUIRED)
+    check_keys("algorithm", _ALGORITHM_KEYS, _ALGORITHM_KEYS - _ALGORITHM_OPTIONAL)
     check_keys("output", _OUTPUT_KEYS, _OUTPUT_KEYS)
 
-    algo_section = parser["algorithm"]
-    revealing_radius = None
-    if "revealing_radius" in algo_section:
-        revealing_radius = _parse_float("algorithm", "revealing_radius", algo_section["revealing_radius"])
-    revealing_count = 1
-    if "revealing_count" in algo_section:
-        revealing_count = _parse_int("algorithm", "revealing_count", algo_section["revealing_count"])
-
-    algo = AlgoConfig(
-        x0=_parse_vector("algorithm", "x0", algo_section["x0"]),
-        alpha0=_parse_float("algorithm", "alpha0", algo_section["alpha0"]),
-        beta1=_parse_float("algorithm", "beta1", algo_section["beta1"]),
-        beta2=_parse_float("algorithm", "beta2", algo_section["beta2"]),
-        gamma=_parse_float("algorithm", "gamma", algo_section["gamma"]),
-        revealing_radius=revealing_radius,
-        revealing_count=revealing_count,
-        search_schedule=algo_section["search_schedule"].strip(),
-        poll_directions=algo_section["poll_directions"].strip(),
-        forcing=algo_section["forcing"].strip(),
-        seed=_parse_int("algorithm", "seed", algo_section["seed"]),
-        max_iterations=_parse_int("algorithm", "max_iterations", algo_section["max_iterations"]),
-        alpha_min=_parse_float("algorithm", "alpha_min", algo_section["alpha_min"]),
-    )
-
-    trace_format = parser["output"]["format"].strip()
-    if trace_format not in TRACE_FORMATS:
-        raise ConfigFileError(
-            f"field [output] format: {trace_format!r} unsupported; valid formats: {', '.join(TRACE_FORMATS)}"
-        )
+    # Absent optional keys keep their AlgoConfig defaults.
+    algo = {key: _PARSERS[_ALGORITHM_TYPES[key]]("algorithm", key, raw) for key, raw in parser["algorithm"].items()}
     return ExperimentConfig(
         objective_name=parser["objective"]["name"].strip(),
-        algo=algo,
+        algo=AlgoConfig(**algo),
         trace_path=parser["output"]["trace_path"].strip(),
-        trace_format=trace_format,
     )

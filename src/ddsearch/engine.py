@@ -170,10 +170,6 @@ def step_size_update(alpha: float, success: bool, config: AlgoConfig) -> float:
     return config.beta2 * alpha
 
 
-def _distance(a: Vector, b: Vector) -> float:
-    return math.sqrt(sum((ai - bi) * (ai - bi) for ai, bi in zip(a, b)))
-
-
 def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
     """Apply the domain oracle, then the evaluator; infeasible points get +inf."""
     if not objective.domain_oracle(point):
@@ -194,7 +190,7 @@ def _execute_step(
     success = False
     if winner is not None:
         best = trials[winner]
-        success = sufficient_decrease(best.value, f_x, _distance(best.point, x), forcing)
+        success = sufficient_decrease(best.value, f_x, math.dist(best.point, x), forcing)
     return StepOutcome(kind=kind, trials=trials, winner=winner, success=success)
 
 
@@ -223,7 +219,7 @@ def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
             f"x0 has dimension {len(config.x0)} but objective {objective.name!r} expects {objective.dimension}"
         )
     search = steps.get_search_schedule(config.search_schedule, objective.dimension)
-    poll_dirs = steps.get_poll_directions(config.poll_directions, objective.dimension)
+    poll_directions = steps.get_poll_directions(config.poll_directions, objective.dimension)
     forcing = steps.get_forcing(config.forcing)
 
     x = tuple(float(v) for v in config.x0)
@@ -258,7 +254,7 @@ def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
             outcomes.append(outcome)
 
         if not outcome.success:
-            points = [tuple(xi + alpha * di for xi, di in zip(x, d)) for d in poll_dirs(k)]
+            points = [tuple(xi + alpha * di for xi, di in zip(x, d)) for d in poll_directions]
             outcome = _execute_step(objective, POLL, points, x, f_x, forcing)
             outcomes.append(outcome)
 

@@ -13,13 +13,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping, TypeVar
 
 Vector = tuple[float, ...]
+T = TypeVar("T")
 
 
 class UnknownNameError(LookupError):
     """Raised when a registry lookup names no known entry."""
+
+
+def lookup(registry: Mapping[str, T], kind: str, name: str) -> T:
+    """Return ``registry[name]``; an unknown name raises UnknownNameError
+    naming every registered entry in sorted order."""
+    try:
+        return registry[name]
+    except KeyError:
+        valid = ", ".join(sorted(registry))
+        raise UnknownNameError(f"unknown {kind} {name!r}; valid names: {valid}") from None
 
 
 @dataclass(frozen=True)
@@ -46,16 +57,6 @@ class Polynomial:
 #: at 1, 5/4 and 2, with the unique interior local minimum at 5/4 (value
 #: exactly 121/128).
 BAND_QUARTIC = Polynomial((-18.0, 60.0, -69.0, 34.0, -6.0))
-
-
-def quartic_value(x: float) -> float:
-    """Evaluate the band quartic; meaningful on [1, 2]."""
-    return BAND_QUARTIC(x)
-
-
-def quartic_slope(x: float) -> float:
-    """First derivative of the band quartic: 60 - 138x + 102x^2 - 24x^3."""
-    return BAND_QUARTIC.derivative()(x)
 
 
 def band_index(x: float) -> int:
@@ -135,8 +136,4 @@ def objective_names() -> tuple[str, ...]:
 
 def get_objective(name: str) -> ObjectiveSpec:
     """Look up a bundled objective by identifier."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        valid = ", ".join(objective_names())
-        raise UnknownNameError(f"unknown objective {name!r}; valid names: {valid}") from None
+    return lookup(_REGISTRY, "objective", name)

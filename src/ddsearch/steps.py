@@ -11,11 +11,18 @@ from typing import Callable
 
 import numpy as np
 
-from .objective import UnknownNameError, Vector
+from .objective import Vector, lookup
 
 SearchSchedule = Callable[[int, Vector, float], list[Vector]]
-DirectionGenerator = Callable[[int], list[Vector]]
 ForcingFunction = Callable[[float], float]
+
+
+def _lookup_sized(registry: dict[str, tuple[object, int | None]], kind: str, name: str, dimension: int):
+    """Registry lookup for entries that may require one dimension."""
+    entry, required = lookup(registry, kind, name)
+    if required is not None and dimension != required:
+        raise ValueError(f"{kind} {name!r} requires dimension {required}, got {dimension}")
+    return entry
 
 
 # --------------------------------------------------------------------------
@@ -47,60 +54,39 @@ _SEARCH_SCHEDULES: dict[str, tuple[SearchSchedule, int | None]] = {
 }
 
 
-def search_schedule_names() -> tuple[str, ...]:
-    return tuple(sorted(_SEARCH_SCHEDULES))
-
-
 def get_search_schedule(name: str, dimension: int) -> SearchSchedule:
-    try:
-        schedule, required = _SEARCH_SCHEDULES[name]
-    except KeyError:
-        valid = ", ".join(search_schedule_names())
-        raise UnknownNameError(f"unknown search schedule {name!r}; valid names: {valid}") from None
-    if required is not None and dimension != required:
-        raise ValueError(f"search schedule {name!r} requires dimension {required}, got {dimension}")
-    return schedule
+    return _lookup_sized(_SEARCH_SCHEDULES, "search schedule", name, dimension)
 
 
 # --------------------------------------------------------------------------
 # Poll direction sets
+#
+# A set is the same at every iteration.  Its order breaks ties in candidate
+# selection, so it decides the trajectory.
 
 
-def pm1_directions(k: int) -> list[Vector]:
-    """The 1-D positive spanning set {-1, +1}, -1 first, constant in k."""
-    return [(-1.0,), (1.0,)]
+def pm1_directions(dimension: int) -> tuple[Vector, ...]:
+    """The 1-D positive spanning set {-1, +1}, -1 first."""
+    return ((-1.0,), (1.0,))
 
 
-def _coordinate_directions(dimension: int) -> DirectionGenerator:
-    plus = [tuple(1.0 if j == i else 0.0 for j in range(dimension)) for i in range(dimension)]
-    minus = [tuple(-v for v in d) for d in plus]
-    dirs = plus + minus
-
-    def generate(k: int) -> list[Vector]:
-        return list(dirs)
-
-    return generate
+def coordinate_directions(dimension: int) -> tuple[Vector, ...]:
+    """{+-e_i} in any dimension: all positive axes first, then all negative ones."""
+    plus = tuple(tuple(1.0 if j == i else 0.0 for j in range(dimension)) for i in range(dimension))
+    return plus + tuple(tuple(-v for v in d) for d in plus)
 
 
-def poll_direction_names() -> tuple[str, ...]:
-    return ("coordinate", "pm1")
+# name -> (builder, required dimension or None for any)
+_POLL_DIRECTIONS: dict[str, tuple[Callable[[int], tuple[Vector, ...]], int | None]] = {
+    "pm1": (pm1_directions, 1),
+    "coordinate": (coordinate_directions, None),
+}
 
 
-def get_poll_directions(name: str, dimension: int) -> DirectionGenerator:
-    """Return a generator mapping the iteration index to a direction list.
-
-    ``pm1`` is the 1-D set {-1, +1}; ``coordinate`` is {+-e_i} in any
-    dimension (all positive axes first, then all negative ones).  Both are
-    positive spanning sets of their space.
-    """
-    if name == "pm1":
-        if dimension != 1:
-            raise ValueError(f"poll directions 'pm1' require dimension 1, got {dimension}")
-        return pm1_directions
-    if name == "coordinate":
-        return _coordinate_directions(dimension)
-    valid = ", ".join(poll_direction_names())
-    raise UnknownNameError(f"unknown poll directions {name!r}; valid names: {valid}")
+def get_poll_directions(name: str, dimension: int) -> tuple[Vector, ...]:
+    """Return the named poll direction set; both bundled sets positively
+    span their space."""
+    return _lookup_sized(_POLL_DIRECTIONS, "poll directions", name, dimension)(dimension)
 
 
 # --------------------------------------------------------------------------
@@ -156,15 +142,7 @@ _FORCING: dict[str, ForcingFunction] = {
 }
 
 
-def forcing_names() -> tuple[str, ...]:
-    return tuple(sorted(_FORCING))
-
-
 def get_forcing(name: str) -> ForcingFunction:
     """Look up a forcing function; both bundled choices are continuous,
     nondecreasing on the nonnegative axis, and o(t) as t drops to 0."""
-    try:
-        return _FORCING[name]
-    except KeyError:
-        valid = ", ".join(forcing_names())
-        raise UnknownNameError(f"unknown forcing function {name!r}; valid names: {valid}") from None
+    return lookup(_FORCING, "forcing function", name)

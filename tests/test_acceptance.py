@@ -8,6 +8,7 @@ simulation, see scripts/calibrate_covering_threshold.py).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ from ddsearch.analysis import (
 )
 from ddsearch.cli import main
 from ddsearch.configfile import load_experiment_config
-from ddsearch.objective import BAND_QUARTIC, quartic_slope, quartic_value
+from ddsearch.objective import BAND_QUARTIC
 
 from helpers import (
     CountingObjective,
@@ -37,6 +38,12 @@ from helpers import (
 )
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+# sha256 of the traces that ``ddsearch run`` writes for the bundled configs
+# (the reference hashes in ROADMAP.md).
+GOLDEN_TRACE_SHA256 = {
+    "counterexample_trace.jsonl": "d71b019ec01a60acceeb81e113021e8029c655b89f56ddeb4c3b1b190ff1a36a",
+    "revealing_trace.jsonl": "d37f814d725741a2f55949297248b62a2c7afcbb5bcaf5bf5ca6c90eb3a89a00",
+}
 
 #: Covering-radius acceptance threshold for criterion 6.  Frozen from a
 #: pre-build pilot over 100 master seeds (R=2, m=4, 128 iterations): the
@@ -110,11 +117,11 @@ def test_criterion_3_branch_starvation(bundled_counterexample_trace):
 
 
 def test_criterion_4_polynomial_identities():
-    assert quartic_value(1.0) == 1.0
-    assert quartic_value(2.0) == 2.0
-    assert abs(quartic_slope(1.0)) <= 1e-12
-    assert abs(quartic_slope(1.25)) <= 1e-12
-    assert abs(quartic_slope(2.0)) <= 1e-12
+    assert BAND_QUARTIC(1.0) == 1.0
+    assert BAND_QUARTIC(2.0) == 2.0
+    assert abs(BAND_QUARTIC.derivative()(1.0)) <= 1e-12
+    assert abs(BAND_QUARTIC.derivative()(1.25)) <= 1e-12
+    assert abs(BAND_QUARTIC.derivative()(2.0)) <= 1e-12
     curvature = BAND_QUARTIC.derivative().derivative()
     assert curvature(1.25) > 0.0
     assert curvature(1.0) < 0.0
@@ -171,12 +178,14 @@ def test_criterion_8_determinism(tmp_path, monkeypatch, capsys):
         assert main(["run", name]) == 0
     second = {p.name: p.read_bytes() for p in tmp_path.glob("*.jsonl")}
     assert first == second
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in first.items()}
+    assert digests == GOLDEN_TRACE_SHA256
     capsys.readouterr()
     assert main(["montecarlo", "revealing.cfg", "--trials", "20", "--master-seed", "7"]) == 0
     mc_first = capsys.readouterr().out
     assert main(["montecarlo", "revealing.cfg", "--trials", "20", "--master-seed", "7"]) == 0
     assert capsys.readouterr().out == mc_first
-    report(8, "trace files byte-identical across reruns; Monte Carlo output identical")
+    report(8, "trace files byte-identical across reruns and match the golden hashes; Monte Carlo output identical")
 
 
 def test_criterion_9_property_suite(tmp_path):

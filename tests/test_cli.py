@@ -29,7 +29,7 @@ def write_config(path: Path, *, objective="counterexample", trace_path="trace.js
     algo.update({k: str(v) for k, v in algorithm.items()})
     lines = ["[objective]", f"name = {objective}", "", "[algorithm]"]
     lines += [f"{key} = {value}" for key, value in algo.items()]
-    lines += ["", "[output]", f"trace_path = {trace_path}", "format = jsonl"]
+    lines += ["", "[output]", f"trace_path = {trace_path}"]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -193,6 +193,8 @@ def test_sample_band_endpoints(workdir):
 def test_sample_invalid_range_exits_2(workdir, capsys):
     assert main(["sample", "counterexample", "2", "1", "10", "bad.csv"]) == 2
     assert main(["sample", "counterexample", "0", "1", "1", "bad.csv"]) == 2
+    assert main(["sample", "counterexample", "-2", "inf", "5", "bad.csv"]) == 2
+    assert not (workdir / "bad.csv").exists()
 
 
 def test_sample_unknown_objective_exits_2(workdir, capsys):

@@ -17,8 +17,6 @@ from ddsearch.objective import (
     counterexample_value,
     get_objective,
     objective_names,
-    quartic_slope,
-    quartic_value,
 )
 
 
@@ -29,22 +27,22 @@ def exact_quartic(x: Fraction) -> Fraction:
 
 
 def test_quartic_endpoint_values_exact():
-    assert quartic_value(1.0) == 1.0
-    assert quartic_value(2.0) == 2.0
+    assert BAND_QUARTIC(1.0) == 1.0
+    assert BAND_QUARTIC(2.0) == 2.0
 
 
 def test_quartic_interior_values_match_rational_oracle():
     for x in (Fraction(5, 4), Fraction(3, 2), Fraction(9, 8), Fraction(7, 4)):
         expected = exact_quartic(x)
-        assert quartic_value(float(x)) == pytest.approx(float(expected), abs=0.0)
-    assert quartic_value(1.25) == 121 / 128
-    assert quartic_value(1.5) == 9 / 8
+        assert BAND_QUARTIC(float(x)) == pytest.approx(float(expected), abs=0.0)
+    assert BAND_QUARTIC(1.25) == 121 / 128
+    assert BAND_QUARTIC(1.5) == 9 / 8
 
 
 def test_quartic_slope_zero_at_stationary_points():
-    assert abs(quartic_slope(1.0)) <= 1e-12
-    assert abs(quartic_slope(1.25)) <= 1e-12
-    assert abs(quartic_slope(2.0)) <= 1e-12
+    assert abs(BAND_QUARTIC.derivative()(1.0)) <= 1e-12
+    assert abs(BAND_QUARTIC.derivative()(1.25)) <= 1e-12
+    assert abs(BAND_QUARTIC.derivative()(2.0)) <= 1e-12
 
 
 def test_quartic_slope_formula():
@@ -90,7 +88,7 @@ def test_value_examples(x, expected):
 
 
 def test_dyadic_exactness_down_to_q50():
-    base = quartic_value(1.25)
+    base = BAND_QUARTIC(1.25)
     for q in range(51):
         scale = 2.0**-q
         assert counterexample_value(1.25 * scale) == scale * base
