@@ -21,6 +21,7 @@ from .engine import (
     ConfigError,
     InitializationError,
     IterationRecord,
+    ObjectiveError,
     StepOutcome,
     Trace,
     TrialPoint,
@@ -38,6 +39,7 @@ __all__ = [
     "EscapeStats",
     "InitializationError",
     "IterationRecord",
+    "ObjectiveError",
     "ObjectiveSpec",
     "Polynomial",
     "RefinementReport",

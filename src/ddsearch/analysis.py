@@ -314,8 +314,11 @@ def monte_carlo_escape(
     on this objective is equivalent to entering [-sqrt(2)-1, 0]; it converges
     when its final incumbent is within 1e-3 of the global minimizer -1.
     Results depend only on (master_seed, trial index), so aggregation order
-    is deterministic.
+    is deterministic.  Both tests fit the dyadic objective only, so any other
+    objective raises ConfigError.
     """
+    if objective.name != "counterexample":
+        raise ConfigError(f"monte_carlo_escape requires the counterexample objective, got {objective.name!r}")
     if base_config.revealing_radius is None:
         raise ConfigError("monte_carlo_escape requires a config with the revealing poll enabled")
     if n_trials < 1:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from collections import Counter
 
 from . import analysis, engine, traceio
 from .analysis import AnalysisError
 from .configfile import ConfigFileError, load_experiment_config
-from .engine import ConfigError, InitializationError
+from .engine import EVALUATOR_FAILURES, ConfigError, InitializationError, ObjectiveError
 from .objective import UnknownNameError, get_objective
 
 EXIT_OK = 0
@@ -98,16 +99,24 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.n_points < 2:
         return _fail(f"n_points must be >= 2, got {args.n_points}", EXIT_INPUT_ERROR)
     n = args.n_points
+    if n - 1 > sys.float_info.max or not math.isfinite((n - 1) * max(abs(args.x_min), abs(args.x_max))):
+        return _fail(f"grid of {n} points over [{args.x_min}, {args.x_max}] overflows", EXIT_INPUT_ERROR)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("x,f\n")
         for i in range(n):
             # Convex-combination grid: endpoints exact, and symmetric ranges
             # hit their midpoint (e.g. 0 on [-2, 2]) exactly.
             x = ((n - 1 - i) * args.x_min + i * args.x_max) / (n - 1)
-            value = objective.evaluator((x,))
+            try:
+                value = objective.evaluator((x,))
+            except EVALUATOR_FAILURES as exc:
+                raise ObjectiveError(objective.name, (x,)) from exc
             handle.write(f"{x!r},{value!r}\n")
     print(f"wrote {args.out}: {n} rows")
     return EXIT_OK
+
+
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="evaluate a 1-D objective on a uniform grid into a CSV file")
     p_sample.add_argument("objective", help="objective registry name")
+    # Read negative numbers in exponent form (-1e-3) as values, not options.
+    p_sample._negative_number_matcher = _NEGATIVE_NUMBER
     p_sample.add_argument("x_min", type=float)
     p_sample.add_argument("x_max", type=float)
     p_sample.add_argument("n_points", type=int)
@@ -157,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigFileError, ConfigError, UnknownNameError, traceio.TraceFormatError, AnalysisError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
-    except InitializationError as exc:
+    except (InitializationError, ObjectiveError) as exc:
         return _fail(str(exc), EXIT_OBJECTIVE_ERROR)
 
 

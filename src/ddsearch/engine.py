@@ -39,6 +39,24 @@ class InitializationError(RuntimeError):
     """The starting point is infeasible or has no finite objective value."""
 
 
+class ObjectiveError(RuntimeError):
+    """The objective's evaluator raised at a point; the original exception
+    is chained as ``__cause__``."""
+
+    def __init__(self, name: str, point: Vector) -> None:
+        super().__init__(name, point)
+        self.name = name
+        self.point = point
+
+    def __str__(self) -> str:
+        return f"objective {self.name!r} failed at {self.point}: {self.__cause__}"
+
+
+# What a failing evaluator raises: a domain error, an overflow, or a value
+# that is not a number.
+EVALUATOR_FAILURES = (ArithmeticError, TypeError, ValueError)
+
+
 @dataclass(frozen=True)
 class AlgoConfig:
     """Every free parameter of the solver.
@@ -69,8 +87,8 @@ def validate_config(config: AlgoConfig) -> None:
         raise ConfigError("x0 must have at least one component")
     if not all(math.isfinite(v) for v in config.x0):
         raise ConfigError("x0 must be finite")
-    if not config.alpha0 > 0.0:
-        raise ConfigError(f"alpha0 must be > 0, got {config.alpha0}")
+    if not 0.0 < config.alpha0 < math.inf:
+        raise ConfigError(f"alpha0 must be finite and > 0, got {config.alpha0}")
     if not 0.0 < config.beta1 <= config.beta2 < 1.0:
         raise ConfigError(
             f"beta1, beta2 must satisfy 0 < beta1 <= beta2 < 1, got beta1={config.beta1}, beta2={config.beta2}"
@@ -78,8 +96,8 @@ def validate_config(config: AlgoConfig) -> None:
     if not config.gamma >= 1.0:
         raise ConfigError(f"gamma must be >= 1, got {config.gamma}")
     if config.revealing_radius is not None:
-        if not config.revealing_radius > 0.0:
-            raise ConfigError(f"revealing_radius must be > 0, got {config.revealing_radius}")
+        if not 0.0 < config.revealing_radius < math.inf:
+            raise ConfigError(f"revealing_radius must be finite and > 0, got {config.revealing_radius}")
         if config.revealing_count < 1:
             raise ConfigError(f"revealing_count must be >= 1, got {config.revealing_count}")
     if config.seed < 0:
@@ -171,10 +189,17 @@ def step_size_update(alpha: float, success: bool, config: AlgoConfig) -> float:
 
 
 def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
-    """Apply the domain oracle, then the evaluator; infeasible points get +inf."""
+    """Apply the domain oracle, then the evaluator; infeasible points get +inf.
+
+    An evaluator failure raises ObjectiveError.
+    """
     if not objective.domain_oracle(point):
         return TrialPoint(point=point, value=math.inf, in_domain=False)
-    return TrialPoint(point=point, value=float(objective.evaluator(point)), in_domain=True)
+    try:
+        value = float(objective.evaluator(point))
+    except EVALUATOR_FAILURES as exc:
+        raise ObjectiveError(objective.name, point) from exc
+    return TrialPoint(point=point, value=value, in_domain=True)
 
 
 def _execute_step(
@@ -199,9 +224,24 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
 
     Seeding PCG64 with the entropy pair (run seed, iteration index) decouples
     the revealing poll's draws from whatever other steps consume; toggling
-    the search or poll configuration cannot shift them.
+    the search or poll configuration cannot shift them.  The pair is handed
+    over as the uint32 words SeedSequence would assemble from ``(seed, k)``
+    itself, which skips its per-element conversion and yields the same stream.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, k))))
+    words = np.array(_uint32_words(seed) + _uint32_words(k), dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative integer, 0 as ``[0]``."""
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
 
 
 def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:

@@ -7,6 +7,7 @@ own but advances the generator it is handed.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -108,6 +109,8 @@ def sample_ball_uniform(rng: np.random.Generator, dimension: int, radius: float,
         raise ValueError(f"sample count must be >= 1, got {count}")
     if not radius > 0.0:
         raise ValueError(f"ball radius must be > 0, got {radius}")
+    if dimension == 1:
+        return _sample_interval_uniform(rng, radius, count)
     gauss = rng.standard_normal((count, dimension))
     norms = np.sqrt(np.sum(gauss * gauss, axis=1))
     # A zero normal vector cannot be normalized; redraw those rows.
@@ -120,6 +123,23 @@ def sample_ball_uniform(rng: np.random.Generator, dimension: int, radius: float,
     unit_ball = gauss / norms[:, None] * radial[:, None]
     points = radius * unit_ball
     return [tuple(float(v) for v in row) for row in points]
+
+
+def _sample_interval_uniform(rng: np.random.Generator, radius: float, count: int) -> list[Vector]:
+    """The general sampler in dimension 1, in closed form and bit for bit.
+
+    It takes the same draws in the same order.  A standard normal g never
+    underflows ``g*g``, so its norm is exactly ``|g|``, the unit direction is
+    exactly ``copysign(1, g)``, ``U**(1/1)`` is U, and ``radius * (+-1 * U)``
+    equals ``copysign(radius * U, g)``, signed zeros included.
+    """
+    gauss = rng.standard_normal(count).tolist()
+    degenerate = [i for i, g in enumerate(gauss) if g * g == 0.0]
+    while degenerate:
+        for i, g in zip(degenerate, rng.standard_normal(len(degenerate)).tolist()):
+            gauss[i] = g
+        degenerate = [i for i in degenerate if gauss[i] * gauss[i] == 0.0]
+    return [(math.copysign(radius * u, g),) for g, u in zip(gauss, rng.random(count).tolist())]
 
 
 # --------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from ddsearch import read_trace
+from ddsearch import cli, read_trace
 from ddsearch.cli import main
+from ddsearch.objective import ObjectiveSpec
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,6 +101,24 @@ def test_run_objective_error_exits_3(workdir, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line,code",
+    [
+        ("revealing_radius = inf", 2),
+        ("alpha0 = inf", 2),
+        # The step expands to inf, so a poll point leaves the reals.
+        ("gamma = 1e308", 3),
+    ],
+)
+def test_run_extreme_revealing_parameters_exit_without_traceback(workdir, capsys, line, code):
+    key = line.split(" = ")[0]
+    text = (CONFIGS_DIR / "revealing.cfg").read_text()
+    config = workdir / "extreme.cfg"
+    config.write_text("\n".join(line if row.startswith(f"{key} =") else row for row in text.splitlines()) + "\n")
+    assert main(["run", str(config)]) == code
+    assert ("finite" if code == 3 else key) in capsys.readouterr().err
+
+
 def test_run_twice_is_byte_identical(workdir):
     config = workdir / "revealing.cfg"
     config.write_text((CONFIGS_DIR / "revealing.cfg").read_text())
@@ -168,6 +187,15 @@ def test_montecarlo_without_revealing_exits_2(workdir, capsys):
     assert "revealing" in capsys.readouterr().err
 
 
+def test_montecarlo_other_objective_exits_2(workdir, capsys):
+    # The escape test and the minimizer belong to the dyadic objective.
+    write_config(
+        workdir / "q.cfg", objective="quadratic_1d", search_schedule="none", revealing_radius="2.0"
+    )
+    assert main(["montecarlo", str(workdir / "q.cfg"), "--trials", "5", "--master-seed", "1"]) == 2
+    assert "counterexample" in capsys.readouterr().err
+
+
 def test_montecarlo_incomplete_escape_exits_1(workdir, capsys):
     # A single-iteration budget leaves most trials no room to escape.
     write_config(
@@ -195,6 +223,29 @@ def test_sample_invalid_range_exits_2(workdir, capsys):
     assert main(["sample", "counterexample", "0", "1", "1", "bad.csv"]) == 2
     assert main(["sample", "counterexample", "-2", "inf", "5", "bad.csv"]) == 2
     assert not (workdir / "bad.csv").exists()
+
+
+def test_sample_overflowing_grid_exits_2(workdir, capsys):
+    assert main(["sample", "counterexample", "--", "-1e308", "1e308", "5", "bad.csv"]) == 2
+    assert main(["sample", "counterexample", "0", "1", str(10**309), "bad.csv"]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert not (workdir / "bad.csv").exists()
+
+
+def test_sample_evaluator_error_exits_3(workdir, capsys, monkeypatch):
+    def broken(point):
+        raise ValueError("no value here")
+
+    monkeypatch.setattr(cli, "get_objective", lambda name: ObjectiveSpec(name, 1, broken))
+    assert main(["sample", "counterexample", "0", "1", "3", "f.csv"]) == 3
+    assert "no value here" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x_min", ["-1e-3", "-1E+2", "-.5", "-0.5", "-2"])
+@pytest.mark.parametrize("separator", [[], ["--"]])
+def test_sample_accepts_negative_bounds(workdir, x_min, separator):
+    assert main(["sample", "counterexample", *separator, x_min, "1", "3", "f.csv"]) == 0
+    assert (workdir / "f.csv").read_text().splitlines()[1].startswith(f"{float(x_min)!r},")
 
 
 def test_sample_unknown_objective_exits_2(workdir, capsys):

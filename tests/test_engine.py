@@ -4,10 +4,12 @@ and the full loop on the dyadic trap instance."""
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from ddsearch import ConfigError, InitializationError, get_objective, run
+from ddsearch import ConfigError, InitializationError, ObjectiveError, get_objective, run
 from ddsearch.engine import (
     POLL,
     REVEALING_POLL,
@@ -15,6 +17,7 @@ from ddsearch.engine import (
     TERMINATED_ALPHA_MIN,
     TERMINATED_MAX_ITERATIONS,
     TrialPoint,
+    evaluate,
     iteration_rng,
     select_candidate,
     step_size_update,
@@ -80,6 +83,8 @@ def test_step_size_update_deterministic_choices():
         (dict(max_iterations=-1), "max_iterations"),
         (dict(alpha_min=-1e-9), "alpha_min"),
         (dict(seed=-1), "seed"),
+        (dict(alpha0=math.inf), "alpha0"),
+        (dict(revealing_radius=math.inf), "revealing_radius"),
     ],
 )
 def test_validate_config_names_offending_field(overrides, field):
@@ -203,3 +208,26 @@ def test_revealing_draws_depend_only_on_seed_and_iteration(counterexample_object
 
 def test_iteration_rng_is_reproducible():
     assert iteration_rng(99, 3).random(4).tolist() == iteration_rng(99, 3).random(4).tolist()
+
+
+def test_iteration_rng_matches_seed_sequence_of_the_pair():
+    draw = random.Random(3)
+    seeds = [0, 2**32 - 1, 2**32, 2**64 - 1] + [draw.randrange(2**64) for _ in range(20)]
+    iterations = [0, 1, 2**32 + 5] + [draw.randrange(10**6) for _ in range(5)]
+    for seed in seeds:
+        for k in iterations:
+            reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, k))))
+            assert iteration_rng(seed, k).random(4).tolist() == reference.random(4).tolist(), (seed, k)
+    with pytest.raises(ValueError):
+        iteration_rng(-1, 0)
+
+
+def test_evaluator_failure_raises_objective_error():
+    def broken(point):
+        raise ValueError("no value here")
+
+    spec = ObjectiveSpec("broken", 1, broken)
+    with pytest.raises(ObjectiveError, match="'broken' failed at \\(2.0,\\): no value here") as info:
+        evaluate(spec, (2.0,))
+    assert isinstance(info.value.__cause__, ValueError)
+

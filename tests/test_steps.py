@@ -96,6 +96,66 @@ def test_sample_ball_scale_equivariance():
         assert s == tuple(2.5 * c for c in u)
 
 
+def _general_ball_formula(rng, dimension, radius, count):
+    """The n-dimensional sampler, kept here as the reference for the 1-D branch."""
+    gauss = rng.standard_normal((count, dimension))
+    norms = np.sqrt(np.sum(gauss * gauss, axis=1))
+    degenerate = norms == 0.0
+    while degenerate.any():
+        gauss[degenerate] = rng.standard_normal((int(degenerate.sum()), dimension))
+        norms = np.sqrt(np.sum(gauss * gauss, axis=1))
+        degenerate = norms == 0.0
+    radial = rng.random(count) ** (1.0 / dimension)
+    points = radius * (gauss / norms[:, None] * radial[:, None])
+    return [tuple(float(v) for v in row) for row in points]
+
+
+def _same_floats(a, b):
+    return [[repr(c) for c in p] for p in a] == [[repr(c) for c in p] for p in b]
+
+
+@pytest.mark.parametrize("radius", [2.0, 0.3, 1e-300])
+@pytest.mark.parametrize("count", [1, 4])
+def test_sample_ball_one_dimensional_is_the_general_formula(radius, count):
+    for seed in range(2000):
+        fast, general = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _same_floats(sample_ball_uniform(fast, 1, radius, count), _general_ball_formula(general, 1, radius, count))
+        # Both consumed the same draws.
+        assert fast.bit_generator.state == general.bit_generator.state
+
+
+class _ScriptedGenerator:
+    """Stands in for a Generator, returning fixed normals and uniforms in order."""
+
+    def __init__(self, normals, uniforms):
+        self._normals, self._uniforms = list(normals), list(uniforms)
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        values, self._normals = self._normals[:n], self._normals[n:]
+        return np.array(values, dtype=float).reshape(size)
+
+    def random(self, size):
+        values, self._uniforms = self._uniforms[:size], self._uniforms[size:]
+        return np.array(values, dtype=float)
+
+    def exhausted(self):
+        return not self._normals and not self._uniforms
+
+
+def test_sample_ball_one_dimensional_redraws_and_signed_zeros():
+    # Zero normals (and 1e-200, whose square underflows) are redrawn in the
+    # same batches; a uniform of 0 gives a zero signed like its normal.
+    normals = [0.0, -1.5, 1e-200, 2.0, 0.0, 3.0, -0.5]
+    uniforms = [0.5, 0.0, 0.25, 0.0]
+    scripted = _ScriptedGenerator(normals, uniforms)
+    fast = sample_ball_uniform(scripted, 1, 2.0, 4)
+    general = _general_ball_formula(_ScriptedGenerator(normals, uniforms), 1, 2.0, 4)
+    assert _same_floats(fast, general)
+    assert [repr(p[0]) for p in fast] == ["-1.0", "-0.0", "0.5", "0.0"]
+    assert scripted.exhausted()
+
+
 def test_sample_ball_rejects_bad_arguments():
     rng = iteration_rng(0, 0)
     with pytest.raises(ValueError):
