@@ -29,7 +29,7 @@ from .engine import (
 )
 from .objective import ObjectiveSpec, Polynomial, UnknownNameError, get_objective, objective_names
 from .steps import sample_ball_uniform
-from .traceio import read_trace, write_trace
+from .traceio import read_trace, validate_trace, write_trace
 
 __version__ = "0.1.0"
 
@@ -56,6 +56,7 @@ __all__ = [
     "read_trace",
     "run",
     "sample_ball_uniform",
+    "validate_trace",
     "verify_counterexample_closed_form",
     "write_trace",
 ]

@@ -115,7 +115,7 @@ def extract_refining(
     those iterations.  ``objective`` overrides the registry lookup for the
     fresh evaluation at the refined point.
     """
-    if cluster_tol <= 0.0:
+    if not cluster_tol > 0.0:
         raise AnalysisError(f"cluster_tol must be > 0, got {cluster_tol}")
     unsuccessful = [r for r in trace.records if not r.success]
     if not unsuccessful:
@@ -288,13 +288,7 @@ def incumbent_values(trace: Trace) -> list[float]:
     """Objective values of the incumbents x_0 .. x_T (T = iteration count)."""
     values = [r.f_x for r in trace.records]
     if trace.records:
-        last = trace.records[-1]
-        if last.success:
-            winning = last.outcomes[-1]
-            assert winning.winner is not None
-            values.append(winning.trials[winning.winner].value)
-        else:
-            values.append(last.f_x)
+        values.append(trace.records[-1].f_next)
     return values
 
 
@@ -323,6 +317,8 @@ def monte_carlo_escape(
         raise ConfigError("monte_carlo_escape requires a config with the revealing poll enabled")
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     n_escaped = 0
     n_converged = 0
     first_escape: list[int] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 from collections import Counter
@@ -51,6 +52,10 @@ def _format_vector(v: tuple[float, ...]) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.expect_gap is not None and not math.isfinite(args.expect_gap):
+        return _fail(f"--expect-gap must be finite, got {args.expect_gap}", EXIT_INPUT_ERROR)
+    if not 0.0 <= args.tol < math.inf:
+        return _fail(f"--tol must be finite and >= 0, got {args.tol}", EXIT_INPUT_ERROR)
     trace = traceio.read_trace(args.trace)
     if args.verify_lemma is not None:
         if not analysis.verify_counterexample_closed_form(trace, args.verify_lemma):
@@ -101,22 +106,27 @@ def cmd_sample(args: argparse.Namespace) -> int:
     n = args.n_points
     if n - 1 > sys.float_info.max or not math.isfinite((n - 1) * max(abs(args.x_min), abs(args.x_max))):
         return _fail(f"grid of {n} points over [{args.x_min}, {args.x_max}] overflows", EXIT_INPUT_ERROR)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("x,f\n")
-        for i in range(n):
-            # Convex-combination grid: endpoints exact, and symmetric ranges
-            # hit their midpoint (e.g. 0 on [-2, 2]) exactly.
-            x = ((n - 1 - i) * args.x_min + i * args.x_max) / (n - 1)
-            try:
-                value = objective.evaluator((x,))
-            except EVALUATOR_FAILURES as exc:
-                raise ObjectiveError(objective.name, (x,)) from exc
-            handle.write(f"{x!r},{value!r}\n")
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("x,f\n")
+            for i in range(n):
+                # Convex-combination grid: endpoints exact, and symmetric ranges
+                # hit their midpoint (e.g. 0 on [-2, 2]) exactly.
+                x = ((n - 1 - i) * args.x_min + i * args.x_max) / (n - 1)
+                try:
+                    value = objective.evaluator((x,))
+                except EVALUATOR_FAILURES as exc:
+                    raise ObjectiveError(objective.name, (x,)) from exc
+                handle.write(f"{x!r},{value!r}\n")
+    except ObjectiveError:
+        # No partial CSV is left behind.
+        os.remove(args.out)
+        raise
     print(f"wrote {args.out}: {n} rows")
     return EXIT_OK
 
 
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="evaluate a 1-D objective on a uniform grid into a CSV file")
     p_sample.add_argument("objective", help="objective registry name")
-    # Read negative numbers in exponent form (-1e-3) as values, not options.
+    # Read negative numbers in exponent form (-1e-3) and -inf, -nan as values,
+    # not options, so that non-finite bounds get the "must be finite" error.
     p_sample._negative_number_matcher = _NEGATIVE_NUMBER
     p_sample.add_argument("x_min", type=float)
     p_sample.add_argument("x_max", type=float)

@@ -11,11 +11,17 @@ All trial points of a step are evaluated before a candidate is selected
 (complete, non-opportunistic polling), every evaluation is logged in the
 trace, and update formulas avoid fused operations so that runs on dyadic
 data are bit-reproducible.
+
+The rules of an iteration (``step_kinds``, ``verdict``, ``update`` and
+``stop_reason``) are written once here; ``run`` is built from them and
+``traceio.validate_trace`` applies them to logged traces.
 """
 
 from __future__ import annotations
 
 import math
+import typing
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +87,31 @@ class AlgoConfig:
     alpha_min: float = 0.0
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, (float, np.floating)) or _is_integer(value)
+
+
+# AlgoConfig field type -> test of a value's type
+_TYPE_TESTS = {
+    tuple[float, ...]: lambda v: isinstance(v, (tuple, list)) and all(_is_real(c) for c in v),
+    float: _is_real,
+    float | None: lambda v: v is None or _is_real(v),
+    int: _is_integer,
+    str: lambda v: isinstance(v, str),
+}
+_FIELD_TESTS = {name: _TYPE_TESTS[hint] for name, hint in typing.get_type_hints(AlgoConfig).items()}
+
+
 def validate_config(config: AlgoConfig) -> None:
     """Raise ConfigError naming the offending field(s) if the config is invalid."""
+    for name, test in _FIELD_TESTS.items():
+        value = getattr(config, name)
+        if not test(value):
+            raise ConfigError(f"{name} has the wrong type: {value!r}")
     if len(config.x0) == 0:
         raise ConfigError("x0 must have at least one component")
     if not all(math.isfinite(v) for v in config.x0):
@@ -144,6 +173,15 @@ class IterationRecord:
     x_next: Vector
     alpha_next: float
 
+    @property
+    def f_next(self) -> float:
+        """Incumbent value after the iteration: the winning trial's value on
+        success, else ``f_x``."""
+        if not self.success:
+            return self.f_x
+        last = self.outcomes[-1]
+        return last.trials[last.winner].value
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -202,21 +240,44 @@ def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
     return TrialPoint(point=point, value=value, in_domain=True)
 
 
-def _execute_step(
-    objective: ObjectiveSpec,
-    kind: str,
-    points: list[Vector],
-    x: Vector,
-    f_x: float,
-    forcing: steps.ForcingFunction,
-) -> StepOutcome:
-    trials = tuple(evaluate(objective, p) for p in points)
+def verdict(
+    trials: tuple[TrialPoint, ...], x: Vector, f_x: float, forcing: steps.ForcingFunction
+) -> tuple[int | None, bool]:
+    """``(winner, success)`` of one step: the best eligible trial, and
+    whether it gives sufficient decrease from the incumbent ``(x, f_x)``."""
     winner = select_candidate(trials)
-    success = False
-    if winner is not None:
-        best = trials[winner]
-        success = sufficient_decrease(best.value, f_x, math.dist(best.point, x), forcing)
-    return StepOutcome(kind=kind, trials=trials, winner=winner, success=success)
+    if winner is None:
+        return None, False
+    best = trials[winner]
+    return winner, sufficient_decrease(best.value, f_x, math.dist(best.point, x), forcing)
+
+
+def step_kinds(config: AlgoConfig) -> tuple[str, ...]:
+    """Step order of every iteration; an iteration stops at its first success."""
+    if config.revealing_radius is None:
+        return (SEARCH, POLL)
+    return (SEARCH, REVEALING_POLL, POLL)
+
+
+def update(
+    x: Vector, alpha: float, outcomes: Sequence[StepOutcome], config: AlgoConfig
+) -> tuple[bool, Vector, float]:
+    """The update rule, ``(success, x_next, alpha_next)``: the iteration
+    succeeds iff its last executed step did, the incumbent moves to that
+    step's winner, and the step size follows ``step_size_update``."""
+    last = outcomes[-1]
+    x_next = last.trials[last.winner].point if last.success else x
+    return last.success, x_next, step_size_update(alpha, last.success, config)
+
+
+def stop_reason(k: int, alpha: float, config: AlgoConfig) -> str | None:
+    """Why the run ends before iteration k with step size alpha, or None
+    if iteration k runs."""
+    if k >= config.max_iterations:
+        return TERMINATED_MAX_ITERATIONS
+    if alpha < config.alpha_min:
+        return TERMINATED_ALPHA_MIN
+    return None
 
 
 def iteration_rng(seed: int, k: int) -> np.random.Generator:
@@ -261,6 +322,7 @@ def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
     search = steps.get_search_schedule(config.search_schedule, objective.dimension)
     poll_directions = steps.get_poll_directions(config.poll_directions, objective.dimension)
     forcing = steps.get_forcing(config.forcing)
+    kinds = step_kinds(config)
 
     x = tuple(float(v) for v in config.x0)
     start = evaluate(objective, x)
@@ -272,54 +334,40 @@ def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
     alpha = config.alpha0
 
     records: list[IterationRecord] = []
-    termination = TERMINATED_MAX_ITERATIONS
-    for k in range(config.max_iterations):
-        if alpha < config.alpha_min:
-            termination = TERMINATED_ALPHA_MIN
-            break
+    k = 0
+    while (termination := stop_reason(k, alpha, config)) is None:
         outcomes: list[StepOutcome] = []
-
-        outcome = _execute_step(objective, SEARCH, search(k, x, alpha), x, f_x, forcing)
-        outcomes.append(outcome)
-
-        if not outcome.success and config.revealing_radius is not None:
-            rng = iteration_rng(config.seed, k)
-            offsets = steps.sample_ball_uniform(
-                rng, objective.dimension, config.revealing_radius, config.revealing_count
-            )
-            # Revealing trial points are incumbent + raw ball offset; the
-            # radius is fixed and deliberately independent of alpha.
-            points = [tuple(xi + di for xi, di in zip(x, d)) for d in offsets]
-            outcome = _execute_step(objective, REVEALING_POLL, points, x, f_x, forcing)
-            outcomes.append(outcome)
-
-        if not outcome.success:
-            points = [tuple(xi + alpha * di for xi, di in zip(x, d)) for d in poll_directions]
-            outcome = _execute_step(objective, POLL, points, x, f_x, forcing)
-            outcomes.append(outcome)
-
-        success = outcome.success
-        if success:
-            assert outcome.winner is not None
-            best = outcome.trials[outcome.winner]
-            x_next, f_next = best.point, best.value
-        else:
-            x_next, f_next = x, f_x
-        alpha_next = step_size_update(alpha, success, config)
-
-        records.append(
-            IterationRecord(
-                k=k,
-                x=x,
-                alpha=alpha,
-                f_x=f_x,
-                outcomes=tuple(outcomes),
-                success=success,
-                x_next=x_next,
-                alpha_next=alpha_next,
-            )
+        for kind in kinds:
+            if kind == SEARCH:
+                points = search(k, x, alpha)
+            elif kind == REVEALING_POLL:
+                offsets = steps.sample_ball_uniform(
+                    iteration_rng(config.seed, k), objective.dimension, config.revealing_radius, config.revealing_count
+                )
+                # Revealing trial points are incumbent + raw ball offset; the
+                # radius is fixed and deliberately independent of alpha.
+                points = [tuple(xi + di for xi, di in zip(x, d)) for d in offsets]
+            else:
+                points = [tuple(xi + alpha * di for xi, di in zip(x, d)) for d in poll_directions]
+            trials = tuple(evaluate(objective, p) for p in points)
+            winner, success = verdict(trials, x, f_x, forcing)
+            outcomes.append(StepOutcome(kind=kind, trials=trials, winner=winner, success=success))
+            if success:
+                break
+        success, x_next, alpha_next = update(x, alpha, outcomes, config)
+        record = IterationRecord(
+            k=k,
+            x=x,
+            alpha=alpha,
+            f_x=f_x,
+            outcomes=tuple(outcomes),
+            success=success,
+            x_next=x_next,
+            alpha_next=alpha_next,
         )
-        x, f_x, alpha = x_next, f_next, alpha_next
+        records.append(record)
+        x, f_x, alpha = x_next, record.f_next, alpha_next
+        k += 1
 
     return Trace(
         config=config,

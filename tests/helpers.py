@@ -1,17 +1,14 @@
-"""Shared test machinery: config factories, a counting objective wrapper, a
-randomized config generator, and the engine invariant checks reused by the
-property suite and the acceptance gate."""
+"""Shared test machinery: config factories, a counting objective wrapper, and
+a randomized config generator for the property suite and the acceptance
+gate; the engine invariants themselves are ``traceio.validate_trace``."""
 
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from ddsearch import AlgoConfig, ObjectiveSpec, Trace
-from ddsearch.engine import POLL, REVEALING_POLL, SEARCH
-from ddsearch.steps import get_forcing
 
 
 def counterexample_config(**overrides) -> AlgoConfig:
@@ -84,73 +81,6 @@ def random_config(rng: np.random.Generator) -> tuple[AlgoConfig, str]:
         alpha_min=float(rng.choice([0.0, 1e-6])),
     )
     return config, objective_name
-
-
-def check_trace_invariants(trace: Trace, config: AlgoConfig) -> None:
-    """Assert the engine contracts on one finished trace."""
-    forcing = get_forcing(config.forcing)
-    revealing_enabled = config.revealing_radius is not None
-
-    for i, record in enumerate(trace.records):
-        kinds = [o.kind for o in record.outcomes]
-
-        # Execution order and skip semantics: search always executes; the
-        # revealing poll follows unless search succeeded; the poll follows
-        # unless an earlier step succeeded.
-        assert kinds[0] == SEARCH
-        successes = [o.success for o in record.outcomes]
-        assert sum(successes) <= 1
-        if any(successes):
-            assert successes[-1], "only the last executed step may succeed"
-        search_outcome = record.outcomes[0]
-        if search_outcome.success:
-            assert kinds == [SEARCH]
-        elif revealing_enabled:
-            assert kinds[1] == REVEALING_POLL
-            if record.outcomes[1].success:
-                assert kinds == [SEARCH, REVEALING_POLL]
-            else:
-                assert kinds == [SEARCH, REVEALING_POLL, POLL]
-        else:
-            assert kinds == [SEARCH, POLL]
-
-        assert record.success == any(successes)
-
-        for outcome in record.outcomes:
-            if outcome.success:
-                assert outcome.winner is not None
-                best = outcome.trials[outcome.winner]
-                assert best.in_domain and math.isfinite(best.value)
-                dist = math.dist(best.point, record.x)
-                assert best.value < record.f_x - forcing(dist)
-            if outcome.winner is not None:
-                assert outcome.trials[outcome.winner].in_domain
-            for trial in outcome.trials:
-                if not trial.in_domain:
-                    assert trial.value == math.inf
-
-        # Step-size bracketing, using the deterministic endpoint updates.
-        ratio = record.alpha_next / record.alpha
-        if record.success:
-            assert 1.0 <= ratio <= config.gamma * (1.0 + 1e-15)
-        else:
-            assert config.beta1 * (1.0 - 1e-15) <= ratio <= config.beta2 * (1.0 + 1e-15)
-
-        # Monotone incumbents, strict exactly at successes.
-        if record.success:
-            winning = record.outcomes[-1]
-            assert winning.trials[winning.winner].point == record.x_next
-            assert winning.trials[winning.winner].value < record.f_x
-        else:
-            assert record.x_next == record.x
-
-        if i + 1 < len(trace.records):
-            nxt = trace.records[i + 1]
-            assert nxt.x == record.x_next
-            assert nxt.alpha == record.alpha_next
-            assert nxt.k == record.k + 1
-
-        assert record.alpha >= config.alpha_min or config.alpha_min == 0.0
 
 
 def evaluation_count(trace: Trace) -> int:

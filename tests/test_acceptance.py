@@ -28,10 +28,10 @@ from ddsearch.analysis import (
 from ddsearch.cli import main
 from ddsearch.configfile import load_experiment_config
 from ddsearch.objective import BAND_QUARTIC
+from ddsearch.traceio import validate_trace
 
 from helpers import (
     CountingObjective,
-    check_trace_invariants,
     evaluation_count,
     random_config,
     revealing_config,
@@ -195,7 +195,7 @@ def test_criterion_9_property_suite(tmp_path):
         config, objective_name = random_config(rng)
         counting = CountingObjective(get_objective(objective_name))
         trace = run(config, counting.spec)
-        check_trace_invariants(trace, config)
+        validate_trace(trace)
         assert counting.calls == evaluation_count(trace)
         if index % 100 == 0:
             path = tmp_path / f"trace_{index}.jsonl"

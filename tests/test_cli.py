@@ -158,6 +158,28 @@ def test_analyze_quadratic_gap_is_zero(workdir):
     assert main(["analyze", "trace.jsonl", "--expect-gap", "0", "--tol", "1e-6"]) == 0
 
 
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--expect-gap", "5", "--tol", "nan"], "--tol"),
+        (["--expect-gap", "nan"], "--expect-gap"),
+        (["--expect-gap", "inf"], "--expect-gap"),
+        (["--expect-gap", "1.0", "--tol", "-1"], "--tol"),
+        (["--expect-gap", "1.0", "--tol", "inf"], "--tol"),
+        (["--cluster-tol", "nan"], "cluster_tol"),
+        (["--cluster-tol", "0"], "cluster_tol"),
+    ],
+)
+def test_analyze_invalid_numeric_flags_exit_2(workdir, capsys, flags, named):
+    write_config(workdir / "c.cfg")
+    assert main(["run", str(workdir / "c.cfg")]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "trace.jsonl", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "gap:" not in captured.out
+    assert named in captured.err
+
+
 def test_analyze_corrupt_trace_exits_2(workdir, capsys):
     (workdir / "junk.jsonl").write_text("not a trace\n")
     assert main(["analyze", "junk.jsonl"]) == 2
@@ -196,6 +218,13 @@ def test_montecarlo_other_objective_exits_2(workdir, capsys):
     assert "counterexample" in capsys.readouterr().err
 
 
+def test_montecarlo_negative_master_seed_exits_2(workdir, capsys):
+    config = workdir / "revealing.cfg"
+    config.write_text((CONFIGS_DIR / "revealing.cfg").read_text())
+    assert main(["montecarlo", str(config), "--trials", "5", "--master-seed", "-1"]) == 2
+    assert "master_seed" in capsys.readouterr().err
+
+
 def test_montecarlo_incomplete_escape_exits_1(workdir, capsys):
     # A single-iteration budget leaves most trials no room to escape.
     write_config(
@@ -222,6 +251,9 @@ def test_sample_invalid_range_exits_2(workdir, capsys):
     assert main(["sample", "counterexample", "2", "1", "10", "bad.csv"]) == 2
     assert main(["sample", "counterexample", "0", "1", "1", "bad.csv"]) == 2
     assert main(["sample", "counterexample", "-2", "inf", "5", "bad.csv"]) == 2
+    for bound in ["-inf", "-Infinity", "-INF", "-nan", "-NaN"]:
+        assert main(["sample", "counterexample", bound, "1", "5", "bad.csv"]) == 2
+        assert "must be finite" in capsys.readouterr().err
     assert not (workdir / "bad.csv").exists()
 
 
@@ -239,6 +271,7 @@ def test_sample_evaluator_error_exits_3(workdir, capsys, monkeypatch):
     monkeypatch.setattr(cli, "get_objective", lambda name: ObjectiveSpec(name, 1, broken))
     assert main(["sample", "counterexample", "0", "1", "3", "f.csv"]) == 3
     assert "no value here" in capsys.readouterr().err
+    assert not (workdir / "f.csv").exists()
 
 
 @pytest.mark.parametrize("x_min", ["-1e-3", "-1E+2", "-.5", "-0.5", "-2"])

@@ -9,10 +9,10 @@ import numpy as np
 
 from ddsearch import get_objective, read_trace, run, write_trace
 from ddsearch.analysis import covering_radius, derive_trial_seed, trial_points
+from ddsearch.traceio import validate_trace
 
 from helpers import (
     CountingObjective,
-    check_trace_invariants,
     evaluation_count,
     random_config,
     revealing_config,
@@ -25,7 +25,7 @@ def test_engine_invariants_on_randomized_configs(tmp_path):
         config, objective_name = random_config(rng)
         counting = CountingObjective(get_objective(objective_name))
         trace = run(config, counting.spec)
-        check_trace_invariants(trace, config)
+        validate_trace(trace)
         assert counting.calls == evaluation_count(trace)
         if index % 40 == 0:
             path = tmp_path / f"trace_{index}.jsonl"

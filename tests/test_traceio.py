@@ -1,14 +1,20 @@
-"""Trace persistence: write -> read must be the identity on the data model."""
+"""Trace persistence: write -> read must be the identity on the data model,
+and reading must reject, with TraceFormatError only, any trace that breaks
+the engine's iteration rules."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddsearch import read_trace, run, write_trace
+from ddsearch.cli import main
 from ddsearch.objective import ObjectiveSpec
-from ddsearch.traceio import TraceFormatError, config_from_dict, config_to_dict
+from ddsearch.traceio import TraceFormatError, config_from_dict, config_to_dict, trace_lines
 
 from helpers import counterexample_config, revealing_config
 
@@ -85,3 +91,107 @@ def test_read_unknown_config_field_raises(tmp_path, vanilla_trace_52):
     path.write_text(text)
     with pytest.raises(TraceFormatError):
         read_trace(path)
+
+
+# Each corruption edits the parsed lines of the 52-iteration trace: line 0 is
+# the header, line 1 + k the record of iteration k, line 53 the trailer.
+# Even iterations fail after search and poll; odd ones succeed through their
+# search step.
+CORRUPTIONS = {
+    "x": (lambda t: t[11].update(x=[0.05]), "does not continue"),
+    "f on an unsuccessful record": (lambda t: t[51].update(f=0.5), "does not continue"),
+    "alpha": (lambda t: t[11].update(alpha=0.5), "does not continue"),
+    "alpha_next one ulp off": (lambda t: t[11].update(alpha_next=2**-8 * (1 + 2**-52)), "update rule"),
+    "k": (lambda t: t[11].update(k=11), "does not continue"),
+    "record success": (lambda t: t[11].update(success=True), "update rule"),
+    "step winner": (lambda t: t[11]["outcomes"][1].update(winner=1), "verdict"),
+    "step success": (lambda t: t[12]["outcomes"][0].update(success=False), "verdict"),
+    "finite out-of-domain value": (
+        lambda t: t[11]["outcomes"][1]["trials"][0].update(in_domain=False),
+        "out-of-domain",
+    ),
+    "swapped steps": (lambda t: t[11]["outcomes"].reverse(), "step 0 is 'poll'"),
+    "extra step after a success": (
+        lambda t: t[12]["outcomes"].append({**t[12]["outcomes"][0], "step": "poll"}),
+        "continue after",
+    ),
+    "extra step": (lambda t: t[11]["outcomes"].append(t[11]["outcomes"][1]), "has 3 steps"),
+    "missing step": (lambda t: t[11]["outcomes"].pop(), "stop before a success"),
+    "termination": (lambda t: t[53].update(termination="alpha_min"), "termination"),
+    "header beta2 = 7": (lambda t: t[0]["config"].update(beta2=7.0), "beta2"),
+    'header alpha0 = "abc"': (lambda t: t[0]["config"].update(alpha0="abc"), "alpha0"),
+    "unknown forcing": (lambda t: t[0]["config"].update(forcing="cubic"), "cubic"),
+}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+def test_inconsistent_trace_is_rejected(tmp_path, monkeypatch, capsys, vanilla_trace_52, name):
+    corrupt, message = CORRUPTIONS[name]
+    parsed = [json.loads(line) for line in trace_lines(vanilla_trace_52)]
+    assert len(parsed) == 54 and parsed[11]["alpha_next"] == 2**-8
+    corrupt(parsed)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(data) + "\n" for data in parsed))
+    with pytest.raises(TraceFormatError, match=message):
+        read_trace(path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "trace.jsonl", "--expect-gap", "1.5", "--tol", "1e-3"]) == 2
+    assert "gap" not in capsys.readouterr().out
+
+
+def _json_paths(value, prefix=()):
+    """Every path into a parsed JSON value, the value itself included."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, prefix + (key,))
+
+
+# Half of the replacements are values at the edges of what the reader converts.
+_EDGE_VALUES = [math.inf, -math.inf, math.nan, 10**400, -1, 0, 0.5, "abc", "cubic", [], {}]
+_JSON_VALUES = st.sampled_from(_EDGE_VALUES) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def small_trace_lines(counterexample_objective) -> list[str]:
+    trace = run(revealing_config(seed=3, max_iterations=6), counterexample_objective)
+    return list(trace_lines(trace))
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    database=None,
+    derandomize=True,
+)
+@given(data=st.data())
+def test_reader_raises_only_trace_format_error(tmp_path_factory, small_trace_lines, data):
+    lines = list(small_trace_lines)
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    action = data.draw(st.sampled_from(["replace", "drop", "duplicate"]), label="action")
+    if action == "drop":
+        del lines[index]
+    elif action == "duplicate":
+        lines.insert(index, lines[index])
+    else:
+        parsed = json.loads(lines[index])
+        path = data.draw(st.sampled_from(list(_json_paths(parsed))), label="path")
+        value = data.draw(_JSON_VALUES, label="value")
+        if path:
+            target = parsed
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            parsed = value
+        lines[index] = json.dumps(parsed, separators=(",", ":"))
+    path = tmp_path_factory.mktemp("fuzz") / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        read_trace(path)
+    except TraceFormatError:
+        pass
