@@ -191,6 +191,11 @@ def verify_counterexample_closed_form(trace: Trace, q_max: int) -> bool:
     return True
 
 
+# Coordinates in one difference block of covering_radius (2 MB of float64);
+# a 1-D pilot of up to 1304 samples on a 201-point grid is a single block.
+_COVERING_BLOCK = 1 << 18
+
+
 def covering_radius(
     points: list[Vector] | tuple[Vector, ...], center: Vector, radius: float, grid_resolution: int
 ) -> float:
@@ -217,13 +222,19 @@ def covering_radius(
     if len(points) == 0:
         return math.inf
     samples = np.asarray(points, dtype=float).reshape(len(points), n)
-    nearest = np.full(len(grid), math.inf)
-    # Chunk over samples to bound the distance matrix size.
-    for start in range(0, len(samples), 1024):
-        block = samples[start : start + 1024]
-        d = np.linalg.norm(grid[:, None, :] - block[None, :, :], axis=2)
-        nearest = np.minimum(nearest, d.min(axis=1))
-    return float(nearest.max())
+    # Chunk over samples and grid points so that no difference block holds
+    # more than _COVERING_BLOCK coordinates; a max of mins over chunks is exact.
+    columns = max(1, min(len(samples), _COVERING_BLOCK // n))
+    rows = max(1, _COVERING_BLOCK // (columns * n))
+    radius_found = 0.0
+    for row in range(0, len(grid), rows):
+        part = grid[row : row + rows, None, :]
+        nearest = np.full(len(part), math.inf)
+        for column in range(0, len(samples), columns):
+            d = np.linalg.norm(part - samples[None, column : column + columns, :], axis=2)
+            nearest = np.minimum(nearest, d.min(axis=1))
+        radius_found = max(radius_found, float(nearest.max()))
+    return radius_found
 
 
 def trial_points(trace: Trace, kinds: tuple[str, ...] | None = None, unsuccessful_only: bool = False) -> list[Vector]:

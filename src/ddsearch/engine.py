@@ -19,7 +19,9 @@ The rules of an iteration (``step_kinds``, ``verdict``, ``update`` and
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import typing
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -285,18 +287,105 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
 
     Seeding PCG64 with the entropy pair (run seed, iteration index) decouples
     the revealing poll's draws from whatever other steps consume; toggling
-    the search or poll configuration cannot shift them.  The pair is handed
-    over as the uint32 words SeedSequence would assemble from ``(seed, k)``
-    itself, which skips its per-element conversion and yields the same stream.
+    the search or poll configuration cannot shift them.  The stream is the
+    one ``PCG64(SeedSequence((seed, k)))`` gives; its seed words come from
+    ``_seed_block``, which computes them for 64 iterations at a time.
     """
-    words = np.array(_uint32_words(seed) + _uint32_words(k), dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    seed, k = operator.index(seed), operator.index(k)
+    if seed < 0 or k < 0:
+        raise ValueError(f"expected nonnegative integers, got seed {seed} and k {k}")
+    row = _seed_block(seed, k >> _BLOCK_BITS)[k & (_BLOCK_SIZE - 1)]
+    return np.random.Generator(np.random.PCG64(_row_seed_sequence()(row)))
+
+
+_BLOCK_BITS = 6
+_BLOCK_SIZE = 1 << _BLOCK_BITS
+
+# SeedSequence's hashing constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# _OTHERS[i_src]: the pool words that mix in a hash of pool word i_src, in
+# SeedSequence's order.
+_OTHERS = tuple([d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE))
+
+
+@functools.lru_cache(maxsize=4)
+def _hash_constants(value: int, mult: int, count: int) -> np.ndarray:
+    """Column of the first ``count`` hash constants: ``value``, then each
+    times ``mult``; hash call i uses constants i and i + 1."""
+    out = [value]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``value`` row by row, row i with constants i, i + 1."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return value ^ (value >> 16)
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    """``SeedSequence((seed, k)).generate_state(4, np.uint64)`` as row ``k % 64``
+    for the 64 iterations ``k`` of ``block``, in one numpy pass.
+
+    Column j of every uint32 array below belongs to ``k = 64 * block + j``.
+    A block never crosses a multiple of 2**32, so only the low word of ``k``
+    varies within it.  SeedSequence's pool mixing runs in the same order;
+    the hashes one pool word sends to the other three are independent, so
+    they run as one row-wise call.
+    """
+    seed_words = _uint32_words(seed)
+    words = seed_words + _uint32_words(block << _BLOCK_BITS)
+    entropy = np.zeros((max(len(words), _POOL_SIZE), _BLOCK_SIZE), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] += np.arange(_BLOCK_SIZE, dtype=np.uint32)
+    extra = len(entropy) - _POOL_SIZE
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra) + 1)
+    pool = _hash(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
+    i = _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], consts[i : i + len(dst) + 1]))
+        i += len(dst)
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hash(word, consts[i : i + _POOL_SIZE + 1]))
+        i += _POOL_SIZE
+    # generate_state(4, uint64): 8 uint32 words cycling through the pool,
+    # paired into little-endian uint64 words.
+    state = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1))
+    block_state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    block_state.setflags(write=False)  # shared by every caller through the memo
+    return block_state
+
+
+@functools.cache
+def _row_seed_sequence() -> type:
+    """A SeedSequence stand-in that hands PCG64 one precomputed row of
+    ``_seed_block``, the answer to the ``generate_state(4, np.uint64)`` call
+    PCG64 makes.  Built on first use, so importing ddsearch does not import
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeedSequence(ISeedSequence):
+        def __init__(self, row: np.ndarray) -> None:
+            self.row = row
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            return self.row
+
+    return RowSeedSequence
 
 
 def _uint32_words(n: int) -> list[int]:
     """Little-endian 32-bit words of a nonnegative integer, 0 as ``[0]``."""
-    if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n}")
     words = [n & 0xFFFFFFFF]
     n >>= 32
     while n:

@@ -59,16 +59,47 @@ def _outcome_to_dict(outcome: StepOutcome) -> dict[str, Any]:
     }
 
 
+def _typed(value: Any, types: frozenset[type], field: str) -> Any:
+    """``value`` if its JSON type is in ``types``, else TypeError; a JSON
+    boolean is never an integer here."""
+    if type(value) not in types:
+        raise TypeError(f"{field} has the wrong type: {value!r}")
+    return value
+
+
+_NUMBER = frozenset((int, float))
+_INTEGER = frozenset((int,))
+_OPTIONAL_INTEGER = frozenset((int, type(None)))
+_BOOLEAN = frozenset((bool,))
+
+
+def _number(value: Any, field: str) -> float:
+    if type(value) not in _NUMBER:
+        raise TypeError(f"{field} has the wrong type: {value!r}")
+    return float(value)
+
+
+def _vector(values: Any, field: str) -> tuple[float, ...]:
+    if type(values) is not list or not _NUMBER.issuperset(map(type, values)):
+        raise TypeError(f"{field} has the wrong type: {values!r}")
+    return tuple(map(float, values))
+
+
 def _outcome_from_dict(data: dict[str, Any]) -> StepOutcome:
     trials = tuple(
         TrialPoint(
-            point=tuple(float(v) for v in t["point"]),
-            value=float(t["value"]),
-            in_domain=bool(t["in_domain"]),
+            point=_vector(t["point"], "point"),
+            value=_number(t["value"], "value"),
+            in_domain=_typed(t["in_domain"], _BOOLEAN, "in_domain"),
         )
         for t in data["trials"]
     )
-    return StepOutcome(kind=data["step"], trials=trials, winner=data["winner"], success=data["success"])
+    return StepOutcome(
+        kind=data["step"],
+        trials=trials,
+        winner=_typed(data["winner"], _OPTIONAL_INTEGER, "winner"),
+        success=_typed(data["success"], _BOOLEAN, "step success"),
+    )
 
 
 def _record_to_dict(record: IterationRecord) -> dict[str, Any]:
@@ -86,14 +117,14 @@ def _record_to_dict(record: IterationRecord) -> dict[str, Any]:
 
 def _record_from_dict(data: dict[str, Any]) -> IterationRecord:
     return IterationRecord(
-        k=int(data["k"]),
-        x=tuple(float(v) for v in data["x"]),
-        alpha=float(data["alpha"]),
-        f_x=float(data["f"]),
+        k=_typed(data["k"], _INTEGER, "k"),
+        x=_vector(data["x"], "x"),
+        alpha=_number(data["alpha"], "alpha"),
+        f_x=_number(data["f"], "f"),
         outcomes=tuple(_outcome_from_dict(o) for o in data["outcomes"]),
-        success=bool(data["success"]),
-        x_next=tuple(float(v) for v in data["x_next"]),
-        alpha_next=float(data["alpha_next"]),
+        success=_typed(data["success"], _BOOLEAN, "success"),
+        x_next=_vector(data["x_next"], "x_next"),
+        alpha_next=_number(data["alpha_next"], "alpha_next"),
     )
 
 

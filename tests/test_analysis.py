@@ -4,10 +4,12 @@ covering radii, the Clarke estimator, and the Monte Carlo escape harness."""
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import pytest
 
-from ddsearch import AlgoConfig, ConfigError, get_objective, run
+from ddsearch import AlgoConfig, ConfigError, analysis, get_objective, run
 from ddsearch.analysis import (
     AnalysisError,
     clarke_estimate,
@@ -153,6 +155,44 @@ def test_covering_radius_rejects_bad_arguments():
         covering_radius([(0.0,)], (0.0,), 1.0, 1)
     with pytest.raises(ValueError):
         covering_radius([(0.0,)], (0.0,), 0.0, 11)
+
+
+def test_covering_radius_matches_sorted_gaps_in_one_dimension():
+    # On [lo, hi] the exact radius is the larger end gap or half the largest
+    # gap between neighbours; the grid sees it to within half a spacing.
+    draw = random.Random(11)
+    center, radius, resolution = 0.25, 2.0, 201
+    lo, hi = center - radius, center + radius
+    spacing = 2 * radius / (resolution - 1)
+    for count in (1, 2, 17, 600, 3000):
+        points = sorted(draw.uniform(lo, hi) for _ in range(count))
+        gaps = [(b - a) / 2 for a, b in zip(points, points[1:])]
+        exact = max(points[0] - lo, hi - points[-1], *gaps)
+        found = covering_radius([(p,) for p in points], (center,), radius, resolution)
+        assert exact - spacing / 2 - 1e-12 <= found <= exact + 1e-12, count
+
+
+def test_covering_radius_does_not_depend_on_the_block_size(monkeypatch):
+    draw = random.Random(12)
+    points = [(draw.uniform(-2, 2), draw.uniform(-2, 2)) for _ in range(300)]
+    expected = covering_radius(points, (0.1, -0.2), 1.5, 21)
+    for block in (64, 4096, 1 << 24):
+        monkeypatch.setattr(analysis, "_COVERING_BLOCK", block)
+        assert covering_radius(points, (0.1, -0.2), 1.5, 21) == expected, block
+
+
+def test_covering_radius_memory_is_bounded():
+    # One 31 700 x 2000 x 2 difference block would be about 1 GB.
+    draw = random.Random(13)
+    points = [(draw.uniform(-2, 2), draw.uniform(-2, 2)) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        radius = covering_radius(points, (0.0, 0.0), 2.0, 201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < radius < 0.5
+    assert peak < 32 * 2**20
 
 
 def test_vanilla_run_starves_the_left_half_ball(vanilla_trace_52):

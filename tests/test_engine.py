@@ -4,7 +4,10 @@ and the full loop on the dyadic trap instance."""
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +223,49 @@ def test_iteration_rng_matches_seed_sequence_of_the_pair():
             assert iteration_rng(seed, k).random(4).tolist() == reference.random(4).tolist(), (seed, k)
     with pytest.raises(ValueError):
         iteration_rng(-1, 0)
+
+
+def _seed_sequence_state(seed, k):
+    return np.random.PCG64(np.random.SeedSequence(entropy=(seed, k))).state
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**63 + 11, 2**64 - 1])
+def test_iteration_rng_state_at_block_edges(seed):
+    for k in (0, 63, 64, 65, 127, 128, 2**32 - 1, 2**32, 2**32 + 63, 2**32 + 64, 2**64 + 1):
+        assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3, 4, 7])
+def test_iteration_rng_state_for_long_seeds(words):
+    # With k, the entropy has up to 10 words, so SeedSequence's mixing of
+    # the words beyond its 4-word pool runs too.
+    draw = random.Random(words)
+    seeds = [2 ** (32 * words) - 1, 2 ** (32 * (words - 1))] + [draw.randrange(2 ** (32 * words)) for _ in range(3)]
+    for seed in seeds:
+        for k in (0, 5, 64 * 3 + 17, 2**32 + 9, 2**64 + 1, 2**80 + 2**40 + 63):
+            assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
+
+
+def test_iteration_rng_does_not_depend_on_access_order():
+    pairs = [(seed, k) for seed in (3, 2**40 + 1, 99) for k in range(0, 200, 7)]
+    expected = {pair: _seed_sequence_state(*pair) for pair in pairs}
+    orders = [sorted(pairs, reverse=True), sorted(pairs, key=lambda pair: (pair[1], pair[0]))]
+    for order in orders:
+        for seed, k in order:
+            assert iteration_rng(seed, k).bit_generator.state == expected[seed, k], (seed, k)
+
+
+def test_importing_ddsearch_does_not_import_numpy_random():
+    # numpy 2 loads numpy.random on first use only; importing ddsearch must
+    # not be that first use, since it would add to every command's start-up.
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; "
+        "import ddsearch, ddsearch.cli; print(before, 'numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    before, after = result.stdout.split()
+    assert after == before
 
 
 def test_evaluator_failure_raises_objective_error():

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,59 @@ def test_inconsistent_trace_is_rejected(tmp_path, monkeypatch, capsys, vanilla_t
     monkeypatch.chdir(tmp_path)
     assert main(["analyze", "trace.jsonl", "--expect-gap", "1.5", "--tol", "1e-3"]) == 2
     assert "gap" not in capsys.readouterr().out
+
+
+# Each edit keeps the value and changes only its JSON type, on the parsed
+# lines of the 52-iteration trace: line 2 is the record of iteration 1 (a
+# search success), line 3 the record of iteration 2 (search and poll fail).
+WRONG_TYPES = {
+    'k "2"': lambda t: t[3].update(k="2"),
+    "k 2.0": lambda t: t[3].update(k=2.0),
+    "k true": lambda t: t[2].update(k=True),
+    'alpha "0.125"': lambda t: t[3].update(alpha="0.125"),
+    'x ["0.625"]': lambda t: t[3].update(x=["0.625"]),
+    "x a number": lambda t: t[3].update(x=0.625),
+    'f "0.47265625"': lambda t: t[3].update(f="0.47265625"),
+    'x_next [true]': lambda t: t[2].update(x_next=[True]),
+    'alpha_next "0.0625"': lambda t: t[3].update(alpha_next="0.0625"),
+    'record success "abc"': lambda t: t[2].update(success="abc"),
+    "record success 0": lambda t: t[3].update(success=0),
+    "step success 0": lambda t: t[3]["outcomes"][1].update(success=0),
+    "winner false": lambda t: t[3]["outcomes"][1].update(winner=False),
+    "winner 0.0": lambda t: t[3]["outcomes"][1].update(winner=0.0),
+    "in_domain 0.5": lambda t: t[3]["outcomes"][1]["trials"][0].update(in_domain=0.5),
+    "in_domain 1": lambda t: t[3]["outcomes"][1]["trials"][0].update(in_domain=1),
+    'value "0.5"': lambda t: t[3]["outcomes"][1]["trials"][0].update(value="0.5"),
+    'point ["0.5"]': lambda t: t[3]["outcomes"][1]["trials"][0].update(point=["0.5"]),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_TYPES))
+def test_wrong_typed_value_is_rejected(tmp_path, monkeypatch, capsys, vanilla_trace_52, name):
+    parsed = [json.loads(line) for line in trace_lines(vanilla_trace_52)]
+    assert parsed[2]["success"] and not parsed[3]["success"]
+    assert parsed[3]["outcomes"][1]["trials"][0] == {"point": [0.5], "value": 0.5, "in_domain": True}
+    WRONG_TYPES[name](parsed)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(data) + "\n" for data in parsed))
+    with pytest.raises(TraceFormatError, match="wrong type"):
+        read_trace(path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "trace.jsonl", "--expect-gap", "1.5", "--tol", "1e-3"]) == 2
+    assert "gap" not in capsys.readouterr().out
+
+
+def test_integer_valued_numbers_are_read_as_floats(tmp_path):
+    spec = ObjectiveSpec("square", 1, lambda p: p[0] * p[0])
+    trace = run(counterexample_config(x0=(2.0,), alpha0=1.0, search_schedule="none", max_iterations=4), spec)
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    text, count = re.subn(r"(\d)\.0\b", r"\1", path.read_text())
+    assert count > 10
+    path.write_text(text)
+    recovered = read_trace(path)
+    assert recovered == trace
+    assert all(type(v) is float for r in recovered.records for v in (*r.x, r.alpha, r.f_x, *r.x_next))
 
 
 def _json_paths(value, prefix=()):
