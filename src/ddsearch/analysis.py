@@ -91,17 +91,18 @@ def _extrapolate_limit(points: list[Vector]) -> Vector:
     return tuple(estimate)
 
 
-def _cluster_directions(directions: list[np.ndarray], tol: float) -> tuple[Vector, ...]:
+def _cluster_directions(directions: list[Vector], tol: float) -> tuple[Vector, ...]:
     """Greedy angular clustering, representatives in order of first appearance."""
-    reps: list[np.ndarray] = []
+    reps: list[Vector] = []
     for u in directions:
         for rep in reps:
-            cosine = float(np.clip(np.dot(u, rep), -1.0, 1.0))
+            # Clipped so that a NaN cosine stays NaN and never joins a cluster.
+            cosine = min(max(sum(a * b for a, b in zip(u, rep)), -1.0), 1.0)
             if math.acos(cosine) <= tol:
                 break
         else:
             reps.append(u)
-    return tuple(tuple(float(v) for v in rep) for rep in reps)
+    return tuple(reps)
 
 
 def extract_refining(
@@ -127,16 +128,18 @@ def extract_refining(
     f_values = tuple(r.f_x for r in unsuccessful)
     refined = _extrapolate_limit(_dedupe_consecutive([r.x for r in unsuccessful]))
 
-    directions: list[np.ndarray] = []
+    directions: list[Vector] = []
     for record in unsuccessful:
         for outcome in record.outcomes:
             if outcome.kind == engine.SEARCH:
                 continue
             for trial in outcome.trials:
-                v = np.asarray(trial.point, dtype=float) - np.asarray(record.x, dtype=float)
-                norm = float(np.linalg.norm(v))
+                v = tuple(p - x for p, x in zip(trial.point, record.x))
+                # sqrt(v . v), not math.hypot, which rounds differently where
+                # the squares underflow (the tails of alpha_min = 0 runs).
+                norm = math.sqrt(sum(c * c for c in v))
                 if norm > 0.0:
-                    directions.append(v / norm)
+                    directions.append(tuple(c / norm for c in v))
 
     f_refined = engine.evaluate(objective, refined).value
     f_limit = f_values[-1]
@@ -228,12 +231,18 @@ def covering_radius(
     rows = max(1, _COVERING_BLOCK // (columns * n))
     radius_found = 0.0
     for row in range(0, len(grid), rows):
-        part = grid[row : row + rows, None, :]
+        part = grid[row : row + rows]
         nearest = np.full(len(part), math.inf)
         for column in range(0, len(samples), columns):
-            d = np.linalg.norm(part - samples[None, column : column + columns, :], axis=2)
-            nearest = np.minimum(nearest, d.min(axis=1))
-        radius_found = max(radius_found, float(nearest.max()))
+            block = samples[column : column + columns]
+            # Squared distances summed coordinate by coordinate, in the order
+            # np.linalg.norm sums them; sqrt is monotone, so it is taken last.
+            squared = np.zeros((len(part), len(block)))
+            for i in range(n):
+                difference = part[:, i, None] - block[:, i]
+                squared += difference * difference
+            nearest = np.minimum(nearest, squared.min(axis=1))
+        radius_found = max(radius_found, float(np.sqrt(nearest.max())))
     return radius_found
 
 

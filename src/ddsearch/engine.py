@@ -13,8 +13,11 @@ trace, and update formulas avoid fused operations so that runs on dyadic
 data are bit-reproducible.
 
 The rules of an iteration (``step_kinds``, ``verdict``, ``update`` and
-``stop_reason``) are written once here; ``run`` is built from them and
-``traceio.validate_trace`` applies them to logged traces.
+``stop_reason``) are written once here.  ``iterate`` is built from them and
+yields each iteration's record as it completes; ``run`` collects the records
+into a ``Trace``.  They are also the whole definition of a valid trace file:
+``traceio`` accepts a file only if ``iterate``, replayed from its header,
+writes exactly its lines.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import reprlib
+import sys
 import typing
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +99,8 @@ def _is_integer(value: object) -> bool:
 
 
 def _is_real(value: object) -> bool:
-    return isinstance(value, (float, np.floating)) or _is_integer(value)
+    """A float, or an integer within the float range."""
+    return isinstance(value, (float, np.floating)) or _is_integer(value) and abs(value) <= sys.float_info.max
 
 
 # AlgoConfig field type -> test of a value's type
@@ -113,7 +119,7 @@ def validate_config(config: AlgoConfig) -> None:
     for name, test in _FIELD_TESTS.items():
         value = getattr(config, name)
         if not test(value):
-            raise ConfigError(f"{name} has the wrong type: {value!r}")
+            raise ConfigError(f"{name} has the wrong type: {reprlib.repr(value)}")
     if len(config.x0) == 0:
         raise ConfigError("x0 must have at least one component")
     if not all(math.isfinite(v) for v in config.x0):
@@ -394,14 +400,16 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
-    """Execute the solver and return the complete trace.
+def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationRecord]:
+    """Execute the solver, yielding the record of each iteration as soon as
+    it is complete.
 
     Steps run in the order search, revealing poll, poll; a success skips the
     remaining steps of the iteration.  The loop stops after
     ``max_iterations`` iterations or as soon as the step size falls below
     ``alpha_min``.  Identical configs (seed included) produce identical
-    traces.
+    records.  The config and the objective are checked, and the objective is
+    evaluated at ``x0``, when the first record is requested.
     """
     validate_config(config)
     if objective.dimension != len(config.x0):
@@ -422,9 +430,8 @@ def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
     f_x = start.value
     alpha = config.alpha0
 
-    records: list[IterationRecord] = []
     k = 0
-    while (termination := stop_reason(k, alpha, config)) is None:
+    while stop_reason(k, alpha, config) is None:
         outcomes: list[StepOutcome] = []
         for kind in kinds:
             if kind == SEARCH:
@@ -454,13 +461,24 @@ def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
             x_next=x_next,
             alpha_next=alpha_next,
         )
-        records.append(record)
+        yield record
         x, f_x, alpha = x_next, record.f_next, alpha_next
         k += 1
 
+
+def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
+    """Execute the solver (see ``iterate``) and return the complete trace."""
+    return trace_of(config, objective.name, tuple(iterate(config, objective)))
+
+
+def trace_of(config: AlgoConfig, objective_name: str, records: tuple[IterationRecord, ...]) -> Trace:
+    """The trace of a run of ``config`` whose iterations are ``records``; its
+    termination is the ``stop_reason`` after the last of them, None if the
+    run goes on."""
+    alpha = records[-1].alpha_next if records else config.alpha0
     return Trace(
         config=config,
-        objective_name=objective.name,
-        records=tuple(records),
-        termination=termination,
+        objective_name=objective_name,
+        records=records,
+        termination=stop_reason(len(records), alpha, config),
     )

@@ -2,30 +2,34 @@
 
 Layout: a header object carrying the config and objective name, one object
 per iteration record, and a trailer carrying the termination reason.  Floats
-are serialized as Python's shortest round-trip decimals, so a written trace
-re-reads to bit-identical values, and +inf survives as the JSON-extension
-token ``Infinity``.  Reading a trace checks it against the engine's
-iteration rules (``validate_trace``).
+are serialized as Python's shortest round-trip decimals, and +inf survives as
+the JSON-extension token ``Infinity``.
+
+The engine is the one definition of a valid trace: a trace is valid if and
+only if the engine, run from its header, writes exactly its lines.  Reading
+parses the header only, replays the run, and compares each line the engine
+writes with the file's line, so no logged value is taken on trust and a
+reformatted trace (other separators, ``2`` for ``2.0``) is rejected.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterator
 
-from . import engine, steps
-from .engine import AlgoConfig, IterationRecord, StepOutcome, Trace, TrialPoint
+from . import engine
+from .engine import AlgoConfig, ConfigError, InitializationError, IterationRecord, ObjectiveError, StepOutcome, Trace
+from .objective import ObjectiveSpec, get_objective
 
 FORMAT_NAME = "ddsearch-trace"
 FORMAT_VERSION = 1
 
 
 class TraceFormatError(ValueError):
-    """A trace file is missing, truncated, structurally invalid, or breaks
-    the iteration rules of the engine."""
+    """A trace file is missing, truncated, or differs from the run its
+    header names."""
 
 
 def config_to_dict(config: AlgoConfig) -> dict[str, Any]:
@@ -43,7 +47,8 @@ def config_from_dict(data: dict[str, Any]) -> AlgoConfig:
     if missing:
         raise TraceFormatError(f"missing config fields in trace header: {sorted(missing)}")
     prepared = dict(data)
-    prepared["x0"] = tuple(data["x0"])
+    if isinstance(data["x0"], list):
+        prepared["x0"] = tuple(data["x0"])
     return AlgoConfig(**prepared)
 
 
@@ -59,49 +64,6 @@ def _outcome_to_dict(outcome: StepOutcome) -> dict[str, Any]:
     }
 
 
-def _typed(value: Any, types: frozenset[type], field: str) -> Any:
-    """``value`` if its JSON type is in ``types``, else TypeError; a JSON
-    boolean is never an integer here."""
-    if type(value) not in types:
-        raise TypeError(f"{field} has the wrong type: {value!r}")
-    return value
-
-
-_NUMBER = frozenset((int, float))
-_INTEGER = frozenset((int,))
-_OPTIONAL_INTEGER = frozenset((int, type(None)))
-_BOOLEAN = frozenset((bool,))
-
-
-def _number(value: Any, field: str) -> float:
-    if type(value) not in _NUMBER:
-        raise TypeError(f"{field} has the wrong type: {value!r}")
-    return float(value)
-
-
-def _vector(values: Any, field: str) -> tuple[float, ...]:
-    if type(values) is not list or not _NUMBER.issuperset(map(type, values)):
-        raise TypeError(f"{field} has the wrong type: {values!r}")
-    return tuple(map(float, values))
-
-
-def _outcome_from_dict(data: dict[str, Any]) -> StepOutcome:
-    trials = tuple(
-        TrialPoint(
-            point=_vector(t["point"], "point"),
-            value=_number(t["value"], "value"),
-            in_domain=_typed(t["in_domain"], _BOOLEAN, "in_domain"),
-        )
-        for t in data["trials"]
-    )
-    return StepOutcome(
-        kind=data["step"],
-        trials=trials,
-        winner=_typed(data["winner"], _OPTIONAL_INTEGER, "winner"),
-        success=_typed(data["success"], _BOOLEAN, "step success"),
-    )
-
-
 def _record_to_dict(record: IterationRecord) -> dict[str, Any]:
     return {
         "k": record.k,
@@ -115,30 +77,23 @@ def _record_to_dict(record: IterationRecord) -> dict[str, Any]:
     }
 
 
-def _record_from_dict(data: dict[str, Any]) -> IterationRecord:
-    return IterationRecord(
-        k=_typed(data["k"], _INTEGER, "k"),
-        x=_vector(data["x"], "x"),
-        alpha=_number(data["alpha"], "alpha"),
-        f_x=_number(data["f"], "f"),
-        outcomes=tuple(_outcome_from_dict(o) for o in data["outcomes"]),
-        success=_typed(data["success"], _BOOLEAN, "success"),
-        x_next=_vector(data["x_next"], "x_next"),
-        alpha_next=_number(data["alpha_next"], "alpha_next"),
-    )
+_line = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def trace_lines(trace: Trace) -> Iterable[str]:
-    header = {
+def _header(config: AlgoConfig, objective_name: str) -> dict[str, Any]:
+    return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "objective": trace.objective_name,
-        "config": config_to_dict(trace.config),
+        "objective": objective_name,
+        "config": config_to_dict(config),
     }
-    yield json.dumps(header, separators=(",", ":"))
+
+
+def trace_lines(trace: Trace) -> Iterator[str]:
+    yield _line(_header(trace.config, trace.objective_name))
     for record in trace.records:
-        yield json.dumps(_record_to_dict(record), separators=(",", ":"))
-    yield json.dumps({"termination": trace.termination}, separators=(",", ":"))
+        yield _line(_record_to_dict(record))
+    yield _line({"termination": trace.termination})
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
@@ -148,108 +103,95 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             handle.write("\n")
 
 
-def read_trace(path: str | Path) -> Trace:
-    """Read a trace file and check it with ``validate_trace``."""
+def read_trace(path: str | Path, objective: ObjectiveSpec | None = None) -> Trace:
+    """Read a trace file: parse its header, replay the run it names, and
+    return the replayed trace if the engine writes exactly the file's
+    non-blank lines; else TraceFormatError naming the first line that
+    differs.  ``objective`` overrides the registry lookup of the header's
+    objective name."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace file {path}: {exc}") from exc
-    if len(lines) < 2:
-        raise TraceFormatError(f"trace file {path} is truncated")
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
     try:
-        parsed = [json.loads(line) for line in lines]
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"trace file {path} is not valid line-delimited JSON: {exc}") from exc
+        return _replay(lines, objective)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"trace file {path}: {exc}") from exc
 
-    header, body, trailer = parsed[0], parsed[1:-1], parsed[-1]
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise TraceFormatError(f"trace file {path} has no {FORMAT_NAME} header")
-    if header.get("version") != FORMAT_VERSION:
-        raise TraceFormatError(f"unsupported trace version {header.get('version')!r}")
-    if not isinstance(trailer, dict) or "termination" not in trailer:
-        raise TraceFormatError(f"trace file {path} has no termination trailer")
+
+def validate_trace(trace: Trace, objective: ObjectiveSpec | None = None) -> None:
+    """Raise TraceFormatError unless the engine, run from the trace's config,
+    writes exactly ``trace_lines(trace)``: the check ``read_trace`` applies
+    to a file."""
+    _replay(list(enumerate(trace_lines(trace), 1)), objective)
+
+
+def _replay(lines: list[tuple[int, str]], objective: ObjectiveSpec | None) -> Trace:
+    """The trace the engine writes as ``lines`` (numbered as in the file),
+    replayed from the header on the first line and compared line by line.
+
+    The replay runs at most one iteration past the records the file holds,
+    so its work is bounded by the file, except for one draw of
+    ``revealing_count`` points, which is bounded before the run starts.
+    No genuine trace replays into an error of the run, so such an error is
+    one of the header.
+    """
+    if not lines:
+        raise TraceFormatError("the trace is empty")
+    rest = iter(lines)
+    number, head = next(rest)
+    config, name = _read_header(head)
+    records: list[IterationRecord] = []
     try:
-        trace = Trace(
-            config=config_from_dict(header["config"]),
-            objective_name=str(header["objective"]),
-            records=tuple(_record_from_dict(r) for r in body),
-            termination=str(trailer["termination"]),
-        )
+        if objective is None:
+            objective = get_objective(name)
+        engine.validate_config(config)
+        # Iteration 0 draws revealing_count points before its record can be
+        # compared; a genuine trace logs every one of them, each in more than
+        # one character.
+        size = sum(len(line) for _, line in lines)
+        draws = config.revealing_radius is not None and engine.stop_reason(0, config.alpha0, config) is None
+        if draws and config.revealing_count > size:
+            raise ConfigError(f"revealing_count {config.revealing_count} exceeds the {size} characters of the trace")
+        if head != _line(_header(config, objective.name)):
+            raise TraceFormatError(f"line {number} differs from the replayed run")
+        for record in engine.iterate(config, objective):
+            _expect(rest, _line(_record_to_dict(record)))
+            records.append(record)
     except TraceFormatError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise TraceFormatError(f"malformed trace record in {path}: {exc}") from exc
-    try:
-        validate_trace(trace)
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"inconsistent trace {path}: {exc}") from None
+    except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
+        raise TraceFormatError(f"the header on line {number} does not replay: {exc}") from exc
+    trace = engine.trace_of(config, objective.name, tuple(records))
+    _expect(rest, _line({"termination": trace.termination}))
+    _expect(rest, None)
     return trace
 
 
-def validate_trace(trace: Trace) -> None:
-    """Raise TraceFormatError unless the trace obeys the rules ``engine.run``
-    follows when it writes one.
-
-    Checks the header config, that every record continues from the one
-    before it (``k``, ``x``, ``alpha``, ``f``), that its steps are a prefix
-    of ``engine.step_kinds`` ending at the first success, every logged
-    ``winner``/``success`` against ``engine.verdict``, that out-of-domain
-    trials carry +inf, the update rule of ``engine.update`` (exact
-    in ``alpha_next``), and the termination against ``engine.stop_reason``.
-    The objective is never evaluated, so trial points are taken as logged.
-    """
-    config = trace.config
+def _read_header(line: str) -> tuple[AlgoConfig, str]:
+    """The config and the objective name of a header line."""
     try:
-        engine.validate_config(config)
-        dimension = len(config.x0)
-        steps.get_search_schedule(config.search_schedule, dimension)
-        steps.get_poll_directions(config.poll_directions, dimension)
-        forcing = steps.get_forcing(config.forcing)
-    except (ValueError, LookupError, ArithmeticError) as exc:
-        raise TraceFormatError(f"invalid config in trace header: {exc}") from None
-    kinds = engine.step_kinds(config)
-    records = trace.records
-    # The objective is never evaluated, so the value at x0 is taken as logged.
-    x, alpha, f_x = tuple(config.x0), config.alpha0, records[0].f_x if records else 0.0
-    if not math.isfinite(f_x):
-        raise TraceFormatError(f"record 0 has a non-finite incumbent value {f_x}")
-    for index, record in enumerate(records):
-        if (record.k, record.x, record.alpha, record.f_x) != (index, x, alpha, f_x):
-            raise TraceFormatError(f"record {index} does not continue from the one before it (k, x, alpha or f)")
-        if engine.stop_reason(index, alpha, config) is not None:
-            raise TraceFormatError(f"record {index} follows the end of the run")
-        _check_steps(record, kinds, dimension, forcing)
-        if engine.update(x, alpha, record.outcomes, config) != (record.success, record.x_next, record.alpha_next):
-            raise TraceFormatError(f"record {index} breaks the update rule (success, x_next or alpha_next)")
-        x, alpha, f_x = record.x_next, record.alpha_next, record.f_next
-    if engine.stop_reason(len(records), alpha, config) != trace.termination:
-        raise TraceFormatError(
-            f"termination {trace.termination!r} does not match {len(records)} records and alpha {alpha}"
-        )
+        header = json.loads(line)
+    except ValueError as exc:  # not JSON, or an integer too long to convert
+        raise TraceFormatError(f"the header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise TraceFormatError(f"no {FORMAT_NAME} header")
+    if header.get("version") != FORMAT_VERSION:
+        raise TraceFormatError(f"unsupported trace version {header.get('version')!r}")
+    name, config = header.get("objective"), header.get("config")
+    if not isinstance(name, str) or not isinstance(config, dict):
+        raise TraceFormatError("the header lacks an objective name or a config object")
+    return config_from_dict(config), name
 
 
-def _check_steps(
-    record: IterationRecord, kinds: tuple[str, ...], dimension: int, forcing: steps.ForcingFunction
-) -> None:
-    """The steps of one record: their order, trials and verdicts."""
-    outcomes = record.outcomes
-    if not 0 < len(outcomes) <= len(kinds):
-        raise TraceFormatError(f"record {record.k} has {len(outcomes)} steps")
-    last = len(outcomes) - 1
-    for i, outcome in enumerate(outcomes):
-        if outcome.kind != kinds[i]:
-            raise TraceFormatError(f"record {record.k}: step {i} is {outcome.kind!r}, expected {kinds[i]!r}")
-        for trial in outcome.trials:
-            if len(trial.point) != dimension:
-                raise TraceFormatError(
-                    f"record {record.k}: {outcome.kind} trial point has dimension {len(trial.point)}, not {dimension}"
-                )
-            if not trial.in_domain and trial.value != math.inf:
-                raise TraceFormatError(f"record {record.k}: out-of-domain {outcome.kind} trial has value {trial.value}")
-        if (outcome.winner, outcome.success) != engine.verdict(outcome.trials, record.x, record.f_x, forcing):
-            raise TraceFormatError(f"record {record.k}: {outcome.kind} winner or success differs from the verdict")
-        if outcome.success and i < last:
-            raise TraceFormatError(f"record {record.k}: steps continue after the {outcome.kind} success")
-    if not outcomes[last].success and last < len(kinds) - 1:
-        raise TraceFormatError(f"record {record.k}: steps stop before a success")
+def _expect(lines: Iterator[tuple[int, str]], expected: str | None) -> None:
+    """Take the next file line; TraceFormatError unless it is ``expected``
+    (None: the end of the file)."""
+    number, line = next(lines, (None, None))
+    if line == expected:
+        return
+    if number is None:
+        raise TraceFormatError("truncated: the file ends before the replayed run does")
+    raise TraceFormatError(f"line {number} differs from the replayed run")

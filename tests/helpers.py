@@ -1,6 +1,7 @@
 """Shared test machinery: config factories, a counting objective wrapper, and
 a randomized config generator for the property suite and the acceptance
-gate; the engine invariants themselves are ``traceio.validate_trace``."""
+gate.  Whether a trace is one the engine writes is decided by replaying it
+(``traceio.validate_trace``), not by rules kept here."""
 
 from __future__ import annotations
 

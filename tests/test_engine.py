@@ -21,6 +21,7 @@ from ddsearch.engine import (
     TERMINATED_MAX_ITERATIONS,
     TrialPoint,
     evaluate,
+    iterate,
     iteration_rng,
     select_candidate,
     step_size_update,
@@ -88,6 +89,9 @@ def test_step_size_update_deterministic_choices():
         (dict(seed=-1), "seed"),
         (dict(alpha0=math.inf), "alpha0"),
         (dict(revealing_radius=math.inf), "revealing_radius"),
+        (dict(alpha0=10**400), "alpha0"),
+        (dict(gamma=10**400), "gamma"),
+        (dict(revealing_radius=10**400), "revealing_radius"),
     ],
 )
 def test_validate_config_names_offending_field(overrides, field):
@@ -113,6 +117,12 @@ def test_run_zero_iterations(counterexample_objective):
     assert trace.records == ()
     assert trace.termination == TERMINATED_MAX_ITERATIONS
     assert trace.final_incumbent() == (1.25,)
+
+
+def test_iterate_yields_the_records_of_run_one_at_a_time(counterexample_objective):
+    records = iterate(revealing_config(max_iterations=10**12, alpha_min=0.0), counterexample_objective)
+    first_five = [next(records) for _ in range(5)]
+    assert tuple(first_five) == run(revealing_config(max_iterations=5), counterexample_objective).records
 
 
 def test_run_is_deterministic(counterexample_objective):

@@ -1,18 +1,20 @@
 """Trace persistence: write -> read must be the identity on the data model,
-and reading must reject, with TraceFormatError only, any trace that breaks
-the engine's iteration rules."""
+and reading must reject, with TraceFormatError only, any trace that differs
+from the run its header replays into."""
 
 from __future__ import annotations
 
 import json
 import math
 import re
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddsearch import read_trace, run, write_trace
+from ddsearch import get_objective, read_trace, run, validate_trace, write_trace
 from ddsearch.cli import main
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import TraceFormatError, config_from_dict, config_to_dict, trace_lines
@@ -38,10 +40,23 @@ def test_round_trip_preserves_infinite_values(tmp_path):
     trace = run(counterexample_config(x0=(0.25,), alpha0=0.5, search_schedule="none", max_iterations=6), spec)
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
-    recovered = read_trace(path)
+    recovered = read_trace(path, spec)
     assert recovered == trace
     values = [t.value for r in recovered.records for o in r.outcomes for t in o.trials]
     assert math.inf in values
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(revealing_radius=2.0, max_iterations=0), dict(revealing_radius=None, max_iterations=5)]
+)
+def test_round_trip_of_a_run_that_never_draws(tmp_path, counterexample_objective, overrides):
+    # No revealing poll runs, so a revealing_count beyond the file length is genuine.
+    config = revealing_config(revealing_count=10**6, **overrides)
+    trace = run(config, counterexample_objective)
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    assert path.stat().st_size < 10**6
+    assert read_trace(path) == trace
 
 
 def test_written_bytes_are_deterministic(tmp_path, vanilla_trace_52):
@@ -94,34 +109,62 @@ def test_read_unknown_config_field_raises(tmp_path, vanilla_trace_52):
         read_trace(path)
 
 
+def _assert_rejected(path, message, monkeypatch, capsys):
+    """Reading ``path`` raises TraceFormatError matching ``message``, and
+    ``analyze`` exits 2 without printing a gap."""
+    with pytest.raises(TraceFormatError, match=message):
+        read_trace(path)
+    monkeypatch.chdir(path.parent)
+    assert main(["analyze", path.name, "--expect-gap", "1.5", "--tol", "1e-3"]) == 2
+    assert "gap" not in capsys.readouterr().out
+
+
+def _write_parsed(path, parsed):
+    """Write parsed lines as ``trace_lines`` does, so that an edit is the
+    only difference from the genuine trace."""
+    path.write_text("".join(json.dumps(data, separators=(",", ":")) + "\n" for data in parsed))
+
+
 # Each corruption edits the parsed lines of the 52-iteration trace: line 0 is
-# the header, line 1 + k the record of iteration k, line 53 the trailer.
-# Even iterations fail after search and poll; odd ones succeed through their
-# search step.
+# the header, line 1 + k the record of iteration k, line 53 the trailer; in
+# the file, parsed line i is line i + 1.  Even iterations fail after search
+# and poll; odd ones succeed through their search step.
 CORRUPTIONS = {
-    "x": (lambda t: t[11].update(x=[0.05]), "does not continue"),
-    "f on an unsuccessful record": (lambda t: t[51].update(f=0.5), "does not continue"),
-    "alpha": (lambda t: t[11].update(alpha=0.5), "does not continue"),
-    "alpha_next one ulp off": (lambda t: t[11].update(alpha_next=2**-8 * (1 + 2**-52)), "update rule"),
-    "k": (lambda t: t[11].update(k=11), "does not continue"),
-    "record success": (lambda t: t[11].update(success=True), "update rule"),
-    "step winner": (lambda t: t[11]["outcomes"][1].update(winner=1), "verdict"),
-    "step success": (lambda t: t[12]["outcomes"][0].update(success=False), "verdict"),
+    "x": (lambda t: t[11].update(x=[0.05]), r"line 12\b"),
+    "f on an unsuccessful record": (lambda t: t[51].update(f=0.5), r"line 52\b"),
+    "alpha": (lambda t: t[11].update(alpha=0.5), r"line 12\b"),
+    "alpha_next one ulp off": (lambda t: t[11].update(alpha_next=2**-8 * (1 + 2**-52)), r"line 12\b"),
+    "k": (lambda t: t[11].update(k=11), r"line 12\b"),
+    "record success": (lambda t: t[11].update(success=True), r"line 12\b"),
+    "step winner": (lambda t: t[11]["outcomes"][1].update(winner=1), r"line 12\b"),
+    "step success": (lambda t: t[12]["outcomes"][0].update(success=False), r"line 13\b"),
     "finite out-of-domain value": (
         lambda t: t[11]["outcomes"][1]["trials"][0].update(in_domain=False),
-        "out-of-domain",
+        r"line 12\b",
     ),
-    "swapped steps": (lambda t: t[11]["outcomes"].reverse(), "step 0 is 'poll'"),
+    "swapped steps": (lambda t: t[11]["outcomes"].reverse(), r"line 12\b"),
     "extra step after a success": (
         lambda t: t[12]["outcomes"].append({**t[12]["outcomes"][0], "step": "poll"}),
-        "continue after",
+        r"line 13\b",
     ),
-    "extra step": (lambda t: t[11]["outcomes"].append(t[11]["outcomes"][1]), "has 3 steps"),
-    "missing step": (lambda t: t[11]["outcomes"].pop(), "stop before a success"),
-    "termination": (lambda t: t[53].update(termination="alpha_min"), "termination"),
+    "extra step": (lambda t: t[11]["outcomes"].append(t[11]["outcomes"][1]), r"line 12\b"),
+    "missing step": (lambda t: t[11]["outcomes"].pop(), r"line 12\b"),
+    "termination": (lambda t: t[53].update(termination="alpha_min"), r"line 54\b"),
     "header beta2 = 7": (lambda t: t[0]["config"].update(beta2=7.0), "beta2"),
     'header alpha0 = "abc"': (lambda t: t[0]["config"].update(alpha0="abc"), "alpha0"),
     "unknown forcing": (lambda t: t[0]["config"].update(forcing="cubic"), "cubic"),
+    "header gamma = 10**400": (lambda t: t[0]["config"].update(gamma=10**400), "gamma"),
+    # A point that was never evaluated, logged with the value of the real one.
+    "trial point moved": (lambda t: t[3]["outcomes"][1]["trials"][0].update(point=[0.75]), r"line 4\b"),
+    # The replay stops at the trailer, one iteration past the last record.
+    "max_iterations = 10**12 over 5 records": (
+        lambda t: (t[0]["config"].update(max_iterations=10**12), t.__delitem__(slice(6, 53))),
+        r"line 7\b",
+    ),
+    "revealing_count beyond the file length": (
+        lambda t: t[0]["config"].update(revealing_radius=2.0, revealing_count=10**5),
+        "revealing_count",
+    ),
 }
 
 
@@ -132,17 +175,14 @@ def test_inconsistent_trace_is_rejected(tmp_path, monkeypatch, capsys, vanilla_t
     assert len(parsed) == 54 and parsed[11]["alpha_next"] == 2**-8
     corrupt(parsed)
     path = tmp_path / "trace.jsonl"
-    path.write_text("".join(json.dumps(data) + "\n" for data in parsed))
-    with pytest.raises(TraceFormatError, match=message):
-        read_trace(path)
-    monkeypatch.chdir(tmp_path)
-    assert main(["analyze", "trace.jsonl", "--expect-gap", "1.5", "--tol", "1e-3"]) == 2
-    assert "gap" not in capsys.readouterr().out
+    _write_parsed(path, parsed)
+    _assert_rejected(path, message, monkeypatch, capsys)
 
 
 # Each edit keeps the value and changes only its JSON type, on the parsed
-# lines of the 52-iteration trace: line 2 is the record of iteration 1 (a
-# search success), line 3 the record of iteration 2 (search and poll fail).
+# lines of the 52-iteration trace: parsed line 2 is the record of iteration 1
+# (a search success, file line 3), parsed line 3 the record of iteration 2
+# (search and poll fail, file line 4).
 WRONG_TYPES = {
     'k "2"': lambda t: t[3].update(k="2"),
     "k 2.0": lambda t: t[3].update(k=2.0),
@@ -170,27 +210,75 @@ def test_wrong_typed_value_is_rejected(tmp_path, monkeypatch, capsys, vanilla_tr
     parsed = [json.loads(line) for line in trace_lines(vanilla_trace_52)]
     assert parsed[2]["success"] and not parsed[3]["success"]
     assert parsed[3]["outcomes"][1]["trials"][0] == {"point": [0.5], "value": 0.5, "in_domain": True}
+    original = [json.dumps(data) for data in parsed]
     WRONG_TYPES[name](parsed)
+    # Compared as JSON text, because a type edit such as 2 -> 2.0 keeps the values ==.
+    edited = next(i for i, data in enumerate(parsed) if json.dumps(data) != original[i])
     path = tmp_path / "trace.jsonl"
-    path.write_text("".join(json.dumps(data) + "\n" for data in parsed))
-    with pytest.raises(TraceFormatError, match="wrong type"):
-        read_trace(path)
-    monkeypatch.chdir(tmp_path)
-    assert main(["analyze", "trace.jsonl", "--expect-gap", "1.5", "--tol", "1e-3"]) == 2
-    assert "gap" not in capsys.readouterr().out
+    _write_parsed(path, parsed)
+    _assert_rejected(path, rf"line {edited + 1}\b", monkeypatch, capsys)
 
 
-def test_integer_valued_numbers_are_read_as_floats(tmp_path):
-    spec = ObjectiveSpec("square", 1, lambda p: p[0] * p[0])
-    trace = run(counterexample_config(x0=(2.0,), alpha0=1.0, search_schedule="none", max_iterations=4), spec)
+def test_integer_valued_rewrite_is_rejected(tmp_path, monkeypatch, capsys):
+    trace = run(
+        counterexample_config(x0=(2.0,), alpha0=1.0, search_schedule="none", max_iterations=4),
+        get_objective("quadratic_1d"),
+    )
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
     text, count = re.subn(r"(\d)\.0\b", r"\1", path.read_text())
     assert count > 10
     path.write_text(text)
-    recovered = read_trace(path)
-    assert recovered == trace
-    assert all(type(v) is float for r in recovered.records for v in (*r.x, r.alpha, r.f_x, *r.x_next))
+    # The header's integers replay as they read; the engine logs floats.
+    _assert_rejected(path, r"line 2\b", monkeypatch, capsys)
+
+
+def test_reformatted_trace_is_rejected(tmp_path, vanilla_trace_52):
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in trace_lines(vanilla_trace_52)))
+    with pytest.raises(TraceFormatError, match=r"line 1\b"):
+        read_trace(path)
+
+
+def test_blank_lines_are_skipped_and_numbered(tmp_path, vanilla_trace_52):
+    lines = list(trace_lines(vanilla_trace_52))
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n" + "\n\n".join(lines) + "\n\n")
+    assert read_trace(path) == vanilla_trace_52
+    lines[5] = lines[5].replace('"k":4', '"k":5')
+    path.write_text("\n" + "\n\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=r"line 12\b"):
+        read_trace(path)
+
+
+def test_wide_x0_header_is_rejected_within_bounded_time_and_memory(tmp_path, monkeypatch, capsys, vanilla_trace_52):
+    # A 2000-wide coordinate poll set would hold 4000 x 2000 floats; the
+    # dimension check of the replay runs before any poll set is built.
+    parsed = [json.loads(line) for line in trace_lines(vanilla_trace_52)]
+    parsed[0]["config"].update(x0=[1.25] * 2000, search_schedule="none", poll_directions="coordinate")
+    path = tmp_path / "trace.jsonl"
+    _write_parsed(path, parsed)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceFormatError, match="dimension"):
+            read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 20 * 2**20
+    _assert_rejected(path, "dimension", monkeypatch, capsys)
+
+
+def test_validate_trace_replays_with_a_passed_objective(vanilla_trace_52):
+    spec = ObjectiveSpec("right_half", 1, lambda p: p[0] * p[0], domain_oracle=lambda p: p[0] >= 0.0)
+    trace = run(counterexample_config(x0=(0.25,), alpha0=0.5, search_schedule="none", max_iterations=6), spec)
+    validate_trace(trace, spec)
+    with pytest.raises(TraceFormatError, match="unknown objective 'right_half'"):
+        validate_trace(trace)
+    with pytest.raises(TraceFormatError, match=r"line 1\b"):
+        validate_trace(vanilla_trace_52, spec)
 
 
 def _json_paths(value, prefix=()):
