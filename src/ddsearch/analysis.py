@@ -213,25 +213,29 @@ def covering_radius(
         raise ValueError(f"grid_resolution must be >= 2, got {grid_resolution}")
     if not radius > 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
-    n = len(center)
-    axes = []
-    for c in center:
-        lo, hi = c - radius, c + radius
-        weights = np.arange(grid_resolution, dtype=float)
-        axes.append(((grid_resolution - 1 - weights) * lo + weights * hi) / (grid_resolution - 1))
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    inside = np.linalg.norm(mesh - np.asarray(center, dtype=float), axis=1) <= radius
-    grid = mesh[inside]
     if len(points) == 0:
         return math.inf
+    n = len(center)
+    weights = np.arange(grid_resolution, dtype=float)
+    axes = [
+        ((grid_resolution - 1 - weights) * (c - radius) + weights * (c + radius)) / (grid_resolution - 1)
+        for c in center
+    ]
+    center_array = np.asarray(center, dtype=float)
     samples = np.asarray(points, dtype=float).reshape(len(points), n)
-    # Chunk over samples and grid points so that no difference block holds
+    # Enumerate the grid a block of lattice points at a time, and chunk over
+    # samples, so that no block of grid coordinates or of differences holds
     # more than _COVERING_BLOCK coordinates; a max of mins over chunks is exact.
     columns = max(1, min(len(samples), _COVERING_BLOCK // n))
     rows = max(1, _COVERING_BLOCK // (columns * n))
+    lattice_size = grid_resolution**n
     radius_found = 0.0
-    for row in range(0, len(grid), rows):
-        part = grid[row : row + rows]
+    for row in range(0, lattice_size, rows):
+        index = np.unravel_index(np.arange(row, min(row + rows, lattice_size)), (grid_resolution,) * n)
+        mesh = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+        part = mesh[np.linalg.norm(mesh - center_array, axis=1) <= radius]
+        if len(part) == 0:
+            continue
         nearest = np.full(len(part), math.inf)
         for column in range(0, len(samples), columns):
             block = samples[column : column + columns]

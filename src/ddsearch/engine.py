@@ -12,12 +12,12 @@ All trial points of a step are evaluated before a candidate is selected
 trace, and update formulas avoid fused operations so that runs on dyadic
 data are bit-reproducible.
 
-The rules of an iteration (``step_kinds``, ``verdict``, ``update`` and
-``stop_reason``) are written once here.  ``iterate`` is built from them and
-yields each iteration's record as it completes; ``run`` collects the records
-into a ``Trace``.  They are also the whole definition of a valid trace file:
+``iterate`` is the one statement of an iteration: it yields each
+iteration's record as it completes, and ``run`` collects the records into a
+``Trace``.  It is also the whole definition of a valid trace file:
 ``traceio`` accepts a file only if ``iterate``, replayed from its header,
-writes exactly its lines.
+writes exactly its lines.  ``validate_config`` bounds what one iteration may
+cost, so a header cannot buy unbounded work before its first comparison.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import operator
 import reprlib
 import sys
 import typing
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,35 +114,57 @@ _TYPE_TESTS = {
 _FIELD_TESTS = {name: _TYPE_TESTS[hint] for name, hint in typing.get_type_hints(AlgoConfig).items()}
 
 
+# Most points one revealing poll may draw: a bound on what one iteration,
+# and a trace header before its first record, can cost.
+MAX_REVEALING_COUNT = 4096
+# seed and max_iterations stay below 2**128 (numpy's recommended seed entropy).
+_INT_LIMIT = 2**128
+
+
+class _Shown(reprlib.Repr):
+    """``reprlib`` that shows an integer of more than 128 bits by its bit
+    length, since ``repr`` of a long enough one raises ValueError."""
+
+    def repr_int(self, x: int, level: int) -> str:
+        if x.bit_length() > 128:
+            return f"<integer of {x.bit_length()} bits>"
+        return super().repr_int(x, level)
+
+
+_shown = _Shown().repr
+
+
 def validate_config(config: AlgoConfig) -> None:
     """Raise ConfigError naming the offending field(s) if the config is invalid."""
     for name, test in _FIELD_TESTS.items():
         value = getattr(config, name)
         if not test(value):
-            raise ConfigError(f"{name} has the wrong type: {reprlib.repr(value)}")
+            raise ConfigError(f"{name} has the wrong type: {_shown(value)}")
     if len(config.x0) == 0:
         raise ConfigError("x0 must have at least one component")
     if not all(math.isfinite(v) for v in config.x0):
         raise ConfigError("x0 must be finite")
     if not 0.0 < config.alpha0 < math.inf:
-        raise ConfigError(f"alpha0 must be finite and > 0, got {config.alpha0}")
+        raise ConfigError(f"alpha0 must be finite and > 0, got {_shown(config.alpha0)}")
     if not 0.0 < config.beta1 <= config.beta2 < 1.0:
         raise ConfigError(
-            f"beta1, beta2 must satisfy 0 < beta1 <= beta2 < 1, got beta1={config.beta1}, beta2={config.beta2}"
+            "beta1, beta2 must satisfy 0 < beta1 <= beta2 < 1, "
+            f"got beta1={_shown(config.beta1)}, beta2={_shown(config.beta2)}"
         )
     if not config.gamma >= 1.0:
-        raise ConfigError(f"gamma must be >= 1, got {config.gamma}")
-    if config.revealing_radius is not None:
-        if not 0.0 < config.revealing_radius < math.inf:
-            raise ConfigError(f"revealing_radius must be finite and > 0, got {config.revealing_radius}")
-        if config.revealing_count < 1:
-            raise ConfigError(f"revealing_count must be >= 1, got {config.revealing_count}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {config.seed}")
-    if config.max_iterations < 0:
-        raise ConfigError(f"max_iterations must be >= 0, got {config.max_iterations}")
+        raise ConfigError(f"gamma must be >= 1, got {_shown(config.gamma)}")
+    if config.revealing_radius is not None and not 0.0 < config.revealing_radius < math.inf:
+        raise ConfigError(f"revealing_radius must be finite and > 0, got {_shown(config.revealing_radius)}")
+    if not 1 <= config.revealing_count <= MAX_REVEALING_COUNT:
+        raise ConfigError(
+            f"revealing_count must be in [1, {MAX_REVEALING_COUNT}], got {_shown(config.revealing_count)}"
+        )
+    if not 0 <= config.seed < _INT_LIMIT:
+        raise ConfigError(f"seed must be a nonnegative integer below 2**128, got {_shown(config.seed)}")
+    if not 0 <= config.max_iterations < _INT_LIMIT:
+        raise ConfigError(f"max_iterations must be >= 0 and below 2**128, got {_shown(config.max_iterations)}")
     if not config.alpha_min >= 0.0:
-        raise ConfigError(f"alpha_min must be >= 0, got {config.alpha_min}")
+        raise ConfigError(f"alpha_min must be >= 0, got {_shown(config.alpha_min)}")
 
 
 @dataclass(frozen=True)
@@ -226,14 +248,6 @@ def select_candidate(trials: list[TrialPoint] | tuple[TrialPoint, ...]) -> int |
     return best
 
 
-def step_size_update(alpha: float, success: bool, config: AlgoConfig) -> float:
-    """Deterministic step-size update: expand to ``gamma*alpha`` on success,
-    contract to ``beta2*alpha`` on failure."""
-    if success:
-        return config.gamma * alpha
-    return config.beta2 * alpha
-
-
 def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
     """Apply the domain oracle, then the evaluator; infeasible points get +inf.
 
@@ -246,36 +260,6 @@ def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
     except EVALUATOR_FAILURES as exc:
         raise ObjectiveError(objective.name, point) from exc
     return TrialPoint(point=point, value=value, in_domain=True)
-
-
-def verdict(
-    trials: tuple[TrialPoint, ...], x: Vector, f_x: float, forcing: steps.ForcingFunction
-) -> tuple[int | None, bool]:
-    """``(winner, success)`` of one step: the best eligible trial, and
-    whether it gives sufficient decrease from the incumbent ``(x, f_x)``."""
-    winner = select_candidate(trials)
-    if winner is None:
-        return None, False
-    best = trials[winner]
-    return winner, sufficient_decrease(best.value, f_x, math.dist(best.point, x), forcing)
-
-
-def step_kinds(config: AlgoConfig) -> tuple[str, ...]:
-    """Step order of every iteration; an iteration stops at its first success."""
-    if config.revealing_radius is None:
-        return (SEARCH, POLL)
-    return (SEARCH, REVEALING_POLL, POLL)
-
-
-def update(
-    x: Vector, alpha: float, outcomes: Sequence[StepOutcome], config: AlgoConfig
-) -> tuple[bool, Vector, float]:
-    """The update rule, ``(success, x_next, alpha_next)``: the iteration
-    succeeds iff its last executed step did, the incumbent moves to that
-    step's winner, and the step size follows ``step_size_update``."""
-    last = outcomes[-1]
-    x_next = last.trials[last.winner].point if last.success else x
-    return last.success, x_next, step_size_update(alpha, last.success, config)
 
 
 def stop_reason(k: int, alpha: float, config: AlgoConfig) -> str | None:
@@ -404,8 +388,11 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     """Execute the solver, yielding the record of each iteration as soon as
     it is complete.
 
-    Steps run in the order search, revealing poll, poll; a success skips the
-    remaining steps of the iteration.  The loop stops after
+    Steps run in the order search, revealing poll, poll.  A step succeeds
+    if its best eligible trial gives sufficient decrease; the first success
+    moves the incumbent there, sets the step size to ``gamma*alpha`` and
+    skips the remaining steps.  An iteration without a success keeps the
+    incumbent and contracts to ``beta2*alpha``.  The loop stops after
     ``max_iterations`` iterations or as soon as the step size falls below
     ``alpha_min``.  Identical configs (seed included) produce identical
     records.  The config and the objective are checked, and the objective is
@@ -419,7 +406,7 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     search = steps.get_search_schedule(config.search_schedule, objective.dimension)
     poll_directions = steps.get_poll_directions(config.poll_directions, objective.dimension)
     forcing = steps.get_forcing(config.forcing)
-    kinds = step_kinds(config)
+    kinds = (SEARCH, POLL) if config.revealing_radius is None else (SEARCH, REVEALING_POLL, POLL)
 
     x = tuple(float(v) for v in config.x0)
     start = evaluate(objective, x)
@@ -432,6 +419,8 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
 
     k = 0
     while stop_reason(k, alpha, config) is None:
+        # Unless a step succeeds, the incumbent stays and the step contracts.
+        x_next, f_next, alpha_next = x, f_x, config.beta2 * alpha
         outcomes: list[StepOutcome] = []
         for kind in kinds:
             if kind == SEARCH:
@@ -446,12 +435,14 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
             else:
                 points = [tuple(xi + alpha * di for xi, di in zip(x, d)) for d in poll_directions]
             trials = tuple(evaluate(objective, p) for p in points)
-            winner, success = verdict(trials, x, f_x, forcing)
+            winner = select_candidate(trials)
+            best = None if winner is None else trials[winner]
+            success = best is not None and sufficient_decrease(best.value, f_x, math.dist(best.point, x), forcing)
             outcomes.append(StepOutcome(kind=kind, trials=trials, winner=winner, success=success))
             if success:
+                x_next, f_next, alpha_next = best.point, best.value, config.gamma * alpha
                 break
-        success, x_next, alpha_next = update(x, alpha, outcomes, config)
-        record = IterationRecord(
+        yield IterationRecord(
             k=k,
             x=x,
             alpha=alpha,
@@ -461,8 +452,7 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
             x_next=x_next,
             alpha_next=alpha_next,
         )
-        yield record
-        x, f_x, alpha = x_next, record.f_next, alpha_next
+        x, f_x, alpha = x_next, f_next, alpha_next
         k += 1
 
 

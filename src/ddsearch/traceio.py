@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from . import engine
-from .engine import AlgoConfig, ConfigError, InitializationError, IterationRecord, ObjectiveError, StepOutcome, Trace
+from .engine import AlgoConfig, InitializationError, IterationRecord, ObjectiveError, StepOutcome, Trace
 from .objective import ObjectiveSpec, get_objective
 
 FORMAT_NAME = "ddsearch-trace"
@@ -133,10 +133,10 @@ def _replay(lines: list[tuple[int, str]], objective: ObjectiveSpec | None) -> Tr
     replayed from the header on the first line and compared line by line.
 
     The replay runs at most one iteration past the records the file holds,
-    so its work is bounded by the file, except for one draw of
-    ``revealing_count`` points, which is bounded before the run starts.
-    No genuine trace replays into an error of the run, so such an error is
-    one of the header.
+    so its work is bounded by the file plus one iteration, whose cost
+    ``engine.validate_config`` bounds (``MAX_REVEALING_COUNT`` points per
+    revealing poll).  No genuine trace replays into an error of the run, so
+    such an error is one of the header.
     """
     if not lines:
         raise TraceFormatError("the trace is empty")
@@ -148,13 +148,6 @@ def _replay(lines: list[tuple[int, str]], objective: ObjectiveSpec | None) -> Tr
         if objective is None:
             objective = get_objective(name)
         engine.validate_config(config)
-        # Iteration 0 draws revealing_count points before its record can be
-        # compared; a genuine trace logs every one of them, each in more than
-        # one character.
-        size = sum(len(line) for _, line in lines)
-        draws = config.revealing_radius is not None and engine.stop_reason(0, config.alpha0, config) is None
-        if draws and config.revealing_count > size:
-            raise ConfigError(f"revealing_count {config.revealing_count} exceeds the {size} characters of the trace")
         if head != _line(_header(config, objective.name)):
             raise TraceFormatError(f"line {number} differs from the replayed run")
         for record in engine.iterate(config, objective):

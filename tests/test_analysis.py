@@ -195,6 +195,24 @@ def test_covering_radius_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+def test_covering_radius_memory_is_bounded_in_three_dimensions(monkeypatch):
+    # The whole res^3 lattice at res 101 holds 1 030 301 x 3 coordinates; built
+    # at once, with its in-ball test, it peaked near 90 MB.
+    tracemalloc.start()
+    try:
+        radius = covering_radius([(0.0, 0.0, 0.0)], (0.0, 0.0, 0.0), 1.0, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert radius == 1.0
+    assert peak < 16 * 2**20
+    draw = random.Random(14)
+    points = [tuple(draw.uniform(-1, 1) for _ in range(3)) for _ in range(40)]
+    expected = covering_radius(points, (0.1, 0.0, -0.1), 1.0, 11)
+    monkeypatch.setattr(analysis, "_COVERING_BLOCK", 64)
+    assert covering_radius(points, (0.1, 0.0, -0.1), 1.0, 11) == expected
+
+
 def test_vanilla_run_starves_the_left_half_ball(vanilla_trace_52):
     points = trial_points(vanilla_trace_52)
     assert points and all(p[0] > 0.0 for p in points)

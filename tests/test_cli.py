@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddsearch import cli, read_trace
+from ddsearch import AlgoConfig, cli, read_trace
 from ddsearch.cli import main
 from ddsearch.objective import ObjectiveSpec
 
@@ -108,6 +111,8 @@ def test_run_objective_error_exits_3(workdir, capsys):
         ("alpha0 = inf", 2),
         # The step expands to inf, so a poll point leaves the reals.
         ("gamma = 1e308", 3),
+        # Beyond MAX_REVEALING_COUNT: one poll would ask numpy for 10**20 points.
+        ("revealing_count = 100000000000000000000", 2),
     ],
 )
 def test_run_extreme_revealing_parameters_exit_without_traceback(workdir, capsys, line, code):
@@ -117,6 +122,27 @@ def test_run_extreme_revealing_parameters_exit_without_traceback(workdir, capsys
     config.write_text("\n".join(line if row.startswith(f"{key} =") else row for row in text.splitlines()) + "\n")
     assert main(["run", str(config)]) == code
     assert ("finite" if code == 3 else key) in capsys.readouterr().err
+
+
+# Values at the edges of what the parser and validate_config convert.
+_EDGE_LITERALS = ["inf", "-nan", "1e400", "-0", "100000000000000000000", "1" + "0" * 4999, "abc", "", "1.25 1.25"]
+_REVEALING_ROWS = (CONFIGS_DIR / "revealing.cfg").read_text().splitlines()
+_ALGORITHM_KEYS = [field.name for field in dataclasses.fields(AlgoConfig)]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(key=st.sampled_from(_ALGORITHM_KEYS), value=st.sampled_from(_EDGE_LITERALS) | st.text())
+def test_run_of_a_fuzzed_config_exits_without_traceback(tmp_path_factory, key, value):
+    # One [algorithm] value of a 20-iteration revealing.cfg replaced by a drawn string.
+    directory = tmp_path_factory.mktemp("fuzz")
+    replacements = {"max_iterations": "20", "trace_path": str(directory / "trace.jsonl"), key: value}
+    rows = []
+    for row in _REVEALING_ROWS:
+        name = row.split(" = ")[0]
+        rows.append(f"{name} = {replacements[name]}" if name in replacements else row)
+    config = directory / "fuzzed.cfg"
+    config.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert cli.main(["run", str(config)]) in (0, 2, 3)
 
 
 def test_run_twice_is_byte_identical(workdir):

@@ -1,8 +1,9 @@
-"""Engine tests: acceptance rule, candidate selection, step-size update,
+"""Engine tests: acceptance rule, candidate selection, config validation,
 and the full loop on the dyadic trap instance."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import random
@@ -12,8 +13,9 @@ import sys
 import numpy as np
 import pytest
 
-from ddsearch import ConfigError, InitializationError, ObjectiveError, get_objective, run
+from ddsearch import ConfigError, InitializationError, ObjectiveError, get_objective, run, write_trace
 from ddsearch.engine import (
+    MAX_REVEALING_COUNT,
     POLL,
     REVEALING_POLL,
     SEARCH,
@@ -24,7 +26,6 @@ from ddsearch.engine import (
     iterate,
     iteration_rng,
     select_candidate,
-    step_size_update,
     sufficient_decrease,
     validate_config,
 )
@@ -66,12 +67,18 @@ def test_select_candidate_ignores_out_of_domain_and_infinite():
     assert select_candidate([]) is None
 
 
-def test_step_size_update_deterministic_choices():
-    config = counterexample_config()
-    assert step_size_update(0.25, False, config) == 0.125
-    assert step_size_update(0.25, True, config) == 0.25
-    grow = counterexample_config(gamma=2.0)
-    assert step_size_update(1.0, True, grow) == 2.0
+def test_run_step_size_follows_the_deterministic_update(counterexample_objective):
+    # From x0 = 5/4 with alpha0 = 1/2, iteration 4 succeeds and 5 fails, both at alpha = 1/4.
+    steps = [
+        (r.alpha, r.success, r.alpha_next)
+        for r in run(counterexample_config(alpha0=0.5, max_iterations=6), counterexample_objective).records
+    ]
+    assert steps[5] == (0.25, False, 0.125)
+    assert steps[4] == (0.25, True, 0.25)
+    grow = run(counterexample_config(alpha0=0.5, gamma=2.0, max_iterations=2), counterexample_objective).records[1]
+    assert (grow.alpha, grow.success, grow.alpha_next) == (1.0, True, 2.0)
+    shrink = run(counterexample_config(beta1=0.25, beta2=0.25, max_iterations=1), counterexample_objective).records[0]
+    assert (shrink.alpha, shrink.success, shrink.alpha_next) == (0.25, False, 0.0625)
 
 
 @pytest.mark.parametrize(
@@ -92,11 +99,27 @@ def test_step_size_update_deterministic_choices():
         (dict(alpha0=10**400), "alpha0"),
         (dict(gamma=10**400), "gamma"),
         (dict(revealing_radius=10**400), "revealing_radius"),
+        (dict(revealing_radius=1.0, revealing_count=MAX_REVEALING_COUNT + 1), "revealing_count"),
+        (dict(gamma=10**5000), "gamma"),
+        (dict(seed=10**5000), "seed"),
+        (dict(seed=-(10**5000)), "seed"),
+        (dict(max_iterations=10**5000), "max_iterations"),
+        (dict(revealing_radius=1.0, revealing_count=10**5000), "revealing_count"),
+        (dict(x0=(10**5000,)), "x0"),
+        (dict(seed=2**128), "seed"),
+        (dict(max_iterations=2**128), "max_iterations"),
     ],
 )
 def test_validate_config_names_offending_field(overrides, field):
     with pytest.raises(ConfigError, match=field):
         validate_config(counterexample_config(**overrides))
+
+
+def test_validate_config_accepts_the_largest_values(tmp_path, counterexample_objective):
+    config = revealing_config(revealing_count=MAX_REVEALING_COUNT, seed=2**128 - 1, max_iterations=2**128 - 1)
+    validate_config(config)
+    trace = run(dataclasses.replace(config, max_iterations=0), counterexample_objective)
+    write_trace(dataclasses.replace(trace, config=config), tmp_path / "trace.jsonl")
 
 
 def test_run_counterexample_closed_form_first_12_iterations(counterexample_objective):

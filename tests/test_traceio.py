@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ddsearch import get_objective, read_trace, run, validate_trace, write_trace
 from ddsearch.cli import main
+from ddsearch.engine import MAX_REVEALING_COUNT
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import TraceFormatError, config_from_dict, config_to_dict, trace_lines
 
@@ -50,12 +51,12 @@ def test_round_trip_preserves_infinite_values(tmp_path):
     "overrides", [dict(revealing_radius=2.0, max_iterations=0), dict(revealing_radius=None, max_iterations=5)]
 )
 def test_round_trip_of_a_run_that_never_draws(tmp_path, counterexample_objective, overrides):
-    # No revealing poll runs, so a revealing_count beyond the file length is genuine.
-    config = revealing_config(revealing_count=10**6, **overrides)
+    # No revealing poll runs, so the trace logs none of the points a poll would draw.
+    config = revealing_config(revealing_count=MAX_REVEALING_COUNT, **overrides)
     trace = run(config, counterexample_objective)
     path = tmp_path / "trace.jsonl"
     write_trace(trace, path)
-    assert path.stat().st_size < 10**6
+    assert path.stat().st_size < MAX_REVEALING_COUNT
     assert read_trace(path) == trace
 
 
@@ -161,6 +162,7 @@ CORRUPTIONS = {
         lambda t: (t[0]["config"].update(max_iterations=10**12), t.__delitem__(slice(6, 53))),
         r"line 7\b",
     ),
+    # Beyond the file length, and beyond MAX_REVEALING_COUNT.
     "revealing_count beyond the file length": (
         lambda t: t[0]["config"].update(revealing_radius=2.0, revealing_count=10**5),
         "revealing_count",
@@ -269,6 +271,28 @@ def test_wide_x0_header_is_rejected_within_bounded_time_and_memory(tmp_path, mon
     assert time.perf_counter() - start < 1.0
     assert peak < 20 * 2**20
     _assert_rejected(path, "dimension", monkeypatch, capsys)
+
+
+def test_header_at_the_revealing_count_cap_is_rejected_within_bounded_time_and_memory(
+    tmp_path, monkeypatch, capsys, vanilla_trace_52
+):
+    # A short trace whose header asks for the most points one revealing poll
+    # may draw: the replay draws them once, then differs on the first record.
+    parsed = [json.loads(line) for line in trace_lines(vanilla_trace_52)][:5] + [{"termination": "max_iterations"}]
+    parsed[0]["config"].update(revealing_radius=2.0, revealing_count=MAX_REVEALING_COUNT)
+    path = tmp_path / "trace.jsonl"
+    _write_parsed(path, parsed)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceFormatError, match=r"line 2\b"):
+            read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 20 * 2**20
+    _assert_rejected(path, r"line 2\b", monkeypatch, capsys)
 
 
 def test_validate_trace_replays_with_a_passed_objective(vanilla_trace_52):
