@@ -1,0 +1,102 @@
+"""Golden traces for the engine paths the bundled configs do not reach.
+
+Replay checks a trace against the engine that wrote it, so a change in the
+engine's behaviour still replays; only pinned hashes catch it.  The two
+bundled configs are pinned by acceptance criterion 8.  The configs here
+cover what those skip: the n-D ball sampler (batched and single draws),
+2-D ``coordinate`` polls, domain rejects, ``inf`` values, ``quadratic``
+forcing, ``gamma > 1``, ``revealing_count > 1``, a seed of more than 64
+bits and the ``alpha_min`` stop.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+from collections import Counter
+
+import pytest
+
+from ddsearch import AlgoConfig, get_objective, run
+from ddsearch.engine import TERMINATED_ALPHA_MIN, TERMINATED_MAX_ITERATIONS
+from ddsearch.objective import ObjectiveSpec
+from ddsearch.traceio import trace_lines
+
+
+def _valley(point):
+    """A 2-D bowl with a downward step on x <= 0 and value inf above y = 1."""
+    x, y = point
+    if y > 1.0:
+        return math.inf
+    return (x - 0.5) * (x - 0.5) + 2.0 * (y + 0.25) * (y + 0.25) - (0.5 if x <= 0.0 else 0.0)
+
+
+def _strip(point):
+    return -1.5 <= point[0] <= 2.5
+
+
+VALLEY = ObjectiveSpec("valley_2d", 2, _valley, _strip)
+
+# name -> (config, objective, termination, sha256 of the trace file)
+GOLDEN = {
+    "valley_batched": (
+        AlgoConfig(
+            x0=(2.0, 0.75), alpha0=1.0, gamma=2.0, revealing_radius=1.5, revealing_count=3,
+            poll_directions="coordinate", forcing="quadratic", seed=2024, max_iterations=400, alpha_min=1e-6,
+        ),
+        VALLEY,
+        TERMINATED_ALPHA_MIN,
+        "ffd98b7f47ff2294f4a325e3fc9c7ae774852760bce72f5390a6f12ac19bf980",
+    ),
+    "valley_single": (
+        AlgoConfig(
+            x0=(-1.25, 0.5), alpha0=0.5, beta1=0.25, beta2=0.75, revealing_radius=0.75, revealing_count=1,
+            poll_directions="coordinate", seed=7, max_iterations=60,
+        ),
+        VALLEY,
+        TERMINATED_MAX_ITERATIONS,
+        "a284315d1ff63e64430c3174c900ad8bd7ddd2a6f0ccdf1b196d9cb2656eb5c5",
+    ),
+    "counterexample_batched": (
+        AlgoConfig(
+            x0=(1.25,), alpha0=0.25, gamma=1.5, revealing_radius=2.0, revealing_count=4,
+            search_schedule="counterexample", poll_directions="pm1", forcing="quadratic", seed=99,
+            max_iterations=500, alpha_min=1e-7,
+        ),
+        get_objective("counterexample"),
+        TERMINATED_ALPHA_MIN,
+        "2e004adbc5b1af5e2cd57c9ef9d9597e85479ec7427ad0afe1fe9cfa3b7825b3",
+    ),
+    "abs_coordinate_long_seed": (
+        AlgoConfig(
+            x0=(0.3,), alpha0=0.5, gamma=1.25, revealing_radius=0.5, revealing_count=1,
+            poll_directions="coordinate", seed=2**64 + 3, max_iterations=80,
+        ),
+        get_objective("abs"),
+        TERMINATED_MAX_ITERATIONS,
+        "114ecb411d234883aa953640a19b20c1110de2defeca3fa6ac5ca4402258b8c4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trace(name):
+    config, objective, termination, digest = GOLDEN[name]
+    trace = run(config, objective)
+    assert trace.termination == termination
+    data = "".join(line + "\n" for line in trace_lines(trace)).encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_golden_traces_reach_the_paths_they_pin():
+    seen = Counter()
+    for config, objective, _, _ in GOLDEN.values():
+        for record in run(config, objective).records:
+            for outcome in record.outcomes:
+                seen[outcome.kind, "wins"] += outcome.success
+                seen["no winner among trials"] += outcome.winner is None and bool(outcome.trials)
+                for trial in outcome.trials:
+                    seen["domain rejects"] += not trial.in_domain
+                    seen["inf values"] += trial.in_domain and math.isinf(trial.value)
+    assert all(seen[key] > 0 for key in [("search", "wins"), ("revealing_poll", "wins"), ("poll", "wins")])
+    assert seen["domain rejects"] > 0 and seen["inf values"] > 0 and seen["no winner among trials"] > 0
