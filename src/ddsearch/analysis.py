@@ -317,9 +317,10 @@ def incumbent_values(trace: Trace) -> list[float]:
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
-    """Deterministic per-trial run seed mixed from (master seed, trial index)."""
-    state = np.random.SeedSequence(entropy=(master_seed, trial_index)).generate_state(1, dtype=np.uint64)
-    return int(state[0])
+    """Deterministic per-trial run seed mixed from (master seed, trial index):
+    word 0 of ``SeedSequence((master_seed, trial_index))``'s uint64 state,
+    read from the engine's memo of iteration seed words."""
+    return int(engine.iteration_seed_words(master_seed, trial_index)[0])
 
 
 def monte_carlo_escape(

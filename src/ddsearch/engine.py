@@ -95,12 +95,13 @@ class AlgoConfig:
 
 
 def _is_integer(value: object) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """A Python int other than a bool; numpy integers are not JSON-serializable."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_real(value: object) -> bool:
-    """A float, or an integer within the float range."""
-    return isinstance(value, (float, np.floating)) or _is_integer(value) and abs(value) <= sys.float_info.max
+    """A Python float (``np.float64`` is one), or an integer within the float range."""
+    return isinstance(value, float) or _is_integer(value) and abs(value) <= sys.float_info.max
 
 
 # AlgoConfig field type -> test of a value's type
@@ -236,30 +237,18 @@ def sufficient_decrease(
     return math.isfinite(f_trial) and f_trial < f_incumbent - forcing(distance)
 
 
-def select_candidate(trials: list[TrialPoint] | tuple[TrialPoint, ...]) -> int | None:
-    """Index of the best eligible trial: minimum finite in-domain value,
-    ties broken by generation order.  None if no trial is eligible."""
-    best: int | None = None
-    for i, trial in enumerate(trials):
-        if not trial.in_domain or not math.isfinite(trial.value):
-            continue
-        if best is None or trial.value < trials[best].value:
-            best = i
-    return best
-
-
 def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
     """Apply the domain oracle, then the evaluator; infeasible points get +inf.
 
     An evaluator failure raises ObjectiveError.
     """
     if not objective.domain_oracle(point):
-        return TrialPoint(point=point, value=math.inf, in_domain=False)
+        return TrialPoint(point, math.inf, False)
     try:
         value = float(objective.evaluator(point))
     except EVALUATOR_FAILURES as exc:
         raise ObjectiveError(objective.name, point) from exc
-    return TrialPoint(point=point, value=value, in_domain=True)
+    return TrialPoint(point, value, True)
 
 
 def stop_reason(k: int, alpha: float, config: AlgoConfig) -> str | None:
@@ -278,14 +267,19 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
     Seeding PCG64 with the entropy pair (run seed, iteration index) decouples
     the revealing poll's draws from whatever other steps consume; toggling
     the search or poll configuration cannot shift them.  The stream is the
-    one ``PCG64(SeedSequence((seed, k)))`` gives; its seed words come from
-    ``_seed_block``, which computes them for 64 iterations at a time.
+    one ``PCG64(SeedSequence((seed, k)))`` gives.
     """
+    return np.random.Generator(np.random.PCG64(_row_seed_sequence()(iteration_seed_words(seed, k))))
+
+
+def iteration_seed_words(seed: int, k: int) -> np.ndarray:
+    """``SeedSequence((seed, k)).generate_state(4, np.uint64)``, the words
+    PCG64 is seeded with for iteration k, read from the memo of 64-iteration
+    blocks that ``_seed_block`` computes."""
     seed, k = operator.index(seed), operator.index(k)
     if seed < 0 or k < 0:
         raise ValueError(f"expected nonnegative integers, got seed {seed} and k {k}")
-    row = _seed_block(seed, k >> _BLOCK_BITS)[k & (_BLOCK_SIZE - 1)]
-    return np.random.Generator(np.random.PCG64(_row_seed_sequence()(row)))
+    return _seed_block(seed, k >> _BLOCK_BITS)[k & (_BLOCK_SIZE - 1)]
 
 
 _BLOCK_BITS = 6
@@ -407,9 +401,16 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     poll_directions = steps.get_poll_directions(config.poll_directions, objective.dimension)
     forcing = steps.get_forcing(config.forcing)
     kinds = (SEARCH, POLL) if config.revealing_radius is None else (SEARCH, REVEALING_POLL, POLL)
+    # Per-run invariants, read once: the loop below is the solver's hot path.
+    # The module-level callees are looked up here, so a rebinding takes
+    # effect from the next run on.
+    dimension, seed, radius, count = objective.dimension, config.seed, config.revealing_radius, config.revealing_count
+    beta2, gamma = config.beta2, config.gamma
+    evaluate_, iteration_rng_, sample_ball = evaluate, iteration_rng, steps.sample_ball_uniform
+    inf = math.inf
 
     x = tuple(float(v) for v in config.x0)
-    start = evaluate(objective, x)
+    start = evaluate_(objective, x)
     if not start.in_domain:
         raise InitializationError(f"x0 {x} rejected by the domain oracle")
     if not math.isfinite(start.value):
@@ -420,38 +421,41 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     k = 0
     while stop_reason(k, alpha, config) is None:
         # Unless a step succeeds, the incumbent stays and the step contracts.
-        x_next, f_next, alpha_next = x, f_x, config.beta2 * alpha
-        outcomes: list[StepOutcome] = []
+        x_next, f_next, alpha_next = x, f_x, beta2 * alpha
+        outcomes = []
         for kind in kinds:
+            # Trial points are x + alpha*d for the poll, and x + d for a
+            # revealing offset d: its radius is fixed and deliberately
+            # independent of alpha.  In one dimension the same sums are
+            # written without the coordinate loop.
             if kind == SEARCH:
                 points = search(k, x, alpha)
             elif kind == REVEALING_POLL:
-                offsets = steps.sample_ball_uniform(
-                    iteration_rng(config.seed, k), objective.dimension, config.revealing_radius, config.revealing_count
-                )
-                # Revealing trial points are incumbent + raw ball offset; the
-                # radius is fixed and deliberately independent of alpha.
-                points = [tuple(xi + di for xi, di in zip(x, d)) for d in offsets]
+                offsets = sample_ball(iteration_rng_(seed, k), dimension, radius, count)
+                if dimension == 1:
+                    points = [(x[0] + d[0],) for d in offsets]
+                else:
+                    points = [tuple(map(operator.add, x, d)) for d in offsets]
+            elif dimension == 1:
+                points = [(x[0] + alpha * d[0],) for d in poll_directions]
             else:
-                points = [tuple(xi + alpha * di for xi, di in zip(x, d)) for d in poll_directions]
-            trials = tuple(evaluate(objective, p) for p in points)
-            winner = select_candidate(trials)
-            best = None if winner is None else trials[winner]
-            success = best is not None and sufficient_decrease(best.value, f_x, math.dist(best.point, x), forcing)
-            outcomes.append(StepOutcome(kind=kind, trials=trials, winner=winner, success=success))
+                points = [tuple([xi + alpha * di for xi, di in zip(x, d)]) for d in poll_directions]
+            # The winner is the first trial of least value among the in-domain
+            # trials with a finite value; None if there is none.
+            trials = []
+            winner = None
+            best = inf
+            for point in points:
+                trial = evaluate_(objective, point)
+                if trial.in_domain and -inf < trial.value < best:
+                    winner, best = len(trials), trial.value
+                trials.append(trial)
+            success = winner is not None and sufficient_decrease(best, f_x, math.dist(trials[winner].point, x), forcing)
+            outcomes.append(StepOutcome(kind, tuple(trials), winner, success))
             if success:
-                x_next, f_next, alpha_next = best.point, best.value, config.gamma * alpha
+                x_next, f_next, alpha_next = trials[winner].point, best, gamma * alpha
                 break
-        yield IterationRecord(
-            k=k,
-            x=x,
-            alpha=alpha,
-            f_x=f_x,
-            outcomes=tuple(outcomes),
-            success=success,
-            x_next=x_next,
-            alpha_next=alpha_next,
-        )
+        yield IterationRecord(k, x, alpha, f_x, tuple(outcomes), success, x_next, alpha_next)
         x, f_x, alpha = x_next, f_next, alpha_next
         k += 1
 

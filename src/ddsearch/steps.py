@@ -131,8 +131,15 @@ def _sample_interval_uniform(rng: np.random.Generator, radius: float, count: int
     It takes the same draws in the same order.  A standard normal g never
     underflows ``g*g``, so its norm is exactly ``|g|``, the unit direction is
     exactly ``copysign(1, g)``, ``U**(1/1)`` is U, and ``radius * (+-1 * U)``
-    equals ``copysign(radius * U, g)``, signed zeros included.
+    equals ``copysign(radius * U, g)``, signed zeros included.  A single
+    point is drawn with scalar calls, which take the same draws as arrays of
+    size 1.
     """
+    if count == 1:
+        g = rng.standard_normal()
+        while g * g == 0.0:
+            g = rng.standard_normal()
+        return [(math.copysign(radius * rng.random(), g),)]
     gauss = rng.standard_normal(count).tolist()
     degenerate = [i for i, g in enumerate(gauss) if g * g == 0.0]
     while degenerate:

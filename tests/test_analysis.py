@@ -7,6 +7,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from ddsearch import AlgoConfig, ConfigError, analysis, get_objective, run
@@ -289,3 +290,16 @@ def test_derive_trial_seed_is_stable_and_spread():
     assert derive_trial_seed(7, 0) == derive_trial_seed(7, 0)
     seeds = {derive_trial_seed(7, i) for i in range(100)}
     assert len(seeds) == 100
+
+
+def test_derive_trial_seed_is_word_0_of_the_seed_sequence_of_the_pair():
+    draw = random.Random(28)
+    masters = [0, 7, 12345, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**100 + 3]
+    masters += [draw.randrange(2**64) for _ in range(20)]
+    trials = list(range(200)) + [2**32 - 1, 2**32, 2**40 + 7]
+    for master in masters:
+        for trial in trials:
+            reference = np.random.SeedSequence(entropy=(master, trial)).generate_state(1, dtype=np.uint64)
+            assert derive_trial_seed(master, trial) == int(reference[0]), (master, trial)
+    with pytest.raises(ValueError):
+        derive_trial_seed(-1, 0)

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddsearch import ConfigError, InitializationError, ObjectiveError, get_objective, run, write_trace
+from ddsearch import AlgoConfig, ConfigError, InitializationError, ObjectiveError, get_objective, run, write_trace
 from ddsearch.engine import (
     MAX_REVEALING_COUNT,
     POLL,
@@ -21,11 +21,9 @@ from ddsearch.engine import (
     SEARCH,
     TERMINATED_ALPHA_MIN,
     TERMINATED_MAX_ITERATIONS,
-    TrialPoint,
     evaluate,
     iterate,
     iteration_rng,
-    select_candidate,
     sufficient_decrease,
     validate_config,
 )
@@ -47,24 +45,42 @@ def test_sufficient_decrease_with_forcing():
     assert sufficient_decrease(0.95, 1.0, 0.2, lambda t: t * t)
 
 
-def _trials(values, in_domain=None):
-    flags = in_domain or [True] * len(values)
-    return [TrialPoint(point=(float(i),), value=v, in_domain=d) for i, (v, d) in enumerate(zip(values, flags))]
+_POLL_POINTS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
 
 
-def test_select_candidate_minimum():
-    assert select_candidate(_trials([3.0, 1.0, 2.0])) == 1
+def _poll_outcome(values, rejected=()):
+    """The outcome of the one poll step of a 2-D ``coordinate`` poll from the
+    origin whose trial points (+e1, +e2, -e1, -e2) take ``values``; the
+    domain oracle rejects the points indexed by ``rejected``."""
+    table = {(0.0, 0.0): 10.0, **dict(zip(_POLL_POINTS, values))}
+    outside = {_POLL_POINTS[i] for i in rejected}
+    spec = ObjectiveSpec("table", 2, lambda p: table[p], lambda p: p not in outside)
+    config = AlgoConfig(x0=(0.0, 0.0), alpha0=1.0, poll_directions="coordinate", max_iterations=1)
+    (record,) = run(config, spec).records
+    assert [t.point for t in record.outcomes[-1].trials] == _POLL_POINTS
+    return record.outcomes[-1]
 
 
-def test_select_candidate_tie_breaks_by_generation_order():
-    assert select_candidate(_trials([3.0, 1.0, 1.0])) == 1
+def test_winner_is_the_least_value():
+    outcome = _poll_outcome([3.0, 1.0, 2.0, 5.0])
+    assert (outcome.winner, outcome.success) == (1, True)
 
 
-def test_select_candidate_ignores_out_of_domain_and_infinite():
-    assert select_candidate(_trials([math.inf, math.inf], [False, False])) is None
-    assert select_candidate(_trials([1.0, 0.5], [True, False])) == 0
-    assert select_candidate(_trials([math.inf, 2.0])) == 1
-    assert select_candidate([]) is None
+def test_winner_ties_break_by_generation_order():
+    assert _poll_outcome([3.0, 1.0, 1.0, 5.0]).winner == 1
+    assert _poll_outcome([12.0, 11.0, 11.0, 11.0]).winner == 1
+
+
+def test_winner_ignores_out_of_domain_and_non_finite_values():
+    none_eligible = _poll_outcome([1.0, 1.0, 1.0, 1.0], rejected=range(4))
+    assert (none_eligible.winner, none_eligible.success) == (None, False)
+    assert _poll_outcome([1.0, 0.5, 2.0, 2.0], rejected=[1]).winner == 0
+    assert _poll_outcome([math.inf, 2.0, 3.0, 3.0]).winner == 1
+    assert _poll_outcome([-math.inf, math.nan, 4.0, 5.0]).winner == 2
+    assert _poll_outcome([math.inf, math.nan, -math.inf, math.inf]).winner is None
+    # A step without trial points has no winner either.
+    search = run(counterexample_config(max_iterations=1), get_objective("counterexample")).records[0].outcomes[0]
+    assert (search.kind, search.trials, search.winner, search.success) == (SEARCH, (), None, False)
 
 
 def test_run_step_size_follows_the_deterministic_update(counterexample_objective):
@@ -108,11 +124,24 @@ def test_run_step_size_follows_the_deterministic_update(counterexample_objective
         (dict(x0=(10**5000,)), "x0"),
         (dict(seed=2**128), "seed"),
         (dict(max_iterations=2**128), "max_iterations"),
+        # numpy scalars other than np.float64 (a float subclass) cannot be written.
+        (dict(seed=np.int64(5)), "seed"),
+        (dict(max_iterations=np.uint8(3)), "max_iterations"),
+        (dict(alpha0=np.float32(0.25)), "alpha0"),
+        (dict(gamma=np.int64(2)), "gamma"),
+        (dict(x0=(np.float16(1.25),)), "x0"),
+        (dict(revealing_radius=np.float32(2.0)), "revealing_radius"),
+        (dict(revealing_radius=1.0, revealing_count=np.int32(2)), "revealing_count"),
     ],
 )
 def test_validate_config_names_offending_field(overrides, field):
     with pytest.raises(ConfigError, match=field):
         validate_config(counterexample_config(**overrides))
+
+
+def test_validate_config_accepts_numpy_float64(tmp_path, counterexample_objective):
+    config = counterexample_config(x0=(np.float64(1.25),), alpha0=np.float64(0.25), max_iterations=3)
+    write_trace(run(config, counterexample_objective), tmp_path / "trace.jsonl")
 
 
 def test_validate_config_accepts_the_largest_values(tmp_path, counterexample_objective):

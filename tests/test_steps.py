@@ -125,17 +125,22 @@ def test_sample_ball_one_dimensional_is_the_general_formula(radius, count):
 
 
 class _ScriptedGenerator:
-    """Stands in for a Generator, returning fixed normals and uniforms in order."""
+    """Stands in for a Generator, returning fixed normals and uniforms in
+    order: a float for a call without ``size``, else an array."""
 
     def __init__(self, normals, uniforms):
         self._normals, self._uniforms = list(normals), list(uniforms)
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None):
+        if size is None:
+            return self._normals.pop(0)
         n = int(np.prod(size))
         values, self._normals = self._normals[:n], self._normals[n:]
         return np.array(values, dtype=float).reshape(size)
 
-    def random(self, size):
+    def random(self, size=None):
+        if size is None:
+            return self._uniforms.pop(0)
         values, self._uniforms = self._uniforms[:size], self._uniforms[size:]
         return np.array(values, dtype=float)
 
@@ -153,6 +158,25 @@ def test_sample_ball_one_dimensional_redraws_and_signed_zeros():
     general = _general_ball_formula(_ScriptedGenerator(normals, uniforms), 1, 2.0, 4)
     assert _same_floats(fast, general)
     assert [repr(p[0]) for p in fast] == ["-1.0", "-0.0", "0.5", "0.0"]
+    assert scripted.exhausted()
+
+
+@pytest.mark.parametrize(
+    "normals,uniforms,expected",
+    [
+        ([0.0, 1e-200, -0.75], [0.0], "-0.0"),
+        ([1e-200, 0.0, 3.0], [0.0], "0.0"),
+        ([-1.5], [0.5], "-1.0"),
+    ],
+)
+def test_sample_ball_one_dimensional_single_draw_redraws_and_signed_zeros(normals, uniforms, expected):
+    # One point is drawn with scalar calls; it takes the same draws as the
+    # batched formula, redraws included.
+    scripted = _ScriptedGenerator(normals, uniforms)
+    fast = sample_ball_uniform(scripted, 1, 2.0, 1)
+    general = _general_ball_formula(_ScriptedGenerator(normals, uniforms), 1, 2.0, 1)
+    assert _same_floats(fast, general)
+    assert [repr(p[0]) for p in fast] == [expected]
     assert scripted.exhausted()
 
 
