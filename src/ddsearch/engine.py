@@ -7,7 +7,7 @@ to produce sufficient decrease wins the iteration and the remaining steps
 are skipped.  Disabling the revealing poll recovers the classic directional
 direct-search method.
 
-All trial points of a step are evaluated before a candidate is selected
+Every trial point of a step is evaluated, even after a decrease is found
 (complete, non-opportunistic polling), every evaluation is logged in the
 trace, and update formulas avoid fused operations so that runs on dyadic
 data are bit-reproducible.
