@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,13 +265,40 @@ def trial_points(trace: Trace, kinds: tuple[str, ...] | None = None, unsuccessfu
     return out
 
 
-def _van_der_corput(index: int, base: int) -> float:
-    value, denom = 0.0, 1.0
-    while index > 0:
-        index, digit = divmod(index, base)
+# Samples in one block of the Clarke stream: bounds the memory of
+# clarke_estimate (two points and a step per sample) for any n_samples.
+_CLARKE_BLOCK = 4096
+
+
+def _radical_inverses(start: int, stop: int, base: int) -> np.ndarray:
+    """Radical inverses of the indices ``start, ..., stop - 1`` in ``base``.
+
+    Each element is the value of the digit-by-digit recurrence
+    ``index, digit = divmod(index, base); denom *= base; value += digit /
+    denom`` run on that index alone: the operations are the same IEEE ones in
+    the same order, and an index whose digits are exhausted adds ``0.0``.
+    """
+    index = start + np.arange(stop - start, dtype=np.int64)
+    value = np.zeros(len(index))
+    denom = 1.0
+    while index.any():
+        index, digit = np.divmod(index, base)
         denom *= base
         value += digit / denom
     return value
+
+
+def _finite_vector(name: str, values: Vector, dimension: int) -> np.ndarray:
+    """``values`` as a float array; ValueError naming the argument unless it
+    holds ``dimension`` finite numbers."""
+    message = f"{name} must hold {dimension} finite numbers, got {values!r}"
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(message) from exc
+    if array.shape != (dimension,) or not np.isfinite(array).all():
+        raise ValueError(message)
+    return array
 
 
 def clarke_estimate(
@@ -288,23 +316,46 @@ def clarke_estimate(
     nested dyadic lattice of the segment of half-length ``h_max`` through x
     along d, and steps ``t`` log-spaced over ``[h_min, h_max]``.  Prefixes of
     the stream are nested, so the estimate is non-decreasing in
-    ``n_samples``.  Only meaningful where the objective is locally Lipschitz.
+    ``n_samples``; it is ``-inf`` when no sampled pair has two finite values.
+    Only meaningful where the objective is locally Lipschitz.
+
+    The stream is built in blocks of at most ``_CLARKE_BLOCK`` samples, so
+    memory does not grow with ``n_samples``.  Each point and step is bit for
+    bit the value of its formula in Python floats, and the points are
+    evaluated one at a time, y before ``y + t*d``, in stream order, through
+    ``engine.evaluate`` as looked up at the call.  ValueError unless x and
+    direction hold ``objective.dimension`` finite numbers each,
+    ``0 < h_min < h_max`` with ``h_max`` and ``h_max / h_min`` finite, and
+    ``n_samples`` is an ``int`` in ``[1, 2**63)``.
     """
-    if not 0.0 < h_min < h_max:
-        raise ValueError(f"need 0 < h_min < h_max, got h_min={h_min}, h_max={h_max}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    log_ratio = math.log(h_max / h_min)
+    point = _finite_vector("x", x, objective.dimension)
+    d = _finite_vector("direction", direction, objective.dimension)
+    if not 0.0 < h_min < h_max <= sys.float_info.max:
+        raise ValueError(f"need 0 < h_min < h_max < inf, got h_min={h_min}, h_max={h_max}")
+    ratio = h_max / h_min
+    if not ratio < math.inf:
+        raise ValueError(f"h_max / h_min must be finite, got h_min={h_min}, h_max={h_max}")
+    if type(n_samples) is not int or not 1 <= n_samples < 2**63:
+        raise ValueError(f"n_samples must be an int in [1, 2**63), got {n_samples!r}")
+    log_ratio = math.log(ratio)
+    evaluate = engine.evaluate
     best = -math.inf
-    for i in range(1, n_samples + 1):
-        offset = 2.0 * _van_der_corput(i, 2) - 1.0
-        t = h_min * math.exp(_van_der_corput(i, 3) * log_ratio)
-        y = tuple(xj + h_max * offset * dj for xj, dj in zip(x, direction))
-        y_step = tuple(yj + t * dj for yj, dj in zip(y, direction))
-        f_y = engine.evaluate(objective, y)
-        f_y_step = engine.evaluate(objective, y_step)
-        if math.isfinite(f_y.value) and math.isfinite(f_y_step.value):
-            best = max(best, (f_y_step.value - f_y.value) / t)
+    for start in range(1, n_samples + 1, _CLARKE_BLOCK):
+        stop = min(start + _CLARKE_BLOCK, n_samples + 1)
+        offsets = 2.0 * _radical_inverses(start, stop, 2) - 1.0
+        # math.exp per step: numpy's exp need not round as libm's does.
+        steps = [h_min * math.exp(u * log_ratio) for u in _radical_inverses(start, stop, 3).tolist()]
+        # Overflow to inf stays silent, as with Python floats.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bases = point + (h_max * offsets)[:, None] * d
+            stepped = bases + np.array(steps)[:, None] * d
+        # Points as tuples zipped from the coordinate columns, which is
+        # faster than a tuple per row.
+        for y, y_step, t in zip(zip(*bases.T.tolist()), zip(*stepped.T.tolist()), steps):
+            f_y = evaluate(objective, y).value
+            f_y_step = evaluate(objective, y_step).value
+            if math.isfinite(f_y) and math.isfinite(f_y_step):
+                best = max(best, (f_y_step - f_y) / t)
     return best
 
 

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ddsearch import AlgoConfig, ConfigError, analysis, get_objective, run
+from ddsearch import AlgoConfig, ConfigError, analysis, engine, get_objective, run
 from ddsearch.analysis import (
     AnalysisError,
     clarke_estimate,
@@ -22,6 +22,8 @@ from ddsearch.analysis import (
     trial_points,
     verify_counterexample_closed_form,
 )
+from ddsearch.engine import ObjectiveError
+from ddsearch.objective import ObjectiveSpec
 
 from helpers import counterexample_config, revealing_config
 
@@ -241,7 +243,8 @@ def test_clarke_smooth_quadratic_matches_classical_derivative():
 
 def test_clarke_estimate_monotone_in_sample_count():
     spec = get_objective("neg_abs")
-    estimates = [clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, n) for n in (10, 25, 50, 100, 200)]
+    counts = (10, 25, 50, 100, 200, 4095, 4096, 4097, 9000)
+    estimates = [clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, n) for n in counts]
     assert all(b >= a for a, b in zip(estimates, estimates[1:]))
 
 
@@ -251,6 +254,148 @@ def test_clarke_estimate_rejects_bad_window():
         clarke_estimate(spec, (0.0,), (1.0,), 1e-2, 1e-6, 10)
     with pytest.raises(ValueError):
         clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, 0)
+
+
+@pytest.mark.parametrize(
+    "message, arguments",
+    [
+        ("^x ", ((0.5, 0.5), (1.0,), 1e-6, 1e-2, 10)),
+        ("^x ", ((), (1.0,), 1e-6, 1e-2, 10)),
+        ("^x ", ((math.nan,), (1.0,), 1e-6, 1e-2, 10)),
+        ("^x ", (("a",), (1.0,), 1e-6, 1e-2, 10)),
+        ("^direction ", ((0.0,), (1.0, 0.0), 1e-6, 1e-2, 10)),
+        ("^direction ", ((0.0,), (math.inf,), 1e-6, 1e-2, 10)),
+        ("h_max < inf, got h_min=1e-06, h_max=inf$", ((0.0,), (1.0,), 1e-6, math.inf, 10)),
+        ("h_max < inf, got h_min=1e-06, h_max=1000", ((0.0,), (1.0,), 1e-6, 10**400, 10)),
+        ("^h_max / h_min ", ((0.0,), (1.0,), 1e-300, 1e300, 10)),
+        ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, True)),
+        ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, 10.0)),
+        ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, np.int64(10))),
+        ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, 2**63)),
+    ],
+)
+def test_clarke_estimate_rejects_bad_input(message, arguments):
+    with pytest.raises(ValueError, match=message):
+        clarke_estimate(get_objective("abs"), *arguments)
+
+
+def _wedge(point):
+    """A 2-D kink with a step down across y = 0 and value inf above x + y = 0.05."""
+    x, y = point
+    if x + y > 0.05:
+        return math.inf
+    return abs(x) - 0.5 * abs(y) + (0.25 if y < 0.0 else 0.0)
+
+
+def _above(point):
+    return point[1] >= -0.05
+
+
+WEDGE = ObjectiveSpec("wedge_2d", 2, _wedge, _above)
+
+# float.hex of the estimates on the counterexample with h in [1e-6, 1e-2],
+# recorded with the scalar stream the block stream replaced, at n = 1, 4095,
+# 4096, 4097 and 9000 (across the 4096-sample block boundary).
+MINUS_ONE = ["0x1.6974467d367a2p-16"] + ["0x1.ce06b8be4752ap-6"] * 3 + ["0x1.da056ba5a3655p-6"]
+CLARKE_PINNED = [
+    ((-1.0,), (1.0,), MINUS_ONE),
+    ((-1.0,), (-1.0,), MINUS_ONE),
+    ((0.0,), (1.0,), ["0x1.6aa137ada54f5p+15"] * 5),
+    ((0.0,), (-1.0,), ["-0x1.fffe968bb499fp+0"] + ["0x1.51b14c9b6a811p-2"] * 4),
+]
+
+
+@pytest.mark.parametrize("x, direction, expected", CLARKE_PINNED)
+def test_clarke_estimate_pinned_values(counterexample_objective, x, direction, expected):
+    counts = (1, 4095, 4096, 4097, 9000)
+    assert [clarke_estimate(counterexample_objective, x, direction, 1e-6, 1e-2, n).hex() for n in counts] == expected
+
+
+def test_clarke_estimate_pinned_values_in_two_dimensions():
+    # The segment crosses the oracle's boundary, the inf region and the step.
+    up = clarke_estimate(WEDGE, (0.0, 0.0), (0.6, 0.8), 1e-6, 0.1, 5000)
+    down = clarke_estimate(WEDGE, (0.0, 0.0), (-0.6, -0.8), 1e-6, 0.1, 5000)
+    assert (up.hex(), down.hex()) == ("0x1.99999999a62b9p-3", "0x1.50a4966d0984cp+12")
+
+
+def test_clarke_estimate_reports_the_first_failing_point():
+    def fails_far_left(point):
+        if point[0] < -0.9999:
+            raise ValueError("left of the window")
+        return -abs(point[0])
+
+    spec = ObjectiveSpec("fails_far_left", 1, fails_far_left)
+    # Sample 16384 = 2**14 is the first whose base point lies left of -0.9999.
+    with pytest.raises(ObjectiveError) as failure:
+        clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1.0, 20000)
+    assert failure.value.point == (-1.0 + 2.0**-14,)
+
+
+def test_clarke_estimate_does_not_depend_on_the_block_size(monkeypatch):
+    expected = [clarke_estimate(WEDGE, (0.0, 0.0), d, 1e-6, 0.1, 300) for d in ((0.6, 0.8), (-0.6, -0.8))]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(analysis, "_CLARKE_BLOCK", block)
+        assert [clarke_estimate(WEDGE, (0.0, 0.0), d, 1e-6, 0.1, 300) for d in ((0.6, 0.8), (-0.6, -0.8))] == expected
+
+
+def _van_der_corput(index, base):
+    """The scalar radical inverse, the reference for analysis._radical_inverses."""
+    value, denom = 0.0, 1.0
+    while index > 0:
+        index, digit = divmod(index, base)
+        denom *= base
+        value += digit / denom
+    return value
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_radical_inverses_equal_the_scalar_recurrence(base):
+    expected = [_van_der_corput(i, base) for i in range(1, 200_001)]
+    assert analysis._radical_inverses(1, 200_001, base).tolist() == expected
+    for start in (2**40 - 5, 2**53 - 5, 2**62 - 5, 2**63 - 10):
+        expected = [_van_der_corput(i, base) for i in range(start, start + 10)]
+        assert analysis._radical_inverses(start, start + 10, base).tolist() == expected
+
+
+def test_clarke_estimate_evaluates_the_scalar_stream_in_order(monkeypatch):
+    x, direction, h_min, h_max, n = (0.0, 0.0), (0.6, 0.8), 1e-6, 0.1, 4097
+    log_ratio = math.log(h_max / h_min)
+    expected = []
+    for i in range(1, n + 1):
+        offset = 2.0 * _van_der_corput(i, 2) - 1.0
+        t = h_min * math.exp(_van_der_corput(i, 3) * log_ratio)
+        y = tuple(xj + h_max * offset * dj for xj, dj in zip(x, direction))
+        expected += [y, tuple(yj + t * dj for yj, dj in zip(y, direction))]
+    evaluated = []
+    evaluate = engine.evaluate
+
+    def counting_evaluate(objective, point):
+        evaluated.append(point)
+        return evaluate(objective, point)
+
+    monkeypatch.setattr(engine, "evaluate", counting_evaluate)
+    clarke_estimate(WEDGE, x, direction, h_min, h_max, n)
+    assert len(evaluated) == 2 * n
+    assert [tuple(map(float.hex, p)) for p in evaluated] == [tuple(map(float.hex, p)) for p in expected]
+
+
+def test_clarke_estimate_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    # A constant evaluation keeps tracemalloc's per-allocation cost off the
+    # evaluator; what is measured is the stream.
+    spec = get_objective("abs")
+    value = engine.TrialPoint((0.0,), 0.0, True)
+    monkeypatch.setattr(engine, "evaluate", lambda objective, point: value)
+    peaks = []
+    for n in (5_000, 200_000):
+        tracemalloc.start()
+        try:
+            clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # One 4096-sample block peaks near 1 MB; all 200 000 samples at once
+    # would hold tens of MB.
+    assert peaks[1] <= peaks[0] + 64 * 2**10
 
 
 # --------------------------------------------------------------------------

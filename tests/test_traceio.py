@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddsearch import get_objective, read_trace, run, validate_trace, write_trace
+from ddsearch import get_objective, objective, read_trace, run, validate_trace, write_trace
 from ddsearch.cli import main
 from ddsearch.engine import MAX_REVEALING_COUNT
 from ddsearch.objective import ObjectiveSpec
@@ -303,6 +303,16 @@ def test_validate_trace_replays_with_a_passed_objective(vanilla_trace_52):
         validate_trace(trace)
     with pytest.raises(TraceFormatError, match=r"line 1\b"):
         validate_trace(vanilla_trace_52, spec)
+
+
+def test_replay_looks_the_objective_up_at_call_time(monkeypatch, vanilla_trace_52):
+    # A rebinding of objective.get_objective, as perfbench's tracer makes,
+    # must reach the replay's registry lookup.
+    looked_up = []
+    get = objective.get_objective
+    monkeypatch.setattr(objective, "get_objective", lambda name: looked_up.append(name) or get(name))
+    validate_trace(vanilla_trace_52)
+    assert looked_up == ["counterexample"]
 
 
 def _json_paths(value, prefix=()):
