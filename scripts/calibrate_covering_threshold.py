@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Pilot simulation behind the density acceptance threshold.
 
-Runs the revealing-poll instance (R=2, 4 points per revealing poll, 128
-iterations, no step-size stop) across independent master seeds and reports
-the distribution of the covering radius of the accumulated revealing-poll
-trial points inside the radius-2 ball around the final incumbent.
+Runs the revealing-poll instance of configs/revealing.cfg (R=2) with 4
+points per revealing poll, 128 iterations and no step-size stop, across
+independent master seeds and reports the distribution of the covering radius
+of the accumulated revealing-poll trial points inside the radius-2 ball
+around the final incumbent.
 
 Usage: python scripts/calibrate_covering_threshold.py [--seeds 100]
 """
@@ -13,29 +14,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
-from ddsearch import AlgoConfig, get_objective, run
+from ddsearch import get_objective, run
 from ddsearch.analysis import covering_radius, derive_trial_seed, trial_points
+from ddsearch.configfile import load_experiment_config
+
+REVEALING_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "revealing.cfg"
 
 
 def pilot(n_seeds: int) -> np.ndarray:
-    objective = get_objective("counterexample")
-    base = AlgoConfig(
-        x0=(1.25,),
-        alpha0=0.25,
-        beta1=0.5,
-        beta2=0.5,
-        gamma=1.0,
-        revealing_radius=2.0,
-        revealing_count=4,
-        search_schedule="counterexample",
-        poll_directions="pm1",
-        forcing="zero",
-        max_iterations=128,
-        alpha_min=0.0,
-    )
+    """Covering radii of ``configs/revealing.cfg`` with 4 points per
+    revealing poll, 128 iterations and no step-size stop, one per seed."""
+    experiment = load_experiment_config(REVEALING_CONFIG)
+    objective = get_objective(experiment.objective_name)
+    base = dataclasses.replace(experiment.algo, revealing_count=4, max_iterations=128, alpha_min=0.0)
     radii = []
     for index in range(n_seeds):
         config = dataclasses.replace(base, seed=derive_trial_seed(900, index))

@@ -208,22 +208,30 @@ def covering_radius(
 
     The grid is the per-axis convex-combination lattice of
     ``[center - radius, center + radius]`` intersected with the closed ball,
-    so endpoints and midpoints land exactly.
+    so endpoints and midpoints land exactly.  ValueError unless
+    ``grid_resolution`` is an ``int`` >= 2, ``radius`` is finite and > 0,
+    ``center`` holds at least one finite number, and ``points`` are NaN-free
+    and of the dimension of ``center``.
     """
-    if grid_resolution < 2:
-        raise ValueError(f"grid_resolution must be >= 2, got {grid_resolution}")
-    if not radius > 0.0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if type(grid_resolution) is not int or grid_resolution < 2:
+        raise ValueError(f"grid_resolution must be an int >= 2, got {grid_resolution!r}")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    n = len(center)
+    center_array = _finite_vector("center", center, max(n, 1))
+    try:
+        samples = np.asarray(points, dtype=float).reshape(len(points), n)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"points must be {n}-vectors of numbers") from exc
+    if np.isnan(samples).any():
+        raise ValueError("points must not hold NaN")
     if len(points) == 0:
         return math.inf
-    n = len(center)
     weights = np.arange(grid_resolution, dtype=float)
     axes = [
         ((grid_resolution - 1 - weights) * (c - radius) + weights * (c + radius)) / (grid_resolution - 1)
         for c in center
     ]
-    center_array = np.asarray(center, dtype=float)
-    samples = np.asarray(points, dtype=float).reshape(len(points), n)
     # Enumerate the grid a block of lattice points at a time, and chunk over
     # samples, so that no block of grid coordinates or of differences holds
     # more than _COVERING_BLOCK coordinates; a max of mins over chunks is exact.

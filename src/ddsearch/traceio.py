@@ -33,26 +33,6 @@ class TraceFormatError(ValueError):
     header names."""
 
 
-def config_to_dict(config: AlgoConfig) -> dict[str, Any]:
-    data = dataclasses.asdict(config)
-    data["x0"] = list(config.x0)
-    return data
-
-
-def config_from_dict(data: dict[str, Any]) -> AlgoConfig:
-    fields = {f.name for f in dataclasses.fields(AlgoConfig)}
-    unknown = set(data) - fields
-    if unknown:
-        raise TraceFormatError(f"unknown config fields in trace header: {sorted(unknown)}")
-    missing = fields - set(data)
-    if missing:
-        raise TraceFormatError(f"missing config fields in trace header: {sorted(missing)}")
-    prepared = dict(data)
-    if isinstance(data["x0"], list):
-        prepared["x0"] = tuple(data["x0"])
-    return AlgoConfig(**prepared)
-
-
 def _outcome_to_dict(outcome: StepOutcome) -> dict[str, Any]:
     return {
         "step": outcome.kind,
@@ -86,7 +66,7 @@ def _header(config: AlgoConfig, objective_name: str) -> dict[str, Any]:
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "objective": objective_name,
-        "config": config_to_dict(config),
+        "config": dataclasses.asdict(config),
     }
 
 
@@ -150,6 +130,8 @@ def _replay(lines: list[tuple[int, str]], objective: ObjectiveSpec | None) -> Tr
             # Through the module at call time, so that a rebinding of
             # objective.get_objective (perfbench's tracer) reaches the replay.
             objective = objectives.get_objective(name)
+        # Validated before it is written back: a value nested deep enough
+        # would overflow the recursion of dataclasses.asdict.
         engine.validate_config(config)
         if head != _line(_header(config, objective.name)):
             raise TraceFormatError(f"line {number} differs from the replayed run")
@@ -170,7 +152,8 @@ def _read_header(line: str) -> tuple[AlgoConfig, str]:
     """The config and the objective name of a header line."""
     try:
         header = json.loads(line)
-    except ValueError as exc:  # not JSON, or an integer too long to convert
+    # Not JSON, an integer too long to convert, or arrays nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise TraceFormatError(f"the header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise TraceFormatError(f"no {FORMAT_NAME} header")
@@ -179,7 +162,12 @@ def _read_header(line: str) -> tuple[AlgoConfig, str]:
     name, config = header.get("objective"), header.get("config")
     if not isinstance(name, str) or not isinstance(config, dict):
         raise TraceFormatError("the header lacks an objective name or a config object")
-    return config_from_dict(config), name
+    if isinstance(config.get("x0"), list):
+        config["x0"] = tuple(config["x0"])
+    try:
+        return AlgoConfig(**config), name
+    except TypeError as exc:  # an unknown field, or no x0 or alpha0
+        raise TraceFormatError(f"the header's config does not fit AlgoConfig: {exc}") from exc
 
 
 def _expect(lines: Iterator[tuple[int, str]], expected: str | None) -> None:

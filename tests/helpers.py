@@ -1,45 +1,38 @@
-"""Shared test machinery: config factories, a counting objective wrapper, and
-a randomized config generator for the property suite and the acceptance
-gate.  Whether a trace is one the engine writes is decided by replaying it
-(``traceio.validate_trace``), not by rules kept here."""
+"""Shared test machinery: the bundled instances as configs, a counting
+objective wrapper, and a strategy of random configs for the acceptance gate.
+Whether a trace is one the engine writes is decided by replaying it
+(``traceio.validate_trace``), and whether a config is valid by
+``engine.validate_config``, not by rules kept here."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+from pathlib import Path
 
-import numpy as np
+from hypothesis import strategies as st
 
-from ddsearch import AlgoConfig, ObjectiveSpec, Trace
+from ddsearch import AlgoConfig, ConfigError, ObjectiveSpec, Trace, get_objective, objective_names, steps
+from ddsearch.configfile import load_experiment_config
+from ddsearch.engine import validate_config
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@functools.cache
+def _bundled(name: str) -> AlgoConfig:
+    return load_experiment_config(CONFIGS_DIR / name).algo
 
 
 def counterexample_config(**overrides) -> AlgoConfig:
-    """The dyadic-trap instance: x0=5/4, alpha0=1/4, halve on failure."""
-    base = AlgoConfig(
-        x0=(1.25,),
-        alpha0=0.25,
-        beta1=0.5,
-        beta2=0.5,
-        gamma=1.0,
-        search_schedule="counterexample",
-        poll_directions="pm1",
-        forcing="zero",
-        seed=0,
-        max_iterations=52,
-        alpha_min=0.0,
-    )
-    return dataclasses.replace(base, **overrides)
+    """The dyadic-trap instance of ``configs/counterexample.cfg``."""
+    return dataclasses.replace(_bundled("counterexample.cfg"), **overrides)
 
 
 def revealing_config(**overrides) -> AlgoConfig:
-    """The repaired instance: same trap plus a radius-2 revealing poll."""
-    base = counterexample_config(
-        revealing_radius=2.0,
-        revealing_count=1,
-        max_iterations=500,
-        alpha_min=1e-9,
-        seed=42,
-    )
-    return dataclasses.replace(base, **overrides)
+    """The repaired instance of ``configs/revealing.cfg``: the same trap
+    plus a radius-2 revealing poll."""
+    return dataclasses.replace(_bundled("revealing.cfg"), **overrides)
 
 
 class CountingObjective:
@@ -60,28 +53,45 @@ class CountingObjective:
         return self._inner.evaluator(point)
 
 
-def random_config(rng: np.random.Generator) -> tuple[AlgoConfig, str]:
-    """Draw one valid config over the bundled 1-D objectives."""
-    objective_name = str(rng.choice(["counterexample", "neg_abs", "abs", "quadratic_1d"]))
-    beta1 = float(rng.uniform(0.05, 0.9))
-    beta2 = float(rng.uniform(beta1, 0.95))
-    revealing = bool(rng.random() < 0.5)
-    config = AlgoConfig(
-        x0=(float(rng.uniform(-3.0, 3.0)),),
-        alpha0=float(rng.uniform(0.01, 2.0)),
-        beta1=beta1,
-        beta2=beta2,
-        gamma=float(rng.uniform(1.0, 2.0)),
-        revealing_radius=float(rng.uniform(0.5, 3.0)) if revealing else None,
-        revealing_count=int(rng.integers(1, 5)) if revealing else 1,
-        search_schedule=str(rng.choice(["none", "counterexample"])),
-        poll_directions=str(rng.choice(["pm1", "coordinate"])),
-        forcing=str(rng.choice(["zero", "quadratic"])),
-        seed=int(rng.integers(0, 2**63)),
-        max_iterations=int(rng.integers(1, 25)),
-        alpha_min=float(rng.choice([0.0, 1e-6])),
-    )
-    return config, objective_name
+def _is_valid(drawn: tuple[AlgoConfig, str]) -> bool:
+    try:
+        validate_config(drawn[0])
+    except ConfigError:
+        return False
+    return True
+
+
+# Each range bounds the cost of a run and straddles the bounds of
+# validate_config, so that the filter, not the ranges, decides validity.
+_OBJECTIVE_NAMES = st.sampled_from(objective_names())
+_COORDINATES = st.floats(-3.0, 3.0)
+_FIELDS = {
+    "alpha0": st.floats(0.0, 2.0),
+    "beta1": st.floats(0.0, 1.0),
+    "beta2": st.floats(0.0, 1.0),
+    "gamma": st.floats(0.5, 2.0),
+    "revealing_radius": st.none() | st.floats(0.0, 3.0),
+    "revealing_count": st.integers(0, 4),
+    "search_schedule": st.sampled_from(sorted(steps._SEARCH_SCHEDULES)),
+    "poll_directions": st.sampled_from(sorted(steps._POLL_DIRECTIONS)),
+    "forcing": st.sampled_from(sorted(steps._FORCING)),
+    "seed": st.integers(0, 2**128),
+    "max_iterations": st.integers(0, 24),
+    "alpha_min": st.sampled_from([0.0, 1e-6]),
+}
+
+
+@st.composite
+def _drawn_config(draw) -> tuple[AlgoConfig, str]:
+    objective_name = draw(_OBJECTIVE_NAMES)
+    x0 = tuple(draw(_COORDINATES) for _ in range(get_objective(objective_name).dimension))
+    return AlgoConfig(x0=x0, **{name: draw(values) for name, values in _FIELDS.items()}), objective_name
+
+
+def random_config() -> st.SearchStrategy[tuple[AlgoConfig, str]]:
+    """Valid configs over the registry's objectives, drawn with their
+    objective's name."""
+    return _drawn_config().filter(_is_valid)
 
 
 def evaluation_count(trace: Trace) -> int:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ddsearch import get_objective, read_trace, run, write_trace
 from ddsearch.analysis import (
@@ -30,14 +29,8 @@ from ddsearch.configfile import load_experiment_config
 from ddsearch.objective import BAND_QUARTIC
 from ddsearch.traceio import validate_trace
 
-from helpers import (
-    CountingObjective,
-    evaluation_count,
-    random_config,
-    revealing_config,
-)
+from helpers import CONFIGS_DIR, CountingObjective, evaluation_count, random_config, revealing_config
 
-CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 # sha256 of the traces that ``ddsearch run`` writes for the bundled configs
 # (the reference hashes in ROADMAP.md).
 GOLDEN_TRACE_SHA256 = {
@@ -189,17 +182,23 @@ def test_criterion_8_determinism(tmp_path, monkeypatch, capsys):
 
 
 def test_criterion_9_property_suite(tmp_path):
-    rng = np.random.default_rng(42)
-    round_trips = 0
-    for index in range(1000):
-        config, objective_name = random_config(rng)
+    checked, round_trips = [], []
+
+    @settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+    @given(drawn=random_config())
+    def check(drawn):
+        config, objective_name = drawn
         counting = CountingObjective(get_objective(objective_name))
         trace = run(config, counting.spec)
         validate_trace(trace)
         assert counting.calls == evaluation_count(trace)
-        if index % 100 == 0:
-            path = tmp_path / f"trace_{index}.jsonl"
+        if len(checked) % 100 == 0:
+            path = tmp_path / f"trace_{len(checked)}.jsonl"
             write_trace(trace, path)
             assert read_trace(path) == trace
-            round_trips += 1
-    report(9, f"engine invariants hold on 1000 randomized configs; {round_trips} traces round-tripped exactly")
+            round_trips.append(path)
+        checked.append(config)
+
+    check()
+    assert len(checked) == 1000 and len(round_trips) == 10
+    report(9, f"engine invariants hold on {len(checked)} drawn configs; {len(round_trips)} traces round-tripped exactly")

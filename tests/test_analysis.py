@@ -23,7 +23,7 @@ from ddsearch.analysis import (
     verify_counterexample_closed_form,
 )
 from ddsearch.engine import ObjectiveError
-from ddsearch.objective import ObjectiveSpec
+from ddsearch.objective import ObjectiveSpec, counterexample_value
 
 from helpers import counterexample_config, revealing_config
 
@@ -47,16 +47,7 @@ def test_extract_refining_counterexample_30(vanilla_trace_30):
 
 
 def test_extract_refining_quadratic_gap_is_zero():
-    config = AlgoConfig(
-        x0=(0.5,),
-        alpha0=0.5,
-        beta1=0.5,
-        beta2=0.5,
-        gamma=1.0,
-        poll_directions="pm1",
-        max_iterations=200,
-        alpha_min=1e-9,
-    )
+    config = AlgoConfig(x0=(0.5,), alpha0=0.5, poll_directions="pm1", max_iterations=200, alpha_min=1e-9)
     trace = run(config, get_objective("quadratic_1d"))
     report = extract_refining(trace)
     assert abs(report.gap) <= 1e-6
@@ -68,6 +59,18 @@ def test_extract_refining_gap_small_on_abs():
     trace = run(config, get_objective("abs"))
     report = extract_refining(trace)
     assert abs(report.gap) <= 1e-6
+
+
+def test_extract_refining_evaluates_a_passed_objective():
+    # The dyadic objective shifted up by 3, under a name outside the registry:
+    # the same trap, and the refined value is read from the passed evaluator.
+    shifted = ObjectiveSpec("shifted_counterexample", 1, lambda p: counterexample_value(p[0]) + 3.0)
+    trace = run(counterexample_config(max_iterations=30), shifted)
+    report = extract_refining(trace, objective=shifted)
+    assert report.f_refined == 2.0
+    assert abs(report.gap - 1.0) <= 1e-3
+    with pytest.raises(LookupError, match="shifted_counterexample"):
+        extract_refining(trace)
 
 
 def test_extract_refining_requires_an_unsuccessful_iteration():
@@ -154,10 +157,21 @@ def test_covering_radius_two_dimensional():
 
 
 def test_covering_radius_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        covering_radius([(0.0,)], (0.0,), 1.0, 1)
-    with pytest.raises(ValueError):
-        covering_radius([(0.0,)], (0.0,), 0.0, 11)
+    cases = [
+        ("grid_resolution", ([(0.0,)], (0.0,), 1.0, 1)),
+        ("grid_resolution", ([(0.0,)], (0.0,), 1.0, 2.5)),
+        ("grid_resolution", ([(0.0,)], (0.0,), 1.0, True)),
+        ("radius", ([(0.0,)], (0.0,), 0.0, 11)),
+        ("radius", ([(0.0,)], (0.0,), math.inf, 5)),
+        ("center", ([(0.0,)], (math.nan,), 1.0, 5)),
+        ("center", ([], (math.nan,), 1.0, 5)),
+        ("center", ([()], (), 1.0, 5)),
+        ("points", ([(0.0, 0.0)], (0.0,), 1.0, 5)),
+        ("points", ([(math.nan,)], (0.0,), 1.0, 5)),
+    ]
+    for name, arguments in cases:
+        with pytest.raises(ValueError, match=f"^{name} "):
+            covering_radius(*arguments)
 
 
 def test_covering_radius_matches_sorted_gaps_in_one_dimension():

@@ -13,28 +13,24 @@ from ddsearch import AlgoConfig, cli, read_trace
 from ddsearch.cli import main
 from ddsearch.objective import ObjectiveSpec
 
-CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+from helpers import CONFIGS_DIR
 
 
-def write_config(path: Path, *, objective="counterexample", trace_path="trace.jsonl", **algorithm) -> Path:
-    algo = {
-        "x0": "1.25",
-        "alpha0": "0.25",
-        "beta1": "0.5",
-        "beta2": "0.5",
-        "gamma": "1.0",
-        "search_schedule": "counterexample",
-        "poll_directions": "pm1",
-        "forcing": "zero",
-        "seed": "0",
-        "max_iterations": "52",
-        "alpha_min": "0.0",
-    }
-    algo.update({k: str(v) for k, v in algorithm.items()})
-    lines = ["[objective]", f"name = {objective}", "", "[algorithm]"]
-    lines += [f"{key} = {value}" for key, value in algo.items()]
-    lines += ["", "[output]", f"trace_path = {trace_path}"]
-    path.write_text("\n".join(lines) + "\n")
+def write_config(path: Path, source: str = "counterexample.cfg", **rows) -> Path:
+    """Write the bundled config ``source`` to ``path`` with the value of each
+    row named in ``rows`` (``name`` is the objective's) replaced; a row the
+    file lacks goes into ``[algorithm]``.  The trace goes to trace.jsonl
+    unless ``trace_path`` names another file."""
+    rows = {"trace_path": "trace.jsonl", **{key: str(value) for key, value in rows.items()}}
+    lines = (CONFIGS_DIR / source).read_text().splitlines()
+    present = {line.split(" = ")[0] for line in lines}
+    written = []
+    for line in lines:
+        key = line.split(" = ")[0]
+        written.append(f"{key} = {rows[key]}" if key in rows else line)
+        if line == "[algorithm]":
+            written += [f"{key} = {value}" for key, value in rows.items() if key not in present]
+    path.write_text("\n".join(written) + "\n", encoding="utf-8")
     return path
 
 
@@ -70,8 +66,7 @@ def test_run_invalid_beta_ordering_names_field(workdir, capsys):
 
 
 def test_run_unknown_key_is_rejected(workdir, capsys):
-    config = write_config(workdir / "bad.cfg")
-    config.write_text(config.read_text().replace("gamma = 1.0", "gamma = 1.0\ngamm = 2"))
+    config = write_config(workdir / "bad.cfg", gamm=2)
     assert main(["run", str(config)]) == 2
     assert "gamm" in capsys.readouterr().err
 
@@ -84,7 +79,7 @@ def test_run_missing_field_is_rejected(workdir, capsys):
 
 
 def test_run_unknown_objective_exits_2(workdir, capsys):
-    config = write_config(workdir / "bad.cfg", objective="mystery")
+    config = write_config(workdir / "bad.cfg", name="mystery")
     assert main(["run", str(config)]) == 2
     assert "mystery" in capsys.readouterr().err
 
@@ -97,9 +92,7 @@ def test_run_non_decimal_number_exits_2(workdir, capsys):
 
 def test_run_objective_error_exits_3(workdir, capsys):
     # (1e200 + 1)^2 overflows, so the starting value is not finite.
-    config = write_config(
-        workdir / "overflow.cfg", objective="quadratic_1d", x0="1e200", search_schedule="none"
-    )
+    config = write_config(workdir / "overflow.cfg", name="quadratic_1d", x0="1e200", search_schedule="none")
     assert main(["run", str(config)]) == 3
     assert "finite" in capsys.readouterr().err
 
@@ -116,17 +109,14 @@ def test_run_objective_error_exits_3(workdir, capsys):
     ],
 )
 def test_run_extreme_revealing_parameters_exit_without_traceback(workdir, capsys, line, code):
-    key = line.split(" = ")[0]
-    text = (CONFIGS_DIR / "revealing.cfg").read_text()
-    config = workdir / "extreme.cfg"
-    config.write_text("\n".join(line if row.startswith(f"{key} =") else row for row in text.splitlines()) + "\n")
+    key, value = line.split(" = ")
+    config = write_config(workdir / "extreme.cfg", "revealing.cfg", **{key: value})
     assert main(["run", str(config)]) == code
     assert ("finite" if code == 3 else key) in capsys.readouterr().err
 
 
 # Values at the edges of what the parser and validate_config convert.
 _EDGE_LITERALS = ["inf", "-nan", "1e400", "-0", "100000000000000000000", "1" + "0" * 4999, "abc", "", "1.25 1.25"]
-_REVEALING_ROWS = (CONFIGS_DIR / "revealing.cfg").read_text().splitlines()
 _ALGORITHM_KEYS = [field.name for field in dataclasses.fields(AlgoConfig)]
 
 
@@ -135,13 +125,8 @@ _ALGORITHM_KEYS = [field.name for field in dataclasses.fields(AlgoConfig)]
 def test_run_of_a_fuzzed_config_exits_without_traceback(tmp_path_factory, key, value):
     # One [algorithm] value of a 20-iteration revealing.cfg replaced by a drawn string.
     directory = tmp_path_factory.mktemp("fuzz")
-    replacements = {"max_iterations": "20", "trace_path": str(directory / "trace.jsonl"), key: value}
-    rows = []
-    for row in _REVEALING_ROWS:
-        name = row.split(" = ")[0]
-        rows.append(f"{name} = {replacements[name]}" if name in replacements else row)
-    config = directory / "fuzzed.cfg"
-    config.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rows = {"max_iterations": "20", "trace_path": directory / "trace.jsonl", key: value}
+    config = write_config(directory / "fuzzed.cfg", "revealing.cfg", **rows)
     assert cli.main(["run", str(config)]) in (0, 2, 3)
 
 
@@ -172,13 +157,8 @@ def test_analyze_gap_mismatch_exits_1(workdir, capsys):
 
 def test_analyze_quadratic_gap_is_zero(workdir):
     write_config(
-        workdir / "q.cfg",
-        objective="quadratic_1d",
-        x0="0.5",
-        alpha0="0.5",
-        search_schedule="none",
-        max_iterations="200",
-        alpha_min="1e-9",
+        workdir / "q.cfg", name="quadratic_1d", x0=0.5, alpha0=0.5, search_schedule="none",
+        max_iterations=200, alpha_min=1e-9,
     )
     assert main(["run", str(workdir / "q.cfg")]) == 0
     assert main(["analyze", "trace.jsonl", "--expect-gap", "0", "--tol", "1e-6"]) == 0
@@ -237,9 +217,7 @@ def test_montecarlo_without_revealing_exits_2(workdir, capsys):
 
 def test_montecarlo_other_objective_exits_2(workdir, capsys):
     # The escape test and the minimizer belong to the dyadic objective.
-    write_config(
-        workdir / "q.cfg", objective="quadratic_1d", search_schedule="none", revealing_radius="2.0"
-    )
+    write_config(workdir / "q.cfg", name="quadratic_1d", search_schedule="none", revealing_radius=2.0)
     assert main(["montecarlo", str(workdir / "q.cfg"), "--trials", "5", "--master-seed", "1"]) == 2
     assert "counterexample" in capsys.readouterr().err
 
@@ -253,9 +231,7 @@ def test_montecarlo_negative_master_seed_exits_2(workdir, capsys):
 
 def test_montecarlo_incomplete_escape_exits_1(workdir, capsys):
     # A single-iteration budget leaves most trials no room to escape.
-    write_config(
-        workdir / "short.cfg", revealing_radius="2.0", revealing_count="1", max_iterations="1"
-    )
+    write_config(workdir / "short.cfg", "revealing.cfg", max_iterations=1)
     assert main(["montecarlo", str(workdir / "short.cfg"), "--trials", "5", "--master-seed", "0"]) == 1
     assert "escaped: 1/5" in capsys.readouterr().out
 

@@ -1,36 +1,17 @@
-"""Randomized invariant suite over the engine, plus the statistical density
-properties of the revealing poll."""
+"""Statistical density properties of the revealing poll."""
 
 from __future__ import annotations
 
 import dataclasses
+import runpy
+from pathlib import Path
 
-import numpy as np
+from ddsearch import run
+from ddsearch.analysis import covering_radius, trial_points
 
-from ddsearch import get_objective, read_trace, run, write_trace
-from ddsearch.analysis import covering_radius, derive_trial_seed, trial_points
-from ddsearch.traceio import validate_trace
+from helpers import revealing_config
 
-from helpers import (
-    CountingObjective,
-    evaluation_count,
-    random_config,
-    revealing_config,
-)
-
-
-def test_engine_invariants_on_randomized_configs(tmp_path):
-    rng = np.random.default_rng(20240817)
-    for index in range(200):
-        config, objective_name = random_config(rng)
-        counting = CountingObjective(get_objective(objective_name))
-        trace = run(config, counting.spec)
-        validate_trace(trace)
-        assert counting.calls == evaluation_count(trace)
-        if index % 40 == 0:
-            path = tmp_path / f"trace_{index}.jsonl"
-            write_trace(trace, path)
-            assert read_trace(path) == trace
+CALIBRATION_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "calibrate_covering_threshold.py"
 
 
 def test_covering_radius_of_revealing_points_is_non_increasing(counterexample_objective):
@@ -45,18 +26,9 @@ def test_covering_radius_of_revealing_points_is_non_increasing(counterexample_ob
     assert all(b <= a for a, b in zip(radii, radii[1:]))
 
 
-def test_revealing_points_cover_the_ball_across_seeds(counterexample_objective):
-    # 128-iteration runs with 4 revealing points per iteration: the covering
-    # radius of the accumulated revealing points inside the radius-2 ball
-    # around the final incumbent should drop below 0.25 in at least 99 of
-    # 100 seeded runs (the pilot calibration saw a maximum of ~0.06).
-    base = revealing_config(revealing_count=4, max_iterations=128, alpha_min=0.0)
-    below = 0
-    for index in range(100):
-        config = dataclasses.replace(base, seed=derive_trial_seed(900, index))
-        trace = run(config, counterexample_objective)
-        points = trial_points(trace, kinds=("revealing_poll",), unsuccessful_only=True)
-        radius = covering_radius(points, trace.final_incumbent(), 2.0, 201)
-        if radius < 0.25:
-            below += 1
-    assert below >= 99
+def test_revealing_points_cover_the_ball_across_seeds():
+    # The pilot behind the frozen 0.25 threshold: the covering radius of the
+    # accumulated revealing points should drop below 0.25 in at least 99 of
+    # 100 seeded runs (the pilot saw a maximum of ~0.06).
+    radii = runpy.run_path(str(CALIBRATION_SCRIPT))["pilot"](100)
+    assert (radii < 0.25).sum() >= 99

@@ -18,7 +18,7 @@ from ddsearch import get_objective, objective, read_trace, run, validate_trace, 
 from ddsearch.cli import main
 from ddsearch.engine import MAX_REVEALING_COUNT
 from ddsearch.objective import ObjectiveSpec
-from ddsearch.traceio import TraceFormatError, config_from_dict, config_to_dict, trace_lines
+from ddsearch.traceio import TraceFormatError, trace_lines
 
 from helpers import counterexample_config, revealing_config
 
@@ -30,10 +30,11 @@ def test_round_trip_identity_on_vanilla_trace(tmp_path, vanilla_trace_52):
 
 
 def test_round_trip_identity_on_revealing_trace(tmp_path, counterexample_objective):
-    trace = run(revealing_config(seed=13), counterexample_objective)
-    path = tmp_path / "trace.jsonl"
-    write_trace(trace, path)
-    assert read_trace(path) == trace
+    for seed in (13, 2**63 - 1):
+        trace = run(revealing_config(seed=seed), counterexample_objective)
+        path = tmp_path / "trace.jsonl"
+        write_trace(trace, path)
+        assert read_trace(path) == trace
 
 
 def test_round_trip_preserves_infinite_values(tmp_path):
@@ -65,11 +66,6 @@ def test_written_bytes_are_deterministic(tmp_path, vanilla_trace_52):
     write_trace(vanilla_trace_52, first)
     write_trace(vanilla_trace_52, second)
     assert first.read_bytes() == second.read_bytes()
-
-
-def test_config_dict_round_trip():
-    config = revealing_config(seed=2**63 - 1)
-    assert config_from_dict(config_to_dict(config)) == config
 
 
 def test_read_missing_file_raises(tmp_path):
@@ -155,6 +151,10 @@ CORRUPTIONS = {
     'header alpha0 = "abc"': (lambda t: t[0]["config"].update(alpha0="abc"), "alpha0"),
     "unknown forcing": (lambda t: t[0]["config"].update(forcing="cubic"), "cubic"),
     "header gamma = 10**400": (lambda t: t[0]["config"].update(gamma=10**400), "gamma"),
+    # A field with a default replays from the default, and the header the
+    # engine writes then names it.
+    "header without seed": (lambda t: t[0]["config"].pop("seed"), r"line 1\b"),
+    "header without x0": (lambda t: t[0]["config"].pop("x0"), "x0"),
     # A point that was never evaluated, logged with the value of the real one.
     "trial point moved": (lambda t: t[3]["outcomes"][1]["trials"][0].update(point=[0.75]), r"line 4\b"),
     # The replay stops at the trailer, one iteration past the last record.
@@ -219,6 +219,17 @@ def test_wrong_typed_value_is_rejected(tmp_path, monkeypatch, capsys, vanilla_tr
     path = tmp_path / "trace.jsonl"
     _write_parsed(path, parsed)
     _assert_rejected(path, rf"line {edited + 1}\b", monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("depth,message", [(600, "seed"), (100_000, "not valid JSON")])
+def test_deeply_nested_header_value_is_rejected(tmp_path, monkeypatch, capsys, vanilla_trace_52, depth, message):
+    # 600 levels parse, but would overflow the recursion of writing the
+    # header back; 100 000 overflow the JSON parser itself.
+    lines = list(trace_lines(vanilla_trace_52))
+    lines[0] = lines[0].replace('"seed":0', '"seed":' + "[" * depth + "]" * depth)
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    _assert_rejected(path, message, monkeypatch, capsys)
 
 
 def test_integer_valued_rewrite_is_rejected(tmp_path, monkeypatch, capsys):
