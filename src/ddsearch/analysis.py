@@ -11,14 +11,17 @@ objective.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import engine
-from .engine import AlgoConfig, ConfigError, Trace
+from .engine import AlgoConfig, ConfigError, IterationRecord, Trace
+# get_objective stays a name of this module: perfbench's tracer rebinds it here.
 from .objective import ObjectiveSpec, Vector, get_objective
 
 
@@ -60,14 +63,6 @@ class EscapeStats:
     first_escape_iterations: tuple[int, ...]
 
 
-def _dedupe_consecutive(points: list[Vector]) -> list[Vector]:
-    out: list[Vector] = []
-    for p in points:
-        if not out or p != out[-1]:
-            out.append(p)
-    return out
-
-
 def _extrapolate_limit(points: list[Vector]) -> Vector:
     """Estimate the limit of a convergent tail by Aitken delta-squared.
 
@@ -92,63 +87,74 @@ def _extrapolate_limit(points: list[Vector]) -> Vector:
     return tuple(estimate)
 
 
-def _cluster_directions(directions: list[Vector], tol: float) -> tuple[Vector, ...]:
-    """Greedy angular clustering, representatives in order of first appearance."""
-    reps: list[Vector] = []
-    for u in directions:
-        for rep in reps:
-            # Clipped so that a NaN cosine stays NaN and never joins a cluster.
-            cosine = min(max(sum(a * b for a, b in zip(u, rep)), -1.0), 1.0)
-            if math.acos(cosine) <= tol:
-                break
-        else:
-            reps.append(u)
-    return tuple(reps)
+def _join_cluster(representatives: list[Vector], u: Vector, tol: float) -> None:
+    """Greedy angular clustering, one direction at a time: ``u`` becomes a
+    representative unless it lies within ``tol`` of one, so representatives
+    stay in order of first appearance."""
+    for rep in representatives:
+        # Clipped so that a NaN cosine stays NaN and never joins a cluster.
+        cosine = min(max(sum(a * b for a, b in zip(u, rep)), -1.0), 1.0)
+        if math.acos(cosine) <= tol:
+            return
+    representatives.append(u)
 
 
 def extract_refining(
-    trace: Trace, cluster_tol: float = 1e-3, objective: ObjectiveSpec | None = None
+    records: Iterable[IterationRecord], objective: ObjectiveSpec, cluster_tol: float = 1e-3
 ) -> RefinementReport:
-    """Extract the refining subsequence (all unsuccessful iterations) from a trace.
+    """Extract the refining subsequence (all unsuccessful iterations) from
+    the records of a run, in one pass over them.
 
     The refined point is the extrapolated limit of the unsuccessful
     incumbents; the refining directions are angular-cluster representatives
     of the normalized trial directions from poll and revealing-poll steps at
-    those iterations.  ``objective`` overrides the registry lookup for the
-    fresh evaluation at the refined point.
+    those iterations.  ``objective`` gives the fresh evaluation at the
+    refined point.  Besides the indices and values of the unsuccessful
+    iterations, the pass keeps only the last three distinct unsuccessful
+    incumbents and the cluster representatives, so ``records`` may be a
+    stream such as ``traceio.replay_trace`` yields.
     """
     if not cluster_tol > 0.0:
         raise AnalysisError(f"cluster_tol must be > 0, got {cluster_tol}")
-    unsuccessful = [r for r in trace.records if not r.success]
-    if not unsuccessful:
-        raise AnalysisError("trace has no unsuccessful iteration; no refining subsequence exists")
-    if objective is None:
-        objective = get_objective(trace.objective_name)
-
-    indices = tuple(r.k for r in unsuccessful)
-    f_values = tuple(r.f_x for r in unsuccessful)
-    refined = _extrapolate_limit(_dedupe_consecutive([r.x for r in unsuccessful]))
-
-    directions: list[Vector] = []
-    for record in unsuccessful:
+    indices: list[int] = []
+    f_values: list[float] = []
+    tail: list[Vector] = []
+    representatives: list[Vector] = []
+    alpha_tail = math.nan
+    for record in records:
+        if record.success:
+            continue
+        x = record.x
+        indices.append(record.k)
+        f_values.append(record.f_x)
+        alpha_tail = record.alpha
+        if not tail or x != tail[-1]:
+            tail = tail[-2:] + [x]
         for outcome in record.outcomes:
             if outcome.kind == engine.SEARCH:
                 continue
             for trial in outcome.trials:
-                v = tuple(p - x for p, x in zip(trial.point, record.x))
+                v = tuple(p - c for p, c in zip(trial.point, x))
                 # sqrt(v . v), not math.hypot, which rounds differently where
                 # the squares underflow (the tails of alpha_min = 0 runs).
                 norm = math.sqrt(sum(c * c for c in v))
                 if norm > 0.0:
-                    directions.append(tuple(c / norm for c in v))
+                    _join_cluster(representatives, tuple(c / norm for c in v), cluster_tol)
+    if not indices:
+        raise AnalysisError("trace has no unsuccessful iteration; no refining subsequence exists")
 
+    refined = _extrapolate_limit(tail)
     f_refined = engine.evaluate(objective, refined).value
     f_limit = f_values[-1]
+    # Copied one at a time, each list freed as its name is rebound, so that
+    # no more than one is held twice: the peak memory of a long analyze.
+    indices = tuple(indices)
+    f_values = tuple(f_values)
     return RefinementReport(
         unsuccessful_indices=indices,
         refined_point=refined,
-        alpha_tail=unsuccessful[-1].alpha,
-        refining_directions=_cluster_directions(directions, cluster_tol),
+        alpha_tail=alpha_tail,
+        refining_directions=tuple(representatives),
         f_limit=f_limit,
         f_refined=f_refined,
         gap=f_limit - f_refined,
@@ -156,43 +162,53 @@ def extract_refining(
     )
 
 
-def verify_counterexample_closed_form(trace: Trace, q_max: int) -> bool:
-    """Check a trace against the closed-form dyadic trajectory, bit-exactly.
+def _follows_closed_form(record: IterationRecord, k: int) -> bool:
+    """Whether iteration k of a run is the one the closed form gives (see
+    ``verify_counterexample_closed_form``)."""
+    q, odd = divmod(k, 2)
+    x_expected = 1.25 * 2.0**-q
+    alpha_expected = 0.25 * 2.0**-q
+    if record.x != (x_expected,):
+        return False
+    if odd:
+        searches = [o for o in record.outcomes if o.kind == engine.SEARCH]
+        return (
+            record.alpha == 0.5 * alpha_expected
+            and record.success
+            and len(searches) == 1
+            and searches[0].success
+        )
+    if record.alpha != alpha_expected or record.success:
+        return False
+    polls = [o for o in record.outcomes if o.kind == engine.POLL]
+    if len(polls) != 1 or len(polls[0].trials) != 2:
+        return False
+    polled = {t.point for t in polls[0].trials if t.in_domain}
+    return polled == {(x_expected - alpha_expected,), (x_expected + alpha_expected,)}
+
+
+def verify_counterexample_closed_form(records: Iterable[IterationRecord], q_max: int) -> bool:
+    """Check the records of a run against the closed-form dyadic trajectory,
+    bit-exactly.
 
     For every q up to ``q_max`` the incumbents must satisfy
     ``x_{2q} = x_{2q+1} = 5/4 * 2**-q`` with steps
     ``alpha_{2q} = 1/4 * 2**-q = 2 * alpha_{2q+1}``; iteration 2q must fail
     after evaluating both poll points ``x +- alpha``, and iteration 2q+1 must
-    succeed through its search step.
+    succeed through its search step.  Only the first ``2*q_max + 2`` records
+    are taken from ``records``, and AnalysisError says so if there are fewer.
     """
     if q_max < 0:
         raise AnalysisError(f"q_max must be >= 0, got {q_max}")
     needed = 2 * q_max + 2
-    if len(trace.records) < needed:
-        raise AnalysisError(f"trace has {len(trace.records)} iterations, need {needed} for q_max={q_max}")
-    for q in range(q_max + 1):
-        x_expected = 1.25 * 2.0**-q
-        alpha_expected = 0.25 * 2.0**-q
-        even = trace.records[2 * q]
-        odd = trace.records[2 * q + 1]
-        if even.x != (x_expected,) or odd.x != (x_expected,):
-            return False
-        if even.alpha != alpha_expected or odd.alpha != 0.5 * alpha_expected:
-            return False
-        if even.success:
-            return False
-        polls = [o for o in even.outcomes if o.kind == engine.POLL]
-        if len(polls) != 1 or len(polls[0].trials) != 2:
-            return False
-        polled = {t.point for t in polls[0].trials if t.in_domain}
-        if polled != {(x_expected - alpha_expected,), (x_expected + alpha_expected,)}:
-            return False
-        if not odd.success:
-            return False
-        searches = [o for o in odd.outcomes if o.kind == engine.SEARCH]
-        if len(searches) != 1 or not searches[0].success:
-            return False
-    return True
+    count = 0
+    holds = True
+    for record in itertools.islice(records, needed):
+        holds = holds and _follows_closed_form(record, count)
+        count += 1
+    if count < needed:
+        raise AnalysisError(f"trace has {count} iterations, need {needed} for q_max={q_max}")
+    return holds
 
 
 # Coordinates in one difference block of covering_radius (2 MB of float64);

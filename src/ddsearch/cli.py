@@ -10,11 +10,12 @@ config error, 3 runtime objective error.
 from __future__ import annotations
 
 import argparse
+import collections
+import itertools
 import math
 import os
 import re
 import sys
-from collections import Counter
 
 from . import analysis, engine, traceio
 from .analysis import AnalysisError
@@ -56,13 +57,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _fail(f"--expect-gap must be finite, got {args.expect_gap}", EXIT_INPUT_ERROR)
     if not 0.0 <= args.tol < math.inf:
         return _fail(f"--tol must be finite and >= 0, got {args.tol}", EXIT_INPUT_ERROR)
-    trace = traceio.read_trace(args.trace)
+    # One replay of the file feeds both analyses; the records of the
+    # lemma's prefix are the only ones held at once.
+    _, objective, records = traceio.replay_trace(args.trace)
     if args.verify_lemma is not None:
-        if not analysis.verify_counterexample_closed_form(trace, args.verify_lemma):
+        records, prefix = itertools.tee(records)
+        holds = analysis.verify_counterexample_closed_form(prefix, args.verify_lemma)
+        # tee keeps each record until both copies have passed it.
+        del prefix
+        if not holds:
+            # The rest of the file is replayed first: a corrupt trace exits 2.
+            collections.deque(records, maxlen=0)
             print(f"closed-form verification failed for q=0..{args.verify_lemma}")
             return EXIT_EXPECTATION_FAILED
+    # Printed once the whole file has replayed, so a trace that turns out
+    # corrupt prints no result.
+    report = analysis.extract_refining(records, objective, cluster_tol=args.cluster_tol)
+    if args.verify_lemma is not None:
         print(f"lemma-verified q=0..{args.verify_lemma}")
-    report = analysis.extract_refining(trace, cluster_tol=args.cluster_tol)
     print(f"unsuccessful_iterations: {len(report.unsuccessful_indices)}")
     print(f"refined_point: {_format_vector(report.refined_point)}")
     print(f"alpha_tail: {report.alpha_tail!r}")
@@ -86,7 +98,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     print(f"escaped: {stats.n_escaped}/{stats.n_trials}")
     print(f"converged: {stats.n_converged}/{stats.n_trials}")
     print("first_escape_histogram:")
-    for iteration, count in sorted(Counter(stats.first_escape_iterations).items()):
+    for iteration, count in sorted(collections.Counter(stats.first_escape_iterations).items()):
         print(f"  {iteration}: {count}")
     if stats.n_escaped < stats.n_trials:
         return EXIT_EXPECTATION_FAILED

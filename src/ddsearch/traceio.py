@@ -3,26 +3,35 @@
 Layout: a header object carrying the config and objective name, one object
 per iteration record, and a trailer carrying the termination reason.  Floats
 are serialized as Python's shortest round-trip decimals, and +inf survives as
-the JSON-extension token ``Infinity``.
+the JSON-extension token ``Infinity``.  Records are written by one direct
+encoder (``_record_line``) that gives the bytes ``json`` would give for the
+record's fields; the header and the trailer are written by ``json``.
 
 The engine is the one definition of a valid trace: a trace is valid if and
 only if the engine, run from its header, writes exactly its lines.  Reading
 parses the header only, replays the run, and compares each line the engine
 writes with the file's line, so no logged value is taken on trust and a
 reformatted trace (other separators, ``2`` for ``2.0``) is rejected.
+
+``replay_trace`` is the streaming reader: it reads the file one line at a
+time and yields each record once verified, so its memory does not grow with
+the trace.  ``read_trace`` and ``validate_trace`` collect its records.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import json
+from collections.abc import Iterable
 from pathlib import Path
 from typing import Any, Iterator
 
 from . import engine
 from . import objective as objectives
-from .engine import AlgoConfig, InitializationError, IterationRecord, ObjectiveError, StepOutcome, Trace
-from .objective import ObjectiveSpec
+from .engine import AlgoConfig, InitializationError, IterationRecord, ObjectiveError, StepOutcome, Trace, TrialPoint
+from .objective import ObjectiveSpec, Vector
 
 FORMAT_NAME = "ddsearch-trace"
 FORMAT_VERSION = 1
@@ -33,32 +42,50 @@ class TraceFormatError(ValueError):
     header names."""
 
 
-def _outcome_to_dict(outcome: StepOutcome) -> dict[str, Any]:
-    return {
-        "step": outcome.kind,
-        "trials": [
-            {"point": list(t.point), "value": t.value, "in_domain": t.in_domain}
-            for t in outcome.trials
-        ],
-        "winner": outcome.winner,
-        "success": outcome.success,
-    }
-
-
-def _record_to_dict(record: IterationRecord) -> dict[str, Any]:
-    return {
-        "k": record.k,
-        "x": list(record.x),
-        "alpha": record.alpha,
-        "f": record.f_x,
-        "outcomes": [_outcome_to_dict(o) for o in record.outcomes],
-        "success": record.success,
-        "x_next": list(record.x_next),
-        "alpha_next": record.alpha_next,
-    }
-
-
 _line = json.JSONEncoder(separators=(",", ":")).encode
+_float_repr = float.__repr__
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _number(value: float) -> str:
+    """A number as ``json`` writes it: an integer as such (a step size is
+    one when ``alpha0`` and ``gamma`` are), a float (``np.float64``
+    included) by ``float.__repr__``, and inf, -inf, nan as ``Infinity``,
+    ``-Infinity``, ``NaN``."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    text = _float_repr(value)
+    return _NON_FINITE.get(text, text)
+
+
+def _vector(values: Vector) -> str:
+    return "[" + ",".join(map(_number, values)) + "]"
+
+
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _trial_text(trial: TrialPoint) -> str:
+    return f'{{"point":{_vector(trial.point)},"value":{_number(trial.value)},"in_domain":{_flag(trial.in_domain)}}}'
+
+
+def _outcome_text(outcome: StepOutcome) -> str:
+    winner = "null" if outcome.winner is None else int.__repr__(outcome.winner)
+    return (
+        f'{{"step":"{outcome.kind}","trials":[{",".join(map(_trial_text, outcome.trials))}],'
+        f'"winner":{winner},"success":{_flag(outcome.success)}}}'
+    )
+
+
+def _record_line(record: IterationRecord) -> str:
+    """The trace line of a record: the keys, order and number formats that
+    ``json`` writes for it with compact separators, built directly."""
+    return (
+        f'{{"k":{record.k},"x":{_vector(record.x)},"alpha":{_number(record.alpha)},"f":{_number(record.f_x)},'
+        f'"outcomes":[{",".join(map(_outcome_text, record.outcomes))}],"success":{_flag(record.success)},'
+        f'"x_next":{_vector(record.x_next)},"alpha_next":{_number(record.alpha_next)}}}'
+    )
 
 
 def _header(config: AlgoConfig, objective_name: str) -> dict[str, Any]:
@@ -73,7 +100,7 @@ def _header(config: AlgoConfig, objective_name: str) -> dict[str, Any]:
 def trace_lines(trace: Trace) -> Iterator[str]:
     yield _line(_header(trace.config, trace.objective_name))
     for record in trace.records:
-        yield _line(_record_to_dict(record))
+        yield _record_line(record)
     yield _line({"termination": trace.termination})
 
 
@@ -84,34 +111,75 @@ def write_trace(trace: Trace, path: str | Path) -> None:
             handle.write("\n")
 
 
+def replay_trace(
+    path: str | Path, objective: ObjectiveSpec | None = None
+) -> tuple[AlgoConfig, ObjectiveSpec, Iterator[IterationRecord]]:
+    """Replay a trace file lazily: the config and the objective of its
+    header, and an iterator of its records.
+
+    The header is checked at the call.  The iterator reads the file one
+    non-blank line at a time and yields each record once the engine,
+    replaying the run, has written exactly that line; when exhausted it has
+    checked the trailer and the end of the file.  Any difference raises
+    TraceFormatError naming the first line that differs.  ``objective``
+    overrides the registry lookup of the header's objective name.
+    """
+    lines = _file_lines(path)
+    with _naming(path):
+        config, objective, records = _replay(lines, objective)
+    return config, objective, _named(path, records)
+
+
 def read_trace(path: str | Path, objective: ObjectiveSpec | None = None) -> Trace:
     """Read a trace file: parse its header, replay the run it names, and
     return the replayed trace if the engine writes exactly the file's
     non-blank lines; else TraceFormatError naming the first line that
     differs.  ``objective`` overrides the registry lookup of the header's
     objective name."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TraceFormatError(f"cannot read trace file {path}: {exc}") from exc
-    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1) if line.strip()]
-    try:
-        return _replay(lines, objective)
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"trace file {path}: {exc}") from exc
+    config, objective, records = replay_trace(path, objective)
+    return engine.trace_of(config, objective.name, tuple(records))
 
 
 def validate_trace(trace: Trace, objective: ObjectiveSpec | None = None) -> None:
     """Raise TraceFormatError unless the engine, run from the trace's config,
     writes exactly ``trace_lines(trace)``: the check ``read_trace`` applies
     to a file."""
-    _replay(list(enumerate(trace_lines(trace), 1)), objective)
+    _, _, records = _replay(enumerate(trace_lines(trace), 1), objective)
+    collections.deque(records, maxlen=0)
 
 
-def _replay(lines: list[tuple[int, str]], objective: ObjectiveSpec | None) -> Trace:
-    """The trace the engine writes as ``lines`` (numbered as in the file),
-    replayed from the header on the first line and compared line by line.
+@contextlib.contextmanager
+def _naming(path: str | Path) -> Iterator[None]:
+    """Prefix the message of a TraceFormatError with the file's path."""
+    try:
+        yield
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"trace file {path}: {exc}") from exc
+
+
+def _named(path: str | Path, records: Iterator[IterationRecord]) -> Iterator[IterationRecord]:
+    with _naming(path):
+        yield from records
+
+
+def _file_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a file, numbered as in the file, read one at a
+    time; an unreadable file or line is a TraceFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                if line.strip():
+                    yield number, line.rstrip("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TraceFormatError(f"cannot read: {exc}") from exc
+
+
+def _replay(
+    lines: Iterable[tuple[int, str]], objective: ObjectiveSpec | None
+) -> tuple[AlgoConfig, ObjectiveSpec, Iterator[IterationRecord]]:
+    """The config and objective of the header on the first of ``lines``
+    (numbered as in the file), and the records of its replayed run, each
+    compared with the next line before it is yielded.
 
     The replay runs at most one iteration past the records the file holds,
     so its work is bounded by the file plus one iteration, whose cost
@@ -119,12 +187,11 @@ def _replay(lines: list[tuple[int, str]], objective: ObjectiveSpec | None) -> Tr
     revealing poll).  No genuine trace replays into an error of the run, so
     such an error is one of the header.
     """
-    if not lines:
+    lines = iter(lines)
+    number, head = next(lines, (None, None))
+    if head is None:
         raise TraceFormatError("the trace is empty")
-    rest = iter(lines)
-    number, head = next(rest)
     config, name = _read_header(head)
-    records: list[IterationRecord] = []
     try:
         if objective is None:
             # Through the module at call time, so that a rebinding of
@@ -133,19 +200,28 @@ def _replay(lines: list[tuple[int, str]], objective: ObjectiveSpec | None) -> Tr
         # Validated before it is written back: a value nested deep enough
         # would overflow the recursion of dataclasses.asdict.
         engine.validate_config(config)
-        if head != _line(_header(config, objective.name)):
-            raise TraceFormatError(f"line {number} differs from the replayed run")
+    except (ValueError, LookupError) as exc:
+        raise TraceFormatError(f"the header on line {number} does not replay: {exc}") from exc
+    if head != _line(_header(config, objective.name)):
+        raise TraceFormatError(f"line {number} differs from the replayed run")
+    return config, objective, _replayed_records(lines, number, config, objective)
+
+
+def _replayed_records(
+    lines: Iterator[tuple[int, str]], header_number: int, config: AlgoConfig, objective: ObjectiveSpec
+) -> Iterator[IterationRecord]:
+    count, alpha = 0, config.alpha0
+    try:
         for record in engine.iterate(config, objective):
-            _expect(rest, _line(_record_to_dict(record)))
-            records.append(record)
+            _expect(lines, _record_line(record))
+            yield record
+            count, alpha = count + 1, record.alpha_next
     except TraceFormatError:
         raise
     except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
-        raise TraceFormatError(f"the header on line {number} does not replay: {exc}") from exc
-    trace = engine.trace_of(config, objective.name, tuple(records))
-    _expect(rest, _line({"termination": trace.termination}))
-    _expect(rest, None)
-    return trace
+        raise TraceFormatError(f"the header on line {header_number} does not replay: {exc}") from exc
+    _expect(lines, _line({"termination": engine.stop_reason(count, alpha, config)}))
+    _expect(lines, None)
 
 
 def _read_header(line: str) -> tuple[AlgoConfig, str]:

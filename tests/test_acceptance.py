@@ -65,7 +65,7 @@ def bundled_counterexample_trace(tmp_path_factory):
 def test_criterion_1_closed_form_trajectory(bundled_counterexample_trace):
     trace, elapsed = bundled_counterexample_trace
     assert len(trace.records) == 52
-    assert verify_counterexample_closed_form(trace, 25)
+    assert verify_counterexample_closed_form(trace.records, 25)
     for q in range(26):
         even, odd = trace.records[2 * q], trace.records[2 * q + 1]
         x_q, alpha_q = 1.25 * 2.0**-q, 0.25 * 2.0**-q
@@ -82,7 +82,7 @@ def test_criterion_1_closed_form_trajectory(bundled_counterexample_trace):
 
 def test_criterion_2_discontinuity_gap(bundled_counterexample_trace):
     trace, _ = bundled_counterexample_trace
-    analysis = extract_refining(trace)
+    analysis = extract_refining(trace.records, get_objective("counterexample"))
     assert abs(analysis.f_refined - (-1.0)) <= 1e-3
     assert abs(analysis.f_limit - 0.0) <= 1e-3
     assert abs(analysis.gap - 1.0) <= 1e-3

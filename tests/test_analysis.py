@@ -32,8 +32,8 @@ from helpers import counterexample_config, revealing_config
 # extract_refining
 
 
-def test_extract_refining_counterexample_30(vanilla_trace_30):
-    report = extract_refining(vanilla_trace_30)
+def test_extract_refining_counterexample_30(vanilla_trace_30, counterexample_objective):
+    report = extract_refining(vanilla_trace_30.records, counterexample_objective)
     assert report.unsuccessful_indices == tuple(range(0, 30, 2))
     # The incumbents contract geometrically, so the limit estimate collapses
     # to the true refined point 0 while the raw tail incumbent is 5/4*2^-14.
@@ -48,16 +48,16 @@ def test_extract_refining_counterexample_30(vanilla_trace_30):
 
 def test_extract_refining_quadratic_gap_is_zero():
     config = AlgoConfig(x0=(0.5,), alpha0=0.5, poll_directions="pm1", max_iterations=200, alpha_min=1e-9)
-    trace = run(config, get_objective("quadratic_1d"))
-    report = extract_refining(trace)
+    spec = get_objective("quadratic_1d")
+    report = extract_refining(run(config, spec).records, spec)
     assert abs(report.gap) <= 1e-6
     assert abs(report.refined_point[0] + 1.0) <= 1e-6
 
 
 def test_extract_refining_gap_small_on_abs():
     config = AlgoConfig(x0=(0.5,), alpha0=0.5, poll_directions="pm1", max_iterations=200, alpha_min=1e-9)
-    trace = run(config, get_objective("abs"))
-    report = extract_refining(trace)
+    spec = get_objective("abs")
+    report = extract_refining(run(config, spec).records, spec)
     assert abs(report.gap) <= 1e-6
 
 
@@ -66,38 +66,47 @@ def test_extract_refining_evaluates_a_passed_objective():
     # the same trap, and the refined value is read from the passed evaluator.
     shifted = ObjectiveSpec("shifted_counterexample", 1, lambda p: counterexample_value(p[0]) + 3.0)
     trace = run(counterexample_config(max_iterations=30), shifted)
-    report = extract_refining(trace, objective=shifted)
+    report = extract_refining(trace.records, shifted)
     assert report.f_refined == 2.0
     assert abs(report.gap - 1.0) <= 1e-3
-    with pytest.raises(LookupError, match="shifted_counterexample"):
-        extract_refining(trace)
 
 
 def test_extract_refining_requires_an_unsuccessful_iteration():
     # On neg_abs every poll from 0 succeeds (f(x +- alpha) = -alpha < 0).
     config = AlgoConfig(x0=(0.0,), alpha0=1.0, gamma=2.0, poll_directions="pm1", max_iterations=10)
-    trace = run(config, get_objective("neg_abs"))
+    spec = get_objective("neg_abs")
+    trace = run(config, spec)
     assert all(r.success for r in trace.records)
     with pytest.raises(AnalysisError, match="unsuccessful"):
-        extract_refining(trace)
+        extract_refining(trace.records, spec)
 
 
-def test_extract_refining_rejects_bad_tolerance(vanilla_trace_30):
+def test_extract_refining_rejects_bad_tolerance(vanilla_trace_30, counterexample_objective):
     with pytest.raises(AnalysisError, match="cluster_tol"):
-        extract_refining(vanilla_trace_30, cluster_tol=0.0)
+        extract_refining(vanilla_trace_30.records, counterexample_objective, cluster_tol=0.0)
 
 
-def test_extract_refining_f_values_follow_the_tail(vanilla_trace_30):
-    report = extract_refining(vanilla_trace_30)
+def test_extract_refining_f_values_follow_the_tail(vanilla_trace_30, counterexample_objective):
+    report = extract_refining(vanilla_trace_30.records, counterexample_objective)
     assert len(report.f_values) == 15
     for q, value in enumerate(report.f_values):
         assert value == 2.0**-q * (121 / 128)
 
 
+def test_extract_refining_folds_a_stream_with_repeated_incumbents(vanilla_trace_30, counterexample_objective):
+    # Each record twice, from a one-shot generator: a stalled incumbent
+    # repeats, and the limit is extrapolated from the distinct ones.
+    doubled = extract_refining((r for r in vanilla_trace_30.records for _ in range(2)), counterexample_objective)
+    report = extract_refining(vanilla_trace_30.records, counterexample_objective)
+    assert doubled.refined_point == report.refined_point == (0.0,)
+    assert doubled.refining_directions == report.refining_directions
+    assert doubled.f_values == tuple(v for v in report.f_values for _ in range(2))
+
+
 def test_refining_directions_are_unit_vectors(vanilla_trace_30, counterexample_objective):
     trace = run(revealing_config(seed=8, max_iterations=80), counterexample_objective)
     for report_trace in (vanilla_trace_30, trace):
-        report = extract_refining(report_trace)
+        report = extract_refining(report_trace.records, counterexample_objective)
         for direction in report.refining_directions:
             norm = math.sqrt(sum(c * c for c in direction))
             assert abs(norm - 1.0) <= 1e-9
@@ -108,8 +117,8 @@ def test_refining_directions_are_unit_vectors(vanilla_trace_30, counterexample_o
 
 
 def test_closed_form_verifies_on_vanilla_trace(vanilla_trace_52):
-    assert verify_counterexample_closed_form(vanilla_trace_52, 12)
-    assert verify_counterexample_closed_form(vanilla_trace_52, 25)
+    assert verify_counterexample_closed_form(vanilla_trace_52.records, 12)
+    assert verify_counterexample_closed_form(vanilla_trace_52.records, 25)
 
 
 def test_closed_form_spot_values(vanilla_trace_52):
@@ -121,17 +130,17 @@ def test_closed_form_spot_values(vanilla_trace_52):
 def test_closed_form_fails_once_the_revealing_poll_succeeds(counterexample_objective):
     trace = run(revealing_config(seed=42), counterexample_objective)
     assert len(trace.records) >= 26
-    assert not verify_counterexample_closed_form(trace, 12)
+    assert not verify_counterexample_closed_form(trace.records, 12)
 
 
 def test_closed_form_rejects_short_trace(vanilla_trace_52):
     with pytest.raises(AnalysisError, match="iterations"):
-        verify_counterexample_closed_form(vanilla_trace_52, 26)
+        verify_counterexample_closed_form(vanilla_trace_52.records, 26)
 
 
 def test_closed_form_rejects_negative_q(vanilla_trace_52):
     with pytest.raises(AnalysisError):
-        verify_counterexample_closed_form(vanilla_trace_52, -1)
+        verify_counterexample_closed_form(vanilla_trace_52.records, -1)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -196,6 +197,87 @@ def test_analyze_lemma_failure_exits_1(workdir, capsys):
     config.write_text((CONFIGS_DIR / "revealing.cfg").read_text())
     assert main(["run", str(config)]) == 0
     assert main(["analyze", "revealing_trace.jsonl", "--verify-lemma", "12"]) == 1
+
+
+def _run_lines(workdir: Path, source: str, **rows) -> list[str]:
+    """The lines of the trace.jsonl that ``run`` writes for ``source`` with ``rows``."""
+    write_config(workdir / "run.cfg", source, **rows)
+    assert main(["run", "run.cfg"]) == 0
+    return (workdir / "trace.jsonl").read_text().splitlines()
+
+
+# The exit codes of analyze, in order of precedence: a corrupt trace 2, too
+# few records for the lemma 2, a false lemma 1, no unsuccessful iteration 2.
+# The replay reads the file as the analyses go, so each test below has the
+# analyses decide before the file's fault is read.
+
+
+def test_analyze_false_lemma_on_a_corrupt_trace_exits_2(workdir, capsys):
+    lines = _run_lines(workdir, "revealing.cfg")
+    lines[-2] = lines[-2].replace('"k":', '"k":1', 1)  # the last record
+    (workdir / "trace.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "trace.jsonl", "--verify-lemma", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {len(lines) - 1} differs" in captured.err
+
+
+def test_analyze_invalid_utf8_on_a_late_line_exits_2(workdir, capsys):
+    lines = _run_lines(workdir, "revealing.cfg", alpha_min=0.0, max_iterations=400)
+    path = workdir / "trace.jsonl"
+    path.write_bytes("\n".join(lines[:-2]).encode() + b"\n\xff" + "\n".join(lines[-2:]).encode() + b"\n")
+    # Well past the first block that the reader decodes.
+    assert path.stat().st_size > 2**16
+    capsys.readouterr()
+    assert main(["analyze", "trace.jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read" in captured.err and "utf-8" in captured.err
+
+
+def test_analyze_trace_truncated_after_the_lemma_prefix_exits_2(workdir, capsys):
+    lines = _run_lines(workdir, "counterexample.cfg")
+    # The header and the 26 records that the lemma for q = 0..12 reads.
+    (workdir / "trace.jsonl").write_text("\n".join(lines[:27]) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "trace.jsonl", "--verify-lemma", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "truncated" in captured.err
+
+
+def _analyze_peaks(workdir: Path, source: str, counts: tuple[int, int], *flags: str) -> list[int]:
+    """``tracemalloc`` peaks of ``analyze`` on the traces of ``source`` run
+    for ``counts`` iterations with ``alpha_min = 0``."""
+    for n in counts:
+        write_config(workdir / "run.cfg", source, max_iterations=n, alpha_min=0.0, trace_path=f"{n}.jsonl")
+        assert main(["run", "run.cfg"]) == 0
+    # The first replay of a process imports and caches what later ones reuse.
+    assert main(["analyze", f"{counts[0]}.jsonl", *flags]) == 0
+    peaks = []
+    for n in counts:
+        tracemalloc.start()
+        try:
+            assert main(["analyze", f"{n}.jsonl", *flags]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_analyze_memory_does_not_hold_the_records(workdir):
+    # The report still keeps the index and value of each unsuccessful
+    # iteration, about 57 bytes each; a replayed record costs about 2.5 kB.
+    small, large = _analyze_peaks(workdir, "revealing.cfg", (2000, 20000))
+    assert large - small < 2**20, (small, large)
+
+
+def test_analyze_memory_with_the_lemma_does_not_hold_the_records(workdir):
+    # The lemma's prefix is read through a copy of the replay, which must
+    # not keep the records the analysis reads after it.
+    small, large = _analyze_peaks(workdir, "counterexample.cfg", (200, 2000), "--verify-lemma", "3")
+    assert large - small < 2**19, (small, large)
 
 
 def test_montecarlo_reports_and_exits_0(workdir, capsys):

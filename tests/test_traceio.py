@@ -4,19 +4,21 @@ from the run its header replays into."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddsearch import get_objective, objective, read_trace, run, validate_trace, write_trace
+from ddsearch import AlgoConfig, get_objective, objective, read_trace, run, validate_trace, write_trace
 from ddsearch.cli import main
-from ddsearch.engine import MAX_REVEALING_COUNT
+from ddsearch.engine import MAX_REVEALING_COUNT, REVEALING_POLL, IterationRecord, StepOutcome, Trace, TrialPoint
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import TraceFormatError, trace_lines
 
@@ -66,6 +68,91 @@ def test_written_bytes_are_deterministic(tmp_path, vanilla_trace_52):
     write_trace(vanilla_trace_52, first)
     write_trace(vanilla_trace_52, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def _holds(parsed, value) -> bool:
+    """Whether a parsed JSON value holds ``value``, a record's fields as
+    ``dataclasses.astuple`` gives them, an object read as its values in
+    order: numbers of the same type and value, NaN for NaN, zeros with
+    their sign."""
+    if isinstance(parsed, dict):
+        parsed = tuple(parsed.values())
+    if isinstance(parsed, list):
+        parsed = tuple(parsed)
+    if isinstance(value, tuple):
+        return isinstance(parsed, tuple) and len(parsed) == len(value) and all(map(_holds, parsed, value))
+    if isinstance(value, float):
+        same = parsed == value and math.copysign(1.0, parsed) == math.copysign(1.0, value)
+        return type(parsed) is float and (same or math.isnan(parsed) and math.isnan(value))
+    return type(parsed) is type(value) and parsed == value
+
+
+# Numbers at the edges of what the encoder writes, in a hand-built record:
+# np.float64 coordinates, signed zero, the least subnormal, a float that
+# Python writes in exponent form, and the three non-finite values.
+_EDGE_RECORD = IterationRecord(
+    k=7,
+    x=(np.float64(0.1), -0.0),
+    alpha=5e-324,
+    f_x=1e16,
+    outcomes=(
+        StepOutcome(
+            REVEALING_POLL,
+            (
+                TrialPoint((np.float64(1e-7), 2.5), math.inf, True),
+                TrialPoint((1e16, -0.0), -math.inf, True),
+                TrialPoint((5e-324, np.float64(-1e-7)), math.nan, False),
+            ),
+            None,
+            False,
+        ),
+    ),
+    success=False,
+    x_next=(np.float64(0.1), -0.0),
+    alpha_next=1e-7,
+)
+
+
+def _bowl(point):
+    return point[0] * point[0] + 2.0 * point[1] * point[1]
+
+
+@pytest.mark.parametrize(
+    "make_trace, first_line_holds",
+    [
+        # alpha0 and gamma as Python ints: the step size stays an int over
+        # successful iterations, and json writes it as one.
+        (
+            lambda: run(
+                AlgoConfig(x0=(3.0,), alpha0=1, gamma=1, poll_directions="pm1", max_iterations=6),
+                get_objective("quadratic_1d"),
+            ),
+            '"alpha":1,',
+        ),
+        (
+            lambda: Trace(counterexample_config(), "counterexample", (_EDGE_RECORD,), "max_iterations"),
+            '"x":[0.1,-0.0],"alpha":5e-324,"f":1e+16,',
+        ),
+        (
+            lambda: run(
+                revealing_config(
+                    x0=(1.5, -0.5), revealing_count=3, poll_directions="coordinate", search_schedule="none"
+                ),
+                ObjectiveSpec("bowl_2d", 2, _bowl),
+            ),
+            '"x":[1.5,-0.5],',
+        ),
+    ],
+    ids=["int step sizes", "edge numbers", "n-D run"],
+)
+def test_record_lines_are_the_json_of_the_record(make_trace, first_line_holds):
+    trace = make_trace()
+    lines = list(trace_lines(trace))[1:-1]
+    assert len(lines) == len(trace.records) > 0
+    assert first_line_holds in lines[0]
+    for line, record in zip(lines, trace.records):
+        assert json.dumps(json.loads(line), separators=(",", ":")) == line
+        assert _holds(json.loads(line), dataclasses.astuple(record))
 
 
 def test_read_missing_file_raises(tmp_path):
