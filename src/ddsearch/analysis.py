@@ -11,7 +11,6 @@ objective.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import sys
 from collections.abc import Iterable
@@ -203,7 +202,9 @@ def verify_counterexample_closed_form(records: Iterable[IterationRecord], q_max:
     needed = 2 * q_max + 2
     count = 0
     holds = True
-    for record in itertools.islice(records, needed):
+    # zip takes range's item first, so no record past the prefix is pulled,
+    # and range takes any int (islice stops at sys.maxsize).
+    for _, record in zip(range(needed), records):
         holds = holds and _follows_closed_form(record, count)
         count += 1
     if count < needed:

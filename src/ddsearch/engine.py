@@ -18,6 +18,11 @@ iteration's record as it completes, and ``run`` collects the records into a
 ``traceio`` accepts a file only if ``iterate``, replayed from its header,
 writes exactly its lines.  ``validate_config`` bounds what one iteration may
 cost, so a header cannot buy unbounded work before its first comparison.
+
+The per-trial records ``TrialPoint``, ``StepOutcome`` and ``IterationRecord``
+are immutable named tuples, the cheapest immutable record to build: a record
+equals the plain tuple of its fields, and ``record._replace(...)`` copies one
+with changed fields.  ``AlgoConfig`` and ``Trace`` are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -168,8 +173,7 @@ def validate_config(config: AlgoConfig) -> None:
         raise ConfigError(f"alpha_min must be >= 0, got {_shown(config.alpha_min)}")
 
 
-@dataclass(frozen=True)
-class TrialPoint:
+class TrialPoint(typing.NamedTuple):
     """One evaluated (or domain-rejected) trial point.
 
     Out-of-domain points are never passed to the evaluator; their value is
@@ -181,19 +185,21 @@ class TrialPoint:
     in_domain: bool
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(typing.NamedTuple):
+    """The trials of one executed step, in evaluation order, the index of
+    the winning trial (None if no trial decreased), and whether it won."""
+
     kind: str  # SEARCH, REVEALING_POLL or POLL
     trials: tuple[TrialPoint, ...]
     winner: int | None
     success: bool
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(typing.NamedTuple):
     """Full ledger of one iteration: incumbent, step size, every trial point
     per executed step (in execution order, skipped steps absent), and the
-    resulting update."""
+    resulting update.  Like ``TrialPoint`` and ``StepOutcome``, an immutable
+    named tuple."""
 
     k: int
     x: Vector

@@ -138,6 +138,12 @@ def test_closed_form_rejects_short_trace(vanilla_trace_52):
         verify_counterexample_closed_form(vanilla_trace_52.records, 26)
 
 
+def test_closed_form_rejects_a_q_beyond_the_index_range(vanilla_trace_52):
+    # 2 * q_max + 2 is past sys.maxsize, which itertools.islice refuses.
+    with pytest.raises(AnalysisError, match="52 iterations"):
+        verify_counterexample_closed_form(vanilla_trace_52.records, 2**70)
+
+
 def test_closed_form_rejects_negative_q(vanilla_trace_52):
     with pytest.raises(AnalysisError):
         verify_counterexample_closed_form(vanilla_trace_52.records, -1)

@@ -247,6 +247,17 @@ def test_analyze_trace_truncated_after_the_lemma_prefix_exits_2(workdir, capsys)
     assert "truncated" in captured.err
 
 
+def test_analyze_lemma_past_the_index_range_exits_2(workdir, capsys):
+    _run_lines(workdir, "counterexample.cfg")
+    capsys.readouterr()
+    # The least q for which 2q + 2 exceeds sys.maxsize on 64-bit builds.
+    assert main(["analyze", "trace.jsonl", "--verify-lemma", "4611686018427387903"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "52 iterations, need 9223372036854775808" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def _analyze_peaks(workdir: Path, source: str, counts: tuple[int, int], *flags: str) -> list[int]:
     """``tracemalloc`` peaks of ``analyze`` on the traces of ``source`` run
     for ``counts`` iterations with ``alpha_min = 0``."""

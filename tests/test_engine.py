@@ -182,6 +182,31 @@ def test_run_is_deterministic(counterexample_objective):
     assert run(config, counterexample_objective) == run(config, counterexample_objective)
 
 
+def test_records_are_immutable_hashable_values(counterexample_objective):
+    config = revealing_config(seed=77, max_iterations=60)
+    first, second = (run(config, counterexample_objective).records for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+    record = first[0]
+    outcome = record.outcomes[-1]
+    for value, field in ((record, "alpha"), (outcome, "winner"), (outcome.trials[0], "value")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.0)
+    # A record is the tuple of its fields; _replace copies it.
+    assert record == tuple(record)
+    assert record._replace(alpha=0.0) == (*record[:2], 0.0, *record[3:])
+
+
+def test_f_next_is_the_winners_value_on_success_else_f_x(counterexample_objective):
+    records = run(revealing_config(seed=77, max_iterations=60), counterexample_objective).records
+    assert {record.success for record in records} == {True, False}
+    for record, following in zip(records, records[1:]):
+        assert record.f_next == following.f_x
+        if record.success:
+            assert record.f_next == counterexample_objective.evaluator(record.x_next) < record.f_x
+        else:
+            assert record.f_next == record.f_x
+
+
 def test_run_dimension_mismatch():
     with pytest.raises(ConfigError, match="dimension"):
         run(counterexample_config(x0=(1.25, 1.25)), get_objective("counterexample"))

@@ -4,7 +4,6 @@ from the run its header replays into."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -71,10 +70,10 @@ def test_written_bytes_are_deterministic(tmp_path, vanilla_trace_52):
 
 
 def _holds(parsed, value) -> bool:
-    """Whether a parsed JSON value holds ``value``, a record's fields as
-    ``dataclasses.astuple`` gives them, an object read as its values in
-    order: numbers of the same type and value, NaN for NaN, zeros with
-    their sign."""
+    """Whether a parsed JSON value holds ``value``, a record, which is the
+    nested tuple of its fields; an object is read as its values in order:
+    numbers of the same type and value, NaN for NaN, zeros with their
+    sign."""
     if isinstance(parsed, dict):
         parsed = tuple(parsed.values())
     if isinstance(parsed, list):
@@ -152,7 +151,7 @@ def test_record_lines_are_the_json_of_the_record(make_trace, first_line_holds):
     assert first_line_holds in lines[0]
     for line, record in zip(lines, trace.records):
         assert json.dumps(json.loads(line), separators=(",", ":")) == line
-        assert _holds(json.loads(line), dataclasses.astuple(record))
+        assert _holds(json.loads(line), record)
 
 
 def test_read_missing_file_raises(tmp_path):
