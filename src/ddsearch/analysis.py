@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +26,10 @@ from .objective import ObjectiveSpec, Vector, get_objective
 
 class AnalysisError(ValueError):
     """A trace does not support the requested analysis."""
+
+
+class ClosedFormError(AnalysisError):
+    """The records of a run depart from the closed-form dyadic trajectory."""
 
 
 GLOBAL_MINIMIZER = (-1.0,)
@@ -186,6 +190,28 @@ def _follows_closed_form(record: IterationRecord, k: int) -> bool:
     return polled == {(x_expected - alpha_expected,), (x_expected + alpha_expected,)}
 
 
+def check_closed_form(records: Iterable[IterationRecord], q_max: int) -> Iterator[IterationRecord]:
+    """Pass ``records`` through, checking the first ``2*q_max + 2`` against
+    the closed form (see ``verify_counterexample_closed_form``).  Once
+    ``records`` is exhausted, AnalysisError if it held fewer, else
+    ClosedFormError if one departs: a consumer that reads to the end, such
+    as ``extract_refining`` of a replay, gets no verdict before the end."""
+    if q_max < 0:
+        raise AnalysisError(f"q_max must be >= 0, got {q_max}")
+    needed = 2 * q_max + 2
+    count = 0
+    holds = True
+    for record in records:
+        if count < needed:
+            holds = holds and _follows_closed_form(record, count)
+        count += 1
+        yield record
+    if count < needed:
+        raise AnalysisError(f"trace has {count} iterations, need {needed} for q_max={q_max}")
+    if not holds:
+        raise ClosedFormError(f"closed-form verification failed for q=0..{q_max}")
+
+
 def verify_counterexample_closed_form(records: Iterable[IterationRecord], q_max: int) -> bool:
     """Check the records of a run against the closed-form dyadic trajectory,
     bit-exactly.
@@ -197,19 +223,15 @@ def verify_counterexample_closed_form(records: Iterable[IterationRecord], q_max:
     succeed through its search step.  Only the first ``2*q_max + 2`` records
     are taken from ``records``, and AnalysisError says so if there are fewer.
     """
-    if q_max < 0:
-        raise AnalysisError(f"q_max must be >= 0, got {q_max}")
-    needed = 2 * q_max + 2
-    count = 0
-    holds = True
     # zip takes range's item first, so no record past the prefix is pulled,
     # and range takes any int (islice stops at sys.maxsize).
-    for _, record in zip(range(needed), records):
-        holds = holds and _follows_closed_form(record, count)
-        count += 1
-    if count < needed:
-        raise AnalysisError(f"trace has {count} iterations, need {needed} for q_max={q_max}")
-    return holds
+    prefix = (record for _, record in zip(range(2 * q_max + 2), records))
+    try:
+        for _ in check_closed_form(prefix, q_max):
+            pass
+    except ClosedFormError:
+        return False
+    return True
 
 
 # Coordinates in one difference block of covering_radius (2 MB of float64);

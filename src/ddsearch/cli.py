@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import itertools
 import math
 import os
 import re
@@ -57,22 +56,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _fail(f"--expect-gap must be finite, got {args.expect_gap}", EXIT_INPUT_ERROR)
     if not 0.0 <= args.tol < math.inf:
         return _fail(f"--tol must be finite and >= 0, got {args.tol}", EXIT_INPUT_ERROR)
-    # One replay of the file feeds both analyses; the records of the
-    # lemma's prefix are the only ones held at once.
+    # One replay of the file feeds both analyses, and no record is held
+    # past the one being read.
     _, objective, records = traceio.replay_trace(args.trace)
     if args.verify_lemma is not None:
-        records, prefix = itertools.tee(records)
-        holds = analysis.verify_counterexample_closed_form(prefix, args.verify_lemma)
-        # tee keeps each record until both copies have passed it.
-        del prefix
-        if not holds:
-            # The rest of the file is replayed first: a corrupt trace exits 2.
-            collections.deque(records, maxlen=0)
-            print(f"closed-form verification failed for q=0..{args.verify_lemma}")
-            return EXIT_EXPECTATION_FAILED
-    # Printed once the whole file has replayed, so a trace that turns out
-    # corrupt prints no result.
-    report = analysis.extract_refining(records, objective, cluster_tol=args.cluster_tol)
+        records = analysis.check_closed_form(records, args.verify_lemma)
+    # The verdicts come once the whole file has replayed, so a trace that
+    # turns out corrupt prints no result.
+    try:
+        report = analysis.extract_refining(records, objective, cluster_tol=args.cluster_tol)
+    except analysis.ClosedFormError as exc:
+        print(exc)
+        return EXIT_EXPECTATION_FAILED
     if args.verify_lemma is not None:
         print(f"lemma-verified q=0..{args.verify_lemma}")
     print(f"unsuccessful_iterations: {len(report.unsuccessful_indices)}")

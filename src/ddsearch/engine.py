@@ -14,10 +14,11 @@ data are bit-reproducible.
 
 ``iterate`` is the one statement of an iteration: it yields each
 iteration's record as it completes, and ``run`` collects the records into a
-``Trace``.  It is also the whole definition of a valid trace file:
-``traceio`` accepts a file only if ``iterate``, replayed from its header,
-writes exactly its lines.  ``validate_config`` bounds what one iteration may
-cost, so a header cannot buy unbounded work before its first comparison.
+``Trace``, which derives its termination from them.  ``iterate`` is also
+the whole definition of a valid trace file: ``traceio`` accepts a file only
+if ``iterate``, replayed from its header, writes exactly its lines.
+``validate_config`` bounds what one iteration may cost, so a header cannot
+buy unbounded work before its first comparison.
 
 The per-trial records ``TrialPoint``, ``StepOutcome`` and ``IterationRecord``
 are immutable named tuples, the cheapest immutable record to build: a record
@@ -227,7 +228,14 @@ class Trace:
     config: AlgoConfig
     objective_name: str
     records: tuple[IterationRecord, ...]
-    termination: str  # TERMINATED_MAX_ITERATIONS or TERMINATED_ALPHA_MIN
+
+    @property
+    def termination(self) -> str | None:
+        """The ``stop_reason`` after the last record (``alpha0`` and 0 when
+        there is none): TERMINATED_MAX_ITERATIONS or TERMINATED_ALPHA_MIN,
+        or None if the run goes on past the records."""
+        alpha = self.records[-1].alpha_next if self.records else self.config.alpha0
+        return stop_reason(len(self.records), alpha, self.config)
 
     def final_incumbent(self) -> Vector:
         if not self.records:
@@ -468,17 +476,4 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
 
 def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
     """Execute the solver (see ``iterate``) and return the complete trace."""
-    return trace_of(config, objective.name, tuple(iterate(config, objective)))
-
-
-def trace_of(config: AlgoConfig, objective_name: str, records: tuple[IterationRecord, ...]) -> Trace:
-    """The trace of a run of ``config`` whose iterations are ``records``; its
-    termination is the ``stop_reason`` after the last of them, None if the
-    run goes on."""
-    alpha = records[-1].alpha_next if records else config.alpha0
-    return Trace(
-        config=config,
-        objective_name=objective_name,
-        records=records,
-        termination=stop_reason(len(records), alpha, config),
-    )
+    return Trace(config, objective.name, tuple(iterate(config, objective)))

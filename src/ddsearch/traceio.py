@@ -13,18 +13,16 @@ parses the header only, replays the run, and compares each line the engine
 writes with the file's line, so no logged value is taken on trust and a
 reformatted trace (other separators, ``2`` for ``2.0``) is rejected.
 
-``replay_trace`` is the streaming reader: it reads the file one line at a
-time and yields each record once verified, so its memory does not grow with
-the trace.  ``read_trace`` and ``validate_trace`` collect its records.
+``replay_trace`` is the one reader: it reads the file one line at a time and
+yields each record once verified, so its memory does not grow with the
+trace.  ``read_trace`` collects its records into a ``Trace``.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import json
-from collections.abc import Iterable
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -121,13 +119,35 @@ def replay_trace(
     non-blank line at a time and yields each record once the engine,
     replaying the run, has written exactly that line; when exhausted it has
     checked the trailer and the end of the file.  Any difference raises
-    TraceFormatError naming the first line that differs.  ``objective``
-    overrides the registry lookup of the header's objective name.
+    TraceFormatError naming the file and the first line that differs.
+    ``objective`` overrides the registry lookup of the header's objective
+    name.
+
+    The replay runs at most one iteration past the records the file holds,
+    so its work is bounded by the file plus one iteration, whose cost
+    ``engine.validate_config`` bounds (``MAX_REVEALING_COUNT`` points per
+    revealing poll).  No genuine trace replays into an error of the run, so
+    such an error is one of the header.
     """
     lines = _file_lines(path)
     with _naming(path):
-        config, objective, records = _replay(lines, objective)
-    return config, objective, _named(path, records)
+        number, head = next(lines, (None, None))
+        if head is None:
+            raise TraceFormatError("the trace is empty")
+        config, name = _read_header(head)
+        try:
+            if objective is None:
+                # Through the module at call time, so that a rebinding of
+                # objective.get_objective (perfbench's tracer) reaches the replay.
+                objective = objectives.get_objective(name)
+            # Validated before it is written back: a value nested deep enough
+            # would overflow the recursion of dataclasses.asdict.
+            engine.validate_config(config)
+        except (ValueError, LookupError) as exc:
+            raise TraceFormatError(f"the header on line {number} does not replay: {exc}") from exc
+        if head != _line(_header(config, objective.name)):
+            raise TraceFormatError(f"line {number} differs from the replayed run")
+    return config, objective, _replayed_records(path, lines, number, config, objective)
 
 
 def read_trace(path: str | Path, objective: ObjectiveSpec | None = None) -> Trace:
@@ -137,15 +157,7 @@ def read_trace(path: str | Path, objective: ObjectiveSpec | None = None) -> Trac
     differs.  ``objective`` overrides the registry lookup of the header's
     objective name."""
     config, objective, records = replay_trace(path, objective)
-    return engine.trace_of(config, objective.name, tuple(records))
-
-
-def validate_trace(trace: Trace, objective: ObjectiveSpec | None = None) -> None:
-    """Raise TraceFormatError unless the engine, run from the trace's config,
-    writes exactly ``trace_lines(trace)``: the check ``read_trace`` applies
-    to a file."""
-    _, _, records = _replay(enumerate(trace_lines(trace), 1), objective)
-    collections.deque(records, maxlen=0)
+    return Trace(config, objective.name, tuple(records))
 
 
 @contextlib.contextmanager
@@ -155,11 +167,6 @@ def _naming(path: str | Path) -> Iterator[None]:
         yield
     except TraceFormatError as exc:
         raise TraceFormatError(f"trace file {path}: {exc}") from exc
-
-
-def _named(path: str | Path, records: Iterator[IterationRecord]) -> Iterator[IterationRecord]:
-    with _naming(path):
-        yield from records
 
 
 def _file_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -174,54 +181,22 @@ def _file_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise TraceFormatError(f"cannot read: {exc}") from exc
 
 
-def _replay(
-    lines: Iterable[tuple[int, str]], objective: ObjectiveSpec | None
-) -> tuple[AlgoConfig, ObjectiveSpec, Iterator[IterationRecord]]:
-    """The config and objective of the header on the first of ``lines``
-    (numbered as in the file), and the records of its replayed run, each
-    compared with the next line before it is yielded.
-
-    The replay runs at most one iteration past the records the file holds,
-    so its work is bounded by the file plus one iteration, whose cost
-    ``engine.validate_config`` bounds (``MAX_REVEALING_COUNT`` points per
-    revealing poll).  No genuine trace replays into an error of the run, so
-    such an error is one of the header.
-    """
-    lines = iter(lines)
-    number, head = next(lines, (None, None))
-    if head is None:
-        raise TraceFormatError("the trace is empty")
-    config, name = _read_header(head)
-    try:
-        if objective is None:
-            # Through the module at call time, so that a rebinding of
-            # objective.get_objective (perfbench's tracer) reaches the replay.
-            objective = objectives.get_objective(name)
-        # Validated before it is written back: a value nested deep enough
-        # would overflow the recursion of dataclasses.asdict.
-        engine.validate_config(config)
-    except (ValueError, LookupError) as exc:
-        raise TraceFormatError(f"the header on line {number} does not replay: {exc}") from exc
-    if head != _line(_header(config, objective.name)):
-        raise TraceFormatError(f"line {number} differs from the replayed run")
-    return config, objective, _replayed_records(lines, number, config, objective)
-
-
 def _replayed_records(
-    lines: Iterator[tuple[int, str]], header_number: int, config: AlgoConfig, objective: ObjectiveSpec
+    path: str | Path, lines: Iterator[tuple[int, str]], header_number: int, config: AlgoConfig, objective: ObjectiveSpec
 ) -> Iterator[IterationRecord]:
     count, alpha = 0, config.alpha0
-    try:
-        for record in engine.iterate(config, objective):
-            _expect(lines, _record_line(record))
-            yield record
-            count, alpha = count + 1, record.alpha_next
-    except TraceFormatError:
-        raise
-    except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
-        raise TraceFormatError(f"the header on line {header_number} does not replay: {exc}") from exc
-    _expect(lines, _line({"termination": engine.stop_reason(count, alpha, config)}))
-    _expect(lines, None)
+    with _naming(path):
+        try:
+            for record in engine.iterate(config, objective):
+                _expect(lines, _record_line(record))
+                yield record
+                count, alpha = count + 1, record.alpha_next
+        except TraceFormatError:
+            raise
+        except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
+            raise TraceFormatError(f"the header on line {header_number} does not replay: {exc}") from exc
+        _expect(lines, _line({"termination": engine.stop_reason(count, alpha, config)}))
+        _expect(lines, None)
 
 
 def _read_header(line: str) -> tuple[AlgoConfig, str]:

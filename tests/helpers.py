@@ -1,8 +1,8 @@
 """Shared test machinery: the bundled instances as configs, a counting
 objective wrapper, and a strategy of random configs for the acceptance gate.
-Whether a trace is one the engine writes is decided by replaying it
-(``traceio.validate_trace``), and whether a config is valid by
-``engine.validate_config``, not by rules kept here."""
+Whether a trace is one the engine writes is decided by writing it and
+reading it back (``traceio.read_trace`` replays it), and whether a config is
+valid by ``engine.validate_config``, not by rules kept here."""
 
 from __future__ import annotations
 

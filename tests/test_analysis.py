@@ -13,6 +13,8 @@ import pytest
 from ddsearch import AlgoConfig, ConfigError, analysis, engine, get_objective, run
 from ddsearch.analysis import (
     AnalysisError,
+    ClosedFormError,
+    check_closed_form,
     clarke_estimate,
     covering_radius,
     derive_trial_seed,
@@ -147,6 +149,25 @@ def test_closed_form_rejects_a_q_beyond_the_index_range(vanilla_trace_52):
 def test_closed_form_rejects_negative_q(vanilla_trace_52):
     with pytest.raises(AnalysisError):
         verify_counterexample_closed_form(vanilla_trace_52.records, -1)
+
+
+def test_closed_form_check_passes_every_record_through_before_its_verdict(counterexample_objective):
+    trace = run(revealing_config(seed=42), counterexample_objective)
+    passed = []
+    with pytest.raises(ClosedFormError, match=r"q=0\.\.12$"):
+        for record in check_closed_form(trace.records, 12):
+            passed.append(record)
+    assert tuple(passed) == trace.records
+    passed.clear()
+    with pytest.raises(AnalysisError, match=f"{len(trace.records)} iterations"):
+        passed.extend(check_closed_form(trace.records, len(trace.records)))
+    assert tuple(passed) == trace.records
+
+
+def test_closed_form_verification_pulls_no_record_past_its_prefix(vanilla_trace_52):
+    records = iter(vanilla_trace_52.records)
+    assert verify_counterexample_closed_form(records, 12)
+    assert next(records) == vanilla_trace_52.records[26]
 
 
 # --------------------------------------------------------------------------

@@ -199,6 +199,17 @@ def test_analyze_lemma_failure_exits_1(workdir, capsys):
     assert main(["analyze", "revealing_trace.jsonl", "--verify-lemma", "12"]) == 1
 
 
+def test_analyze_invalid_cluster_tol_with_a_false_lemma_exits_2(workdir, capsys):
+    config = workdir / "revealing.cfg"
+    config.write_text((CONFIGS_DIR / "revealing.cfg").read_text())
+    assert main(["run", str(config)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "revealing_trace.jsonl", "--cluster-tol", "nan", "--verify-lemma", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cluster_tol" in captured.err
+
+
 def _run_lines(workdir: Path, source: str, **rows) -> list[str]:
     """The lines of the trace.jsonl that ``run`` writes for ``source`` with ``rows``."""
     write_config(workdir / "run.cfg", source, **rows)
@@ -258,19 +269,20 @@ def test_analyze_lemma_past_the_index_range_exits_2(workdir, capsys):
     assert "Traceback" not in captured.err
 
 
-def _analyze_peaks(workdir: Path, source: str, counts: tuple[int, int], *flags: str) -> list[int]:
+def _analyze_peaks(workdir: Path, source: str, counts: tuple[int, int], *flags: str, code: int = 0) -> list[int]:
     """``tracemalloc`` peaks of ``analyze`` on the traces of ``source`` run
-    for ``counts`` iterations with ``alpha_min = 0``."""
+    for ``counts`` iterations with ``alpha_min = 0``; each must exit with
+    ``code``."""
     for n in counts:
         write_config(workdir / "run.cfg", source, max_iterations=n, alpha_min=0.0, trace_path=f"{n}.jsonl")
         assert main(["run", "run.cfg"]) == 0
     # The first replay of a process imports and caches what later ones reuse.
-    assert main(["analyze", f"{counts[0]}.jsonl", *flags]) == 0
+    assert main(["analyze", f"{counts[0]}.jsonl", *flags]) == code
     peaks = []
     for n in counts:
         tracemalloc.start()
         try:
-            assert main(["analyze", f"{n}.jsonl", *flags]) == 0
+            assert main(["analyze", f"{n}.jsonl", *flags]) == code
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -285,9 +297,16 @@ def test_analyze_memory_does_not_hold_the_records(workdir):
 
 
 def test_analyze_memory_with_the_lemma_does_not_hold_the_records(workdir):
-    # The lemma's prefix is read through a copy of the replay, which must
-    # not keep the records the analysis reads after it.
+    # The lemma's check passes the replay through to the analysis, and must
+    # keep none of the records it has checked.
     small, large = _analyze_peaks(workdir, "counterexample.cfg", (200, 2000), "--verify-lemma", "3")
+    assert large - small < 2**19, (small, large)
+
+
+def test_analyze_memory_with_a_lemma_longer_than_the_trace_does_not_hold_the_records(workdir):
+    # The lemma's check reads every record of a trace shorter than its
+    # prefix before it exits 2, and must keep none of them.
+    small, large = _analyze_peaks(workdir, "counterexample.cfg", (200, 2000), "--verify-lemma", "1000000000", code=2)
     assert large - small < 2**19, (small, large)
 
 

@@ -21,6 +21,7 @@ from ddsearch.engine import (
     SEARCH,
     TERMINATED_ALPHA_MIN,
     TERMINATED_MAX_ITERATIONS,
+    Trace,
     evaluate,
     iterate,
     iteration_rng,
@@ -258,6 +259,24 @@ def test_alpha_min_termination(counterexample_objective):
     assert trace.termination == TERMINATED_ALPHA_MIN
     assert all(r.alpha >= 1e-9 for r in trace.records)
     assert trace.records[-1].alpha_next < 1e-9
+
+
+@pytest.mark.parametrize(
+    "overrides, termination",
+    [
+        (dict(max_iterations=40), TERMINATED_MAX_ITERATIONS),
+        (dict(max_iterations=500, alpha_min=1e-9), TERMINATED_ALPHA_MIN),
+    ],
+    ids=["max_iterations", "alpha_min"],
+)
+def test_trace_termination_is_derived_from_the_records(counterexample_objective, overrides, termination):
+    config = counterexample_config(**overrides)
+    trace = Trace(config, "counterexample", tuple(iterate(config, counterexample_objective)))
+    assert trace == run(config, counterexample_objective)
+    assert trace.termination == termination
+    # A prefix that does not end the run reports no termination.
+    for k in range(len(trace.records)):
+        assert dataclasses.replace(trace, records=trace.records[:k]).termination is None
 
 
 def test_every_evaluation_is_logged():

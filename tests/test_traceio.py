@@ -4,6 +4,7 @@ from the run its header replays into."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddsearch import AlgoConfig, get_objective, objective, read_trace, run, validate_trace, write_trace
+from ddsearch import AlgoConfig, get_objective, objective, read_trace, run, write_trace
 from ddsearch.cli import main
 from ddsearch.engine import MAX_REVEALING_COUNT, REVEALING_POLL, IterationRecord, StepOutcome, Trace, TrialPoint
 from ddsearch.objective import ObjectiveSpec
@@ -36,6 +37,26 @@ def test_round_trip_identity_on_revealing_trace(tmp_path, counterexample_objecti
         path = tmp_path / "trace.jsonl"
         write_trace(trace, path)
         assert read_trace(path) == trace
+
+
+@pytest.mark.parametrize(
+    "overrides", [dict(max_iterations=40), dict(max_iterations=500, alpha_min=1e-9)], ids=["max_iterations", "alpha_min"]
+)
+def test_read_trace_of_a_written_run_is_the_run(tmp_path, counterexample_objective, overrides):
+    trace = run(counterexample_config(**overrides), counterexample_objective)
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    recovered = read_trace(path)
+    assert recovered == trace
+    assert recovered.termination == trace.termination is not None
+
+
+def test_a_cut_trace_is_written_without_a_termination_and_does_not_replay(tmp_path, vanilla_trace_52):
+    path = tmp_path / "trace.jsonl"
+    write_trace(dataclasses.replace(vanilla_trace_52, records=vanilla_trace_52.records[:10]), path)
+    assert path.read_text().splitlines()[-1] == '{"termination":null}'
+    with pytest.raises(TraceFormatError, match=r"line 12\b"):
+        read_trace(path)
 
 
 def test_round_trip_preserves_infinite_values(tmp_path):
@@ -129,7 +150,7 @@ def _bowl(point):
             '"alpha":1,',
         ),
         (
-            lambda: Trace(counterexample_config(), "counterexample", (_EDGE_RECORD,), "max_iterations"),
+            lambda: Trace(counterexample_config(), "counterexample", (_EDGE_RECORD,)),
             '"x":[0.1,-0.0],"alpha":5e-324,"f":1e+16,',
         ),
         (
@@ -392,23 +413,28 @@ def test_header_at_the_revealing_count_cap_is_rejected_within_bounded_time_and_m
     _assert_rejected(path, r"line 2\b", monkeypatch, capsys)
 
 
-def test_validate_trace_replays_with_a_passed_objective(vanilla_trace_52):
+def test_read_trace_replays_with_a_passed_objective(tmp_path, vanilla_trace_52):
     spec = ObjectiveSpec("right_half", 1, lambda p: p[0] * p[0], domain_oracle=lambda p: p[0] >= 0.0)
     trace = run(counterexample_config(x0=(0.25,), alpha0=0.5, search_schedule="none", max_iterations=6), spec)
-    validate_trace(trace, spec)
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path)
+    assert read_trace(path, spec) == trace
     with pytest.raises(TraceFormatError, match="unknown objective 'right_half'"):
-        validate_trace(trace)
+        read_trace(path)
+    write_trace(vanilla_trace_52, path)
     with pytest.raises(TraceFormatError, match=r"line 1\b"):
-        validate_trace(vanilla_trace_52, spec)
+        read_trace(path, spec)
 
 
-def test_replay_looks_the_objective_up_at_call_time(monkeypatch, vanilla_trace_52):
+def test_replay_looks_the_objective_up_at_call_time(tmp_path, monkeypatch, vanilla_trace_52):
     # A rebinding of objective.get_objective, as perfbench's tracer makes,
     # must reach the replay's registry lookup.
+    path = tmp_path / "trace.jsonl"
+    write_trace(vanilla_trace_52, path)
     looked_up = []
     get = objective.get_objective
     monkeypatch.setattr(objective, "get_objective", lambda name: looked_up.append(name) or get(name))
-    validate_trace(vanilla_trace_52)
+    assert read_trace(path) == vanilla_trace_52
     assert looked_up == ["counterexample"]
 
 
