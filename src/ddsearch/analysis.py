@@ -385,7 +385,7 @@ def clarke_estimate(
     if type(n_samples) is not int or not 1 <= n_samples < 2**63:
         raise ValueError(f"n_samples must be an int in [1, 2**63), got {n_samples!r}")
     log_ratio = math.log(ratio)
-    evaluate = engine.evaluate
+    evaluate, isfinite = engine.evaluate, math.isfinite
     best = -math.inf
     for start in range(1, n_samples + 1, _CLARKE_BLOCK):
         stop = min(start + _CLARKE_BLOCK, n_samples + 1)
@@ -401,8 +401,12 @@ def clarke_estimate(
         for y, y_step, t in zip(zip(*bases.T.tolist()), zip(*stepped.T.tolist()), steps):
             f_y = evaluate(objective, y).value
             f_y_step = evaluate(objective, y_step).value
-            if math.isfinite(f_y) and math.isfinite(f_y_step):
-                best = max(best, (f_y_step - f_y) / t)
+            if isfinite(f_y) and isfinite(f_y_step):
+                # Both values are finite and t > 0, so the quotient is never
+                # NaN and this keeps what max() would.
+                quotient = (f_y_step - f_y) / t
+                if quotient > best:
+                    best = quotient
     return best
 
 

@@ -27,6 +27,9 @@ EXIT_EXPECTATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_OBJECTIVE_ERROR = 3
 
+# Rows that ``sample`` builds before each write.
+_SAMPLE_BLOCK = 4096
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -113,18 +116,23 @@ def cmd_sample(args: argparse.Namespace) -> int:
     n = args.n_points
     if n - 1 > sys.float_info.max or not math.isfinite((n - 1) * max(abs(args.x_min), abs(args.x_max))):
         return _fail(f"grid of {n} points over [{args.x_min}, {args.x_max}] overflows", EXIT_INPUT_ERROR)
+    x_min, x_max, evaluator = args.x_min, args.x_max, objective.evaluator
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("x,f\n")
-            for i in range(n):
-                # Convex-combination grid: endpoints exact, and symmetric ranges
-                # hit their midpoint (e.g. 0 on [-2, 2]) exactly.
-                x = ((n - 1 - i) * args.x_min + i * args.x_max) / (n - 1)
-                try:
-                    value = objective.evaluator((x,))
-                except EVALUATOR_FAILURES as exc:
-                    raise ObjectiveError(objective.name, (x,)) from exc
-                handle.write(f"{x!r},{value!r}\n")
+            # One write per block of rows, so memory does not grow with n.
+            for start in range(0, n, _SAMPLE_BLOCK):
+                rows = []
+                for i in range(start, min(start + _SAMPLE_BLOCK, n)):
+                    # Convex-combination grid: endpoints exact, and symmetric
+                    # ranges hit their midpoint (e.g. 0 on [-2, 2]) exactly.
+                    x = ((n - 1 - i) * x_min + i * x_max) / (n - 1)
+                    try:
+                        value = evaluator((x,))
+                    except EVALUATOR_FAILURES as exc:
+                        raise ObjectiveError(objective.name, (x,)) from exc
+                    rows.append(f"{x!r},{value!r}\n")
+                handle.write("".join(rows))
     except ObjectiveError:
         # No partial CSV is left behind.
         os.remove(args.out)

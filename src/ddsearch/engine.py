@@ -23,7 +23,8 @@ buy unbounded work before its first comparison.
 The per-trial records ``TrialPoint``, ``StepOutcome`` and ``IterationRecord``
 are immutable named tuples, the cheapest immutable record to build: a record
 equals the plain tuple of its fields, and ``record._replace(...)`` copies one
-with changed fields.  ``AlgoConfig`` and ``Trace`` are frozen dataclasses.
+with changed fields.  The engine builds them with ``tuple.__new__``, which
+runs in C.  ``AlgoConfig`` and ``Trace`` are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -221,6 +222,14 @@ class IterationRecord(typing.NamedTuple):
         return last.trials[last.winner].value
 
 
+# Record constructors that run in C: a named tuple's own ``__new__`` is a
+# generated Python function, one frame per record on the hot path.  Each
+# call passes one tuple of all the record's fields, in field order.
+_trial_point = functools.partial(tuple.__new__, TrialPoint)
+_step_outcome = functools.partial(tuple.__new__, StepOutcome)
+_iteration_record = functools.partial(tuple.__new__, IterationRecord)
+
+
 @dataclass(frozen=True)
 class Trace:
     """Immutable record of a complete run; the unit of persistence."""
@@ -257,12 +266,12 @@ def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
     An evaluator failure raises ObjectiveError.
     """
     if not objective.domain_oracle(point):
-        return TrialPoint(point, math.inf, False)
+        return _trial_point((point, math.inf, False))
     try:
         value = float(objective.evaluator(point))
     except EVALUATOR_FAILURES as exc:
         raise ObjectiveError(objective.name, point) from exc
-    return TrialPoint(point, value, True)
+    return _trial_point((point, value, True))
 
 
 def stop_reason(k: int, alpha: float, config: AlgoConfig) -> str | None:
@@ -421,6 +430,7 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     dimension, seed, radius, count = objective.dimension, config.seed, config.revealing_radius, config.revealing_count
     beta2, gamma = config.beta2, config.gamma
     evaluate_, iteration_rng_, sample_ball = evaluate, iteration_rng, steps.sample_ball_uniform
+    step_outcome, iteration_record = _step_outcome, _iteration_record
     inf = math.inf
 
     x = tuple(float(v) for v in config.x0)
@@ -465,11 +475,11 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
                     winner, best = len(trials), trial.value
                 trials.append(trial)
             success = winner is not None and sufficient_decrease(best, f_x, math.dist(trials[winner].point, x), forcing)
-            outcomes.append(StepOutcome(kind, tuple(trials), winner, success))
+            outcomes.append(step_outcome((kind, tuple(trials), winner, success)))
             if success:
                 x_next, f_next, alpha_next = trials[winner].point, best, gamma * alpha
                 break
-        yield IterationRecord(k, x, alpha, f_x, tuple(outcomes), success, x_next, alpha_next)
+        yield iteration_record((k, x, alpha, f_x, tuple(outcomes), success, x_next, alpha_next))
         x, f_x, alpha = x_next, f_next, alpha_next
         k += 1
 

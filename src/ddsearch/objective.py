@@ -57,6 +57,7 @@ class Polynomial:
 #: at 1, 5/4 and 2, with the unique interior local minimum at 5/4 (value
 #: exactly 121/128).
 BAND_QUARTIC = Polynomial((-18.0, 60.0, -69.0, 34.0, -6.0))
+_Q0, _Q1, _Q2, _Q3, _Q4 = BAND_QUARTIC.coefficients
 
 
 def band_index(x: float) -> int:
@@ -83,7 +84,9 @@ def counterexample_value(x: float) -> float:
     if x <= 0.0:
         return (x + 1.0) * (x + 1.0) - 2.0
     scale = math.ldexp(1.0, band_index(x))
-    return scale * BAND_QUARTIC(x / scale)
+    y = x / scale
+    # BAND_QUARTIC(y), written out: the same Horner steps in the same order.
+    return scale * ((((_Q4 * y + _Q3) * y + _Q2) * y + _Q1) * y + _Q0)
 
 
 def _always_in_domain(point: Vector) -> bool:

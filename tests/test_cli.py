@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -386,6 +387,38 @@ def test_sample_evaluator_error_exits_3(workdir, capsys, monkeypatch):
     assert main(["sample", "counterexample", "0", "1", "3", "f.csv"]) == 3
     assert "no value here" in capsys.readouterr().err
     assert not (workdir / "f.csv").exists()
+
+
+def test_sample_evaluator_error_after_a_written_block_exits_3(workdir, capsys, monkeypatch):
+    rows = itertools.count()
+    size_at_failure = []
+
+    def fails_at_row_5000(point):
+        if next(rows) == 5000:
+            size_at_failure.append((workdir / "f.csv").stat().st_size)
+            raise ValueError("no value here")
+        return 0.0
+
+    monkeypatch.setattr(cli, "get_objective", lambda name: ObjectiveSpec(name, 1, fails_at_row_5000))
+    assert main(["sample", "counterexample", "0", "1", "10001", "f.csv"]) == 3
+    assert "no value here" in capsys.readouterr().err
+    # The first block of rows was on disk when the evaluator failed.
+    assert size_at_failure[0] > 0
+    assert not (workdir / "f.csv").exists()
+
+
+def test_sample_memory_does_not_grow_with_the_grid(workdir):
+    assert main(["sample", "counterexample", "-2", "2", "1000", "f.csv"]) == 0
+    peaks = []
+    for n in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            assert main(["sample", "counterexample", "-2", "2", str(n), "f.csv"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    small, large = peaks
+    assert large - small < 2**18, (small, large)
 
 
 @pytest.mark.parametrize("x_min", ["-1e-3", "-1E+2", "-.5", "-0.5", "-2"])

@@ -3,9 +3,11 @@ and the full loop on the dyadic trap instance."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -21,7 +23,10 @@ from ddsearch.engine import (
     SEARCH,
     TERMINATED_ALPHA_MIN,
     TERMINATED_MAX_ITERATIONS,
+    IterationRecord,
+    StepOutcome,
     Trace,
+    TrialPoint,
     evaluate,
     iterate,
     iteration_rng,
@@ -195,6 +200,28 @@ def test_records_are_immutable_hashable_values(counterexample_objective):
     # A record is the tuple of its fields; _replace copies it.
     assert record == tuple(record)
     assert record._replace(alpha=0.0) == (*record[:2], 0.0, *record[3:])
+
+
+def test_records_are_exactly_the_record_classes(counterexample_objective):
+    # The engine builds records with tuple.__new__, which checks neither the
+    # class nor the number of fields: these pin both.
+    records = list(iterate(revealing_config(seed=77, max_iterations=60), counterexample_objective))
+    outcomes = [outcome for record in records for outcome in record.outcomes]
+    trials = [trial for outcome in outcomes for trial in outcome.trials]
+    rejected = evaluate(ObjectiveSpec("nowhere", 1, abs, lambda point: False), (2.0,))
+    assert rejected == ((2.0,), math.inf, False)
+    assert {kind for kind, _, _, _ in outcomes} == {SEARCH, REVEALING_POLL, POLL}
+    for cls, values in (
+        (IterationRecord, records),
+        (StepOutcome, outcomes),
+        (TrialPoint, [*trials, evaluate(counterexample_objective, (1.25,)), rejected]),
+    ):
+        for value in values:
+            assert type(value) is cls
+            assert len(value) == len(cls._fields)
+            for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+                assert type(twin) is cls and twin == value
+    assert [record.f_next for record in records[:-1]] == [record.f_x for record in records[1:]]
 
 
 def test_f_next_is_the_winners_value_on_success_else_f_x(counterexample_objective):

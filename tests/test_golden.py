@@ -1,7 +1,9 @@
 """Golden traces for the engine paths the bundled configs do not reach.
 
 Replay checks a trace against the engine that wrote it, so a change in the
-engine's behaviour still replays; only pinned hashes catch it.  The two
+engine's behaviour still replays; only pinned hashes catch it.  The CSVs that
+``sample`` writes are pinned the same way, on grids that reach the
+discontinuity, subnormal bands and bands up to 1e304.  The two
 bundled configs are pinned by acceptance criterion 8.  The configs here
 cover what those skip: the n-D ball sampler (batched and single draws),
 2-D ``coordinate`` polls, domain rejects, ``inf`` values, ``quadratic``
@@ -18,6 +20,7 @@ from collections import Counter
 import pytest
 
 from ddsearch import AlgoConfig, get_objective, run
+from ddsearch.cli import main
 from ddsearch.engine import TERMINATED_ALPHA_MIN, TERMINATED_MAX_ITERATIONS
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import trace_lines
@@ -100,3 +103,20 @@ def test_golden_traces_reach_the_paths_they_pin():
                     seen["inf values"] += trial.in_domain and math.isinf(trial.value)
     assert all(seen[key] > 0 for key in [("search", "wins"), ("revealing_poll", "wins"), ("poll", "wins")])
     assert seen["domain rejects"] > 0 and seen["inf values"] > 0 and seen["no winner among trials"] > 0
+
+
+# grid -> sha256 of the CSV that `ddsearch sample counterexample <grid> f.csv`
+# writes.  CI checks README's grid against the first entry.
+SAMPLE_SHA256 = {
+    "-2 2 4001": "c05fb4995ce2391df66e6ff2689216abaa8f75793e7555629221a0f1f14536b7",
+    "-2 2 40001": "9041b672eec72b7494bf7834ff38741c5da16bdc6bf93c9a328142919be4e6d1",
+    "1e-310 1e-300 4097": "fdd9deaa6ff4d30f598e8606ba43ac7cf3234837c24917cb4f41108817efc0ce",
+    "1 1e304 4097": "462fc13f0ea3eb3f19987197dd214c2f811f6dcb61d53e28b1f00e96356e7ad1",
+}
+
+
+@pytest.mark.parametrize("grid", list(SAMPLE_SHA256))
+def test_golden_sample(grid, tmp_path):
+    out = tmp_path / "f.csv"
+    assert main(["sample", "counterexample", *grid.split(), str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_SHA256[grid]

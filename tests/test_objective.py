@@ -4,10 +4,13 @@ and the piecewise structure of the dyadic objective."""
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddsearch.objective import (
     BAND_QUARTIC,
@@ -92,6 +95,42 @@ def test_dyadic_exactness_down_to_q50():
     for q in range(51):
         scale = 2.0**-q
         assert counterexample_value(1.25 * scale) == scale * base
+
+
+def _band_quartic_reference(x: float) -> float:
+    scale = math.ldexp(1.0, band_index(x))
+    return scale * BAND_QUARTIC(x / scale)
+
+
+_POSITIVE_FLOATS = st.one_of(
+    st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.min, allow_subnormal=True),
+    st.floats(min_value=math.ulp(0.0), max_value=sys.float_info.max, allow_subnormal=True),
+)
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(_POSITIVE_FLOATS)
+def test_counterexample_value_is_the_scaled_band_quartic(x):
+    # counterexample_value writes the quartic's Horner steps out; they must
+    # round exactly as BAND_QUARTIC's loop does.
+    assert counterexample_value(x).hex() == _band_quartic_reference(x).hex()
+
+
+def test_counterexample_value_is_the_scaled_band_quartic_at_every_band_edge():
+    for exponent in range(-1074, 1024):
+        power = math.ldexp(1.0, exponent)
+        for x in (power, math.nextafter(power, 0.0)):
+            if x > 0.0:
+                assert counterexample_value(x).hex() == _band_quartic_reference(x).hex(), x
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_counterexample_value_rejects_non_finite_input_as_band_index_does(bad):
+    with pytest.raises(ValueError) as expected:
+        band_index(bad)
+    with pytest.raises(ValueError) as actual:
+        counterexample_value(bad)
+    assert str(actual.value) == str(expected.value)
 
 
 def test_band_minimizers_are_local_minimizers():
