@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +45,18 @@ class RefinementReport:
     unsuccessful iterations; ``gap`` is ``f_limit`` minus a fresh objective
     evaluation at that estimate, so a markedly positive gap flags a
     discontinuity the run slid into without sampling across it.
+    ``n_unsuccessful`` counts the unsuccessful iterations, and ``f_tail``
+    holds the incumbent values of the last five of them, oldest first.
     """
 
-    unsuccessful_indices: tuple[int, ...]
+    n_unsuccessful: int
     refined_point: Vector
     alpha_tail: float
     refining_directions: tuple[Vector, ...]
     f_limit: float
     f_refined: float
     gap: float
-    f_values: tuple[float, ...]
+    f_tail: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ class EscapeStats:
     first_escape_iterations: tuple[int, ...]
 
 
-def _extrapolate_limit(points: list[Vector]) -> Vector:
+def _extrapolate_limit(points: Sequence[Vector]) -> Vector:
     """Estimate the limit of a convergent tail by Aitken delta-squared.
 
     Uses the last three distinct points componentwise.  A geometric tail with
@@ -112,27 +115,27 @@ def extract_refining(
     incumbents; the refining directions are angular-cluster representatives
     of the normalized trial directions from poll and revealing-poll steps at
     those iterations.  ``objective`` gives the fresh evaluation at the
-    refined point.  Besides the indices and values of the unsuccessful
-    iterations, the pass keeps only the last three distinct unsuccessful
-    incumbents and the cluster representatives, so ``records`` may be a
-    stream such as ``traceio.replay_trace`` yields.
+    refined point.  The pass keeps a count, the last five unsuccessful
+    incumbent values, the last three distinct unsuccessful incumbents and
+    the cluster representatives, so ``records`` may be a stream such as
+    ``traceio.replay_trace`` yields.
     """
     if not cluster_tol > 0.0:
         raise AnalysisError(f"cluster_tol must be > 0, got {cluster_tol}")
-    indices: list[int] = []
-    f_values: list[float] = []
-    tail: list[Vector] = []
+    n_unsuccessful = 0
+    f_tail: deque[float] = deque(maxlen=5)
+    tail: deque[Vector] = deque(maxlen=3)
     representatives: list[Vector] = []
     alpha_tail = math.nan
     for record in records:
         if record.success:
             continue
         x = record.x
-        indices.append(record.k)
-        f_values.append(record.f_x)
+        n_unsuccessful += 1
+        f_tail.append(record.f_x)
         alpha_tail = record.alpha
         if not tail or x != tail[-1]:
-            tail = tail[-2:] + [x]
+            tail.append(x)
         for outcome in record.outcomes:
             if outcome.kind == engine.SEARCH:
                 continue
@@ -143,25 +146,21 @@ def extract_refining(
                 norm = math.sqrt(sum(c * c for c in v))
                 if norm > 0.0:
                     _join_cluster(representatives, tuple(c / norm for c in v), cluster_tol)
-    if not indices:
+    if not n_unsuccessful:
         raise AnalysisError("trace has no unsuccessful iteration; no refining subsequence exists")
 
     refined = _extrapolate_limit(tail)
     f_refined = engine.evaluate(objective, refined).value
-    f_limit = f_values[-1]
-    # Copied one at a time, each list freed as its name is rebound, so that
-    # no more than one is held twice: the peak memory of a long analyze.
-    indices = tuple(indices)
-    f_values = tuple(f_values)
+    f_limit = f_tail[-1]
     return RefinementReport(
-        unsuccessful_indices=indices,
+        n_unsuccessful=n_unsuccessful,
         refined_point=refined,
         alpha_tail=alpha_tail,
         refining_directions=tuple(representatives),
         f_limit=f_limit,
         f_refined=f_refined,
         gap=f_limit - f_refined,
-        f_values=f_values,
+        f_tail=tuple(f_tail),
     )
 
 
@@ -410,14 +409,6 @@ def clarke_estimate(
     return best
 
 
-def incumbent_values(trace: Trace) -> list[float]:
-    """Objective values of the incumbents x_0 .. x_T (T = iteration count)."""
-    values = [r.f_x for r in trace.records]
-    if trace.records:
-        values.append(trace.records[-1].f_next)
-    return values
-
-
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial run seed mixed from (master seed, trial index):
     word 0 of ``SeedSequence((master_seed, trial_index))``'s uint64 state,
@@ -452,12 +443,15 @@ def monte_carlo_escape(
     for trial in range(n_trials):
         config = dataclasses.replace(base_config, seed=derive_trial_seed(master_seed, trial))
         trace = engine.run(config, objective)
-        values = incumbent_values(trace)
-        escaped_at = next((k for k, v in enumerate(values) if v <= 0.0), None)
+        records, final = trace.records, trace.final_incumbent()
+        # Incumbent values never increase, so the first escape is at 0 if
+        # f(x_0) <= 0, else at k + 1 for the first record with f_next <= 0.
+        f_start = records[0].f_x if records else engine.evaluate(objective, final).value
+        escaped_at = 0 if f_start <= 0.0 else next((r.k + 1 for r in records if r.f_next <= 0.0), None)
         if escaped_at is not None:
             n_escaped += 1
             first_escape.append(escaped_at)
-        if math.dist(trace.final_incumbent(), GLOBAL_MINIMIZER) <= CONVERGENCE_TOL:
+        if math.dist(final, GLOBAL_MINIMIZER) <= CONVERGENCE_TOL:
             n_converged += 1
     return EscapeStats(
         n_trials=n_trials,

@@ -73,14 +73,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_EXPECTATION_FAILED
     if args.verify_lemma is not None:
         print(f"lemma-verified q=0..{args.verify_lemma}")
-    print(f"unsuccessful_iterations: {len(report.unsuccessful_indices)}")
+    print(f"unsuccessful_iterations: {report.n_unsuccessful}")
     print(f"refined_point: {_format_vector(report.refined_point)}")
     print(f"alpha_tail: {report.alpha_tail!r}")
     print(f"f_limit: {report.f_limit!r}")
     print(f"f_refined: {report.f_refined!r}")
     print(f"gap: {report.gap!r}")
-    tail = report.f_values[-5:]
-    print("f_tail: " + ", ".join(repr(v) for v in tail))
+    print("f_tail: " + ", ".join(repr(v) for v in report.f_tail))
     print("refining_directions: " + ", ".join(_format_vector(d) for d in report.refining_directions))
     if args.expect_gap is not None:
         if abs(report.gap - args.expect_gap) > args.tol:

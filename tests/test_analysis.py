@@ -19,7 +19,6 @@ from ddsearch.analysis import (
     covering_radius,
     derive_trial_seed,
     extract_refining,
-    incumbent_values,
     monte_carlo_escape,
     trial_points,
     verify_counterexample_closed_form,
@@ -36,7 +35,8 @@ from helpers import counterexample_config, revealing_config
 
 def test_extract_refining_counterexample_30(vanilla_trace_30, counterexample_objective):
     report = extract_refining(vanilla_trace_30.records, counterexample_objective)
-    assert report.unsuccessful_indices == tuple(range(0, 30, 2))
+    assert [r.k for r in vanilla_trace_30.records if not r.success] == list(range(0, 30, 2))
+    assert report.n_unsuccessful == 15
     # The incumbents contract geometrically, so the limit estimate collapses
     # to the true refined point 0 while the raw tail incumbent is 5/4*2^-14.
     assert abs(report.refined_point[0] - 1.25 * 2.0**-14) <= 1e-4
@@ -88,11 +88,14 @@ def test_extract_refining_rejects_bad_tolerance(vanilla_trace_30, counterexample
         extract_refining(vanilla_trace_30.records, counterexample_objective, cluster_tol=0.0)
 
 
-def test_extract_refining_f_values_follow_the_tail(vanilla_trace_30, counterexample_objective):
+def test_extract_refining_f_tail_follows_the_incumbents(vanilla_trace_30, counterexample_objective):
     report = extract_refining(vanilla_trace_30.records, counterexample_objective)
-    assert len(report.f_values) == 15
-    for q, value in enumerate(report.f_values):
+    values = [r.f_x for r in vanilla_trace_30.records if not r.success]
+    assert len(values) == 15
+    for q, value in enumerate(values):
         assert value == 2.0**-q * (121 / 128)
+    assert report.f_tail == tuple(values[-5:])
+    assert report.f_limit == values[-1]
 
 
 def test_extract_refining_folds_a_stream_with_repeated_incumbents(vanilla_trace_30, counterexample_objective):
@@ -102,7 +105,8 @@ def test_extract_refining_folds_a_stream_with_repeated_incumbents(vanilla_trace_
     report = extract_refining(vanilla_trace_30.records, counterexample_objective)
     assert doubled.refined_point == report.refined_point == (0.0,)
     assert doubled.refining_directions == report.refining_directions
-    assert doubled.f_values == tuple(v for v in report.f_values for _ in range(2))
+    assert doubled.n_unsuccessful == 2 * report.n_unsuccessful
+    assert doubled.f_tail == tuple(r.f_x for r in vanilla_trace_30.records if not r.success for _ in range(2))[-5:]
 
 
 def test_refining_directions_are_unit_vectors(vanilla_trace_30, counterexample_objective):
@@ -464,21 +468,25 @@ def test_monte_carlo_is_deterministic(counterexample_objective):
 
 
 def test_monte_carlo_counts_are_consistent(counterexample_objective):
-    stats = monte_carlo_escape(revealing_config(), counterexample_objective, 10, 3)
-    assert stats.n_converged <= stats.n_escaped <= stats.n_trials
-    assert len(stats.first_escape_iterations) == stats.n_escaped
+    # The second config starts in the nonpositive region and runs no
+    # iteration, so its trials escape at x_0.
+    for config in (revealing_config(), revealing_config(x0=(-1.0,), max_iterations=0)):
+        stats = monte_carlo_escape(config, counterexample_objective, 10, 3)
+        assert stats.n_converged <= stats.n_escaped <= stats.n_trials
+        assert len(stats.first_escape_iterations) == stats.n_escaped
+    assert stats.first_escape_iterations == (0,) * 10
 
 
 def test_vanilla_run_never_escapes(vanilla_trace_52):
-    values = incumbent_values(vanilla_trace_52)
-    assert len(values) == len(vanilla_trace_52.records) + 1
-    assert min(values) > 0.0
+    records = vanilla_trace_52.records
+    assert min(r.f_x for r in records) > 0.0
+    assert records[-1].f_next > 0.0
 
 
-def test_incumbent_values_monotone(counterexample_objective):
-    trace = run(revealing_config(seed=21), counterexample_objective)
-    values = incumbent_values(trace)
-    assert all(b <= a for a, b in zip(values, values[1:]))
+def test_incumbents_never_increase(counterexample_objective):
+    records = run(revealing_config(seed=21), counterexample_objective).records
+    assert all(r.f_next <= r.f_x for r in records)
+    assert all(b.f_x == a.f_next for a, b in zip(records, records[1:]))
 
 
 def test_derive_trial_seed_is_stable_and_spread():

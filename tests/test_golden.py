@@ -25,6 +25,8 @@ from ddsearch.engine import TERMINATED_ALPHA_MIN, TERMINATED_MAX_ITERATIONS
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import trace_lines
 
+from helpers import CONFIGS_DIR
+
 
 def _valley(point):
     """A 2-D bowl with a downward step on x <= 0 and value inf above y = 1."""
@@ -120,3 +122,23 @@ def test_golden_sample(grid, tmp_path):
     out = tmp_path / "f.csv"
     assert main(["sample", "counterexample", *grid.split(), str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_SHA256[grid]
+
+
+# command -> sha256 of its stdout, run where `ddsearch run` has written the
+# traces of both bundled configs.
+STDOUT_SHA256 = {
+    "analyze counterexample_trace.jsonl --verify-lemma 25": "253c7a6b344be6f112a438d525b7d698e1bc98daceb775a5b2234114c8f42c32",
+    "analyze revealing_trace.jsonl": "059ac34f8e6d40329da9245b64d30cb7048ec91303dafc656aa3e5882ee976d1",
+    "montecarlo revealing.cfg --trials 200 --master-seed 7": "b5d5d476dca3836fcf202e739b268a075f2b1bffebe35bee2ff88eaaf346001b",
+}
+
+
+@pytest.mark.parametrize("command", list(STDOUT_SHA256))
+def test_golden_stdout(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("counterexample.cfg", "revealing.cfg"):
+        (tmp_path / name).write_text((CONFIGS_DIR / name).read_text())
+        assert main(["run", name]) == 0
+    capsys.readouterr()
+    assert main(command.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[command]

