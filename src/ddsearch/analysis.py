@@ -11,7 +11,9 @@ objective.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import operator
 import sys
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
@@ -99,7 +101,7 @@ def _join_cluster(representatives: list[Vector], u: Vector, tol: float) -> None:
     stay in order of first appearance."""
     for rep in representatives:
         # Clipped so that a NaN cosine stays NaN and never joins a cluster.
-        cosine = min(max(sum(a * b for a, b in zip(u, rep)), -1.0), 1.0)
+        cosine = min(max(sum(map(operator.mul, u, rep)), -1.0), 1.0)
         if math.acos(cosine) <= tol:
             return
     representatives.append(u)
@@ -140,12 +142,12 @@ def extract_refining(
             if outcome.kind == engine.SEARCH:
                 continue
             for trial in outcome.trials:
-                v = tuple(p - c for p, c in zip(trial.point, x))
+                v = tuple(map(operator.sub, trial.point, x))
                 # sqrt(v . v), not math.hypot, which rounds differently where
                 # the squares underflow (the tails of alpha_min = 0 runs).
-                norm = math.sqrt(sum(c * c for c in v))
+                norm = math.sqrt(sum(map(operator.mul, v, v)))
                 if norm > 0.0:
-                    _join_cluster(representatives, tuple(c / norm for c in v), cluster_tol)
+                    _join_cluster(representatives, tuple(map(operator.truediv, v, itertools.repeat(norm))), cluster_tol)
     if not n_unsuccessful:
         raise AnalysisError("trace has no unsuccessful iteration; no refining subsequence exists")
 

@@ -4,8 +4,10 @@ Layout: a header object carrying the config and objective name, one object
 per iteration record, and a trailer carrying the termination reason.  Floats
 are serialized as Python's shortest round-trip decimals, and +inf survives as
 the JSON-extension token ``Infinity``.  Records are written by one direct
-encoder (``_record_line``) that gives the bytes ``json`` would give for the
-record's fields; the header and the trailer are written by ``json``.
+encoder (``_encoded``) that gives the bytes ``json`` would give for the
+record's fields, and writes the text of a vector once for the records that
+share it as the same object; the header and the trailer are written by
+``json``.
 
 The engine is the one definition of a valid trace: a trace is valid if and
 only if the engine, run from its header, writes exactly its lines.  Reading
@@ -24,12 +26,12 @@ import contextlib
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from . import engine
 from . import objective as objectives
-from .engine import AlgoConfig, InitializationError, IterationRecord, ObjectiveError, StepOutcome, Trace, TrialPoint
-from .objective import ObjectiveSpec, Vector
+from .engine import AlgoConfig, InitializationError, IterationRecord, ObjectiveError, Trace
+from .objective import ObjectiveSpec
 
 FORMAT_NAME = "ddsearch-trace"
 FORMAT_VERSION = 1
@@ -42,48 +44,45 @@ class TraceFormatError(ValueError):
 
 _line = json.JSONEncoder(separators=(",", ":")).encode
 _float_repr = float.__repr__
-_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _number(value: float) -> str:
-    """A number as ``json`` writes it: an integer as such (a step size is
-    one when ``alpha0`` and ``gamma`` are), a float (``np.float64``
-    included) by ``float.__repr__``, and inf, -inf, nan as ``Infinity``,
-    ``-Infinity``, ``NaN``."""
-    if isinstance(value, int):
-        return int.__repr__(value)
-    text = _float_repr(value)
-    return _NON_FINITE.get(text, text)
+def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationRecord, str]]:
+    """Each record with its trace line: the bytes ``json`` writes for its
+    fields with compact separators.  Coordinates and values are floats
+    (``np.float64`` included); only a step size may be an int.
 
-
-def _vector(values: Vector) -> str:
-    return "[" + ",".join(map(_number, values)) + "]"
-
-
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _trial_text(trial: TrialPoint) -> str:
-    return f'{{"point":{_vector(trial.point)},"value":{_number(trial.value)},"in_domain":{_flag(trial.in_domain)}}}'
-
-
-def _outcome_text(outcome: StepOutcome) -> str:
-    winner = "null" if outcome.winner is None else int.__repr__(outcome.winner)
-    return (
-        f'{{"step":"{outcome.kind}","trials":[{",".join(map(_trial_text, outcome.trials))}],'
-        f'"winner":{winner},"success":{_flag(outcome.success)}}}'
-    )
-
-
-def _record_line(record: IterationRecord) -> str:
-    """The trace line of a record: the keys, order and number formats that
-    ``json`` writes for it with compact separators, built directly."""
-    return (
-        f'{{"k":{record.k},"x":{_vector(record.x)},"alpha":{_number(record.alpha)},"f":{_number(record.f_x)},'
-        f'"outcomes":[{",".join(map(_outcome_text, record.outcomes))}],"success":{_flag(record.success)},'
-        f'"x_next":{_vector(record.x_next)},"alpha_next":{_number(record.alpha_next)}}}'
-    )
+    The engine hands each record's ``x_next`` on as the next record's ``x``,
+    and an unsuccessful iteration's ``x_next`` is its ``x``, so the text of
+    the last ``x_next`` is reused for the same object: by identity, never by
+    equality, since ``(0.0,) == (-0.0,)``."""
+    last = last_text = None
+    for record in records:
+        k, x, alpha, f_x, outcomes, success, x_next, alpha_next = record
+        x_text = last_text if x is last else "[" + ",".join(map(_float_repr, x)) + "]"
+        last_text = x_text if x_next is x else "[" + ",".join(map(_float_repr, x_next)) + "]"
+        last = x_next
+        steps = []
+        for kind, trials, winner, step_success in outcomes:
+            trial_texts = [
+                f'{{"point":[{",".join(map(_float_repr, point))}],"value":{_float_repr(value)},'
+                f'"in_domain":{"true" if in_domain else "false"}}}'
+                for point, value, in_domain in trials
+            ]
+            steps.append(
+                f'{{"step":"{kind}","trials":[{",".join(trial_texts)}],"winner":{"null" if winner is None else winner},'
+                f'"success":{"true" if step_success else "false"}}}'
+            )
+        line = (
+            f'{{"k":{k},"x":{x_text},"alpha":{int.__repr__(alpha) if isinstance(alpha, int) else _float_repr(alpha)},'
+            f'"f":{_float_repr(f_x)},"outcomes":[{",".join(steps)}],"success":{"true" if success else "false"},'
+            f'"x_next":{last_text},'
+            f'"alpha_next":{int.__repr__(alpha_next) if isinstance(alpha_next, int) else _float_repr(alpha_next)}}}'
+        )
+        # float.__repr__ writes inf, -inf, nan for json's Infinity, -Infinity, NaN; no
+        # key, literal or step name holds "inf" or "nan", so one replace maps them all.
+        if "inf" in line or "nan" in line:
+            line = line.replace("inf", "Infinity").replace("nan", "NaN")
+        yield record, line
 
 
 def _header(config: AlgoConfig, objective_name: str) -> dict[str, Any]:
@@ -97,8 +96,8 @@ def _header(config: AlgoConfig, objective_name: str) -> dict[str, Any]:
 
 def trace_lines(trace: Trace) -> Iterator[str]:
     yield _line(_header(trace.config, trace.objective_name))
-    for record in trace.records:
-        yield _record_line(record)
+    for _, line in _encoded(trace.records):
+        yield line
     yield _line({"termination": trace.termination})
 
 
@@ -187,13 +186,14 @@ def _replayed_records(
     count, alpha = 0, config.alpha0
     with _naming(path):
         try:
-            for record in engine.iterate(config, objective):
-                _expect(lines, _record_line(record))
+            for record, line in _encoded(engine.iterate(config, objective)):
+                _expect(lines, line)
                 yield record
                 count, alpha = count + 1, record.alpha_next
         except TraceFormatError:
             raise
-        except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
+        # An ArithmeticError: an int step size that outgrows the floats.
+        except (ValueError, LookupError, ArithmeticError, InitializationError, ObjectiveError) as exc:
             raise TraceFormatError(f"the header on line {header_number} does not replay: {exc}") from exc
         _expect(lines, _line({"termination": engine.stop_reason(count, alpha, config)}))
         _expect(lines, None)

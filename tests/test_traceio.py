@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 from ddsearch import AlgoConfig, get_objective, objective, read_trace, run, write_trace
 from ddsearch.cli import main
-from ddsearch.engine import MAX_REVEALING_COUNT, REVEALING_POLL, IterationRecord, StepOutcome, Trace, TrialPoint
+from ddsearch.engine import MAX_REVEALING_COUNT, POLL, REVEALING_POLL, IterationRecord, StepOutcome, Trace, TrialPoint
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import TraceFormatError, trace_lines
 
-from helpers import counterexample_config, revealing_config
+from helpers import counterexample_config, random_config, revealing_config
 
 
 def test_round_trip_identity_on_vanilla_trace(tmp_path, vanilla_trace_52):
@@ -133,6 +133,20 @@ _EDGE_RECORD = IterationRecord(
 )
 
 
+# The encoder reuses the text of a vector that is the same object as one it
+# has written.  Record 1's x is -0.0 after record 0's x_next of 0.0, and its
+# x_next is 0.0 again: equal vectors, other objects.  Record 2's x_next is its
+# x and holds NaN.
+_ORIGIN, _NAN_POINT = (0.0,), (math.nan,)
+_WON = StepOutcome(POLL, (TrialPoint(_ORIGIN, 0.0, True),), 0, True)
+_LOST = StepOutcome(POLL, (TrialPoint(_NAN_POINT, math.nan, True),), None, False)
+_REUSE_RECORDS = (
+    IterationRecord(0, (0.5,), 0.5, 0.25, (_WON,), True, _ORIGIN, 0.5),
+    IterationRecord(1, (-0.0,), 0.5, 0.0, (), False, (0.0,), 0.25),
+    IterationRecord(2, _NAN_POINT, 0.25, math.nan, (_LOST,), False, _NAN_POINT, 0.125),
+)
+
+
 def _bowl(point):
     return point[0] * point[0] + 2.0 * point[1] * point[1]
 
@@ -162,14 +176,30 @@ def _bowl(point):
             ),
             '"x":[1.5,-0.5],',
         ),
+        (
+            lambda: Trace(counterexample_config(), "counterexample", _REUSE_RECORDS),
+            '"x_next":[0.0],',
+        ),
     ],
-    ids=["int step sizes", "edge numbers", "n-D run"],
+    ids=["int step sizes", "edge numbers", "n-D run", "reused vectors"],
 )
 def test_record_lines_are_the_json_of_the_record(make_trace, first_line_holds):
     trace = make_trace()
+    assert first_line_holds in list(trace_lines(trace))[1]
+    _assert_lines_hold(trace)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(drawn=random_config())
+def test_record_lines_of_drawn_runs_are_the_json_of_the_record(drawn):
+    config, objective_name = drawn
+    _assert_lines_hold(run(config, get_objective(objective_name)))
+
+
+def _assert_lines_hold(trace):
+    """Each record line of ``trace`` is compact ``json`` that holds its record."""
     lines = list(trace_lines(trace))[1:-1]
-    assert len(lines) == len(trace.records) > 0
-    assert first_line_holds in lines[0]
+    assert len(lines) == len(trace.records)
     for line, record in zip(lines, trace.records):
         assert json.dumps(json.loads(line), separators=(",", ":")) == line
         assert _holds(json.loads(line), record)
