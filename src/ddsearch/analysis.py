@@ -100,7 +100,7 @@ def _join_cluster(representatives: list[Vector], u: Vector, tol: float) -> None:
     representative unless it lies within ``tol`` of one, so representatives
     stay in order of first appearance."""
     for rep in representatives:
-        # Clipped so that a NaN cosine stays NaN and never joins a cluster.
+        # Clipped: rounding can carry the dot product of two unit vectors past ±1.
         cosine = min(max(sum(map(operator.mul, u, rep)), -1.0), 1.0)
         if math.acos(cosine) <= tol:
             return
@@ -129,6 +129,7 @@ def extract_refining(
     tail: deque[Vector] = deque(maxlen=3)
     representatives: list[Vector] = []
     alpha_tail = math.nan
+    inf = math.inf
     for record in records:
         if record.success:
             continue
@@ -146,6 +147,11 @@ def extract_refining(
                 # sqrt(v . v), not math.hypot, which rounds differently where
                 # the squares underflow (the tails of alpha_min = 0 runs).
                 norm = math.sqrt(sum(map(operator.mul, v, v)))
+                if norm == inf:
+                    # v . v overflows: scale v by its largest |coordinate| first.
+                    # An infinite coordinate scales to NaN, which fails norm > 0.
+                    v = tuple(map(operator.truediv, v, itertools.repeat(max(map(abs, v)))))
+                    norm = math.sqrt(sum(map(operator.mul, v, v)))
                 if norm > 0.0:
                     _join_cluster(representatives, tuple(map(operator.truediv, v, itertools.repeat(norm))), cluster_tol)
     if not n_unsuccessful:

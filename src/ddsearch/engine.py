@@ -201,7 +201,8 @@ class IterationRecord(typing.NamedTuple):
     """Full ledger of one iteration: incumbent, step size, every trial point
     per executed step (in execution order, skipped steps absent), and the
     resulting update.  Like ``TrialPoint`` and ``StepOutcome``, an immutable
-    named tuple."""
+    named tuple.  Every coordinate, value and step size in a record is a
+    float: ``iterate`` starts from float copies of ``x0`` and ``alpha0``."""
 
     k: int
     x: Vector
@@ -248,7 +249,7 @@ class Trace:
 
     def final_incumbent(self) -> Vector:
         if not self.records:
-            return tuple(self.config.x0)
+            return tuple(map(float, self.config.x0))
         return self.records[-1].x_next
 
 
@@ -440,7 +441,7 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     if not math.isfinite(start.value):
         raise InitializationError(f"objective value at x0 {x} is not finite")
     f_x = start.value
-    alpha = config.alpha0
+    alpha = float(config.alpha0)
 
     k = 0
     while stop_reason(k, alpha, config) is None:

@@ -48,8 +48,8 @@ _float_repr = float.__repr__
 
 def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationRecord, str]]:
     """Each record with its trace line: the bytes ``json`` writes for its
-    fields with compact separators.  Coordinates and values are floats
-    (``np.float64`` included); only a step size may be an int.
+    fields with compact separators.  Every coordinate, value and step size
+    is a float (``np.float64`` included) and is written by ``float.__repr__``.
 
     The engine hands each record's ``x_next`` on as the next record's ``x``,
     and an unsuccessful iteration's ``x_next`` is its ``x``, so the text of
@@ -73,10 +73,9 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
                 f'"success":{"true" if step_success else "false"}}}'
             )
         line = (
-            f'{{"k":{k},"x":{x_text},"alpha":{int.__repr__(alpha) if isinstance(alpha, int) else _float_repr(alpha)},'
-            f'"f":{_float_repr(f_x)},"outcomes":[{",".join(steps)}],"success":{"true" if success else "false"},'
-            f'"x_next":{last_text},'
-            f'"alpha_next":{int.__repr__(alpha_next) if isinstance(alpha_next, int) else _float_repr(alpha_next)}}}'
+            f'{{"k":{k},"x":{x_text},"alpha":{_float_repr(alpha)},"f":{_float_repr(f_x)},'
+            f'"outcomes":[{",".join(steps)}],"success":{"true" if success else "false"},'
+            f'"x_next":{last_text},"alpha_next":{_float_repr(alpha_next)}}}'
         )
         # float.__repr__ writes inf, -inf, nan for json's Infinity, -Infinity, NaN; no
         # key, literal or step name holds "inf" or "nan", so one replace maps them all.
@@ -192,8 +191,7 @@ def _replayed_records(
                 count, alpha = count + 1, record.alpha_next
         except TraceFormatError:
             raise
-        # An ArithmeticError: an int step size that outgrows the floats.
-        except (ValueError, LookupError, ArithmeticError, InitializationError, ObjectiveError) as exc:
+        except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
             raise TraceFormatError(f"the header on line {header_number} does not replay: {exc}") from exc
         _expect(lines, _line({"termination": engine.stop_reason(count, alpha, config)}))
         _expect(lines, None)

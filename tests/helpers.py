@@ -69,8 +69,8 @@ _OBJECTIVE_NAMES = st.sampled_from(objective_names())
 _COORDINATES = st.floats(-3.0, 3.0)
 _BETAS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)
 _FIELDS = {
-    "alpha0": st.floats(0.0, 2.0),
-    "gamma": st.floats(0.5, 2.0),
+    "alpha0": st.floats(0.0, 2.0) | st.integers(1, 2),
+    "gamma": st.floats(0.5, 2.0) | st.integers(1, 2),
     "revealing_radius": st.none() | st.floats(0.0, 3.0),
     "revealing_count": st.integers(0, 4),
     "search_schedule": st.sampled_from(sorted(steps._SEARCH_SCHEDULES)),

@@ -118,6 +118,22 @@ def test_refining_directions_are_unit_vectors(vanilla_trace_30, counterexample_o
             assert abs(norm - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_refining_directions_stay_unit_vectors_when_offsets_overflow(dimension):
+    # The step size doubles from 1e301: v . v of a poll offset overflows,
+    # and then the offsets become infinite.  Each finite offset normalizes
+    # to a coordinate direction, and an infinite one is skipped.
+    objective = ObjectiveSpec(f"neg_l1_{dimension}d", dimension, lambda p: -sum(map(abs, p)))
+    config = AlgoConfig(
+        x0=(0.0,) * dimension, alpha0=1e301, gamma=2.0, poll_directions="coordinate", max_iterations=40, alpha_min=0.0
+    )
+    report = extract_refining(run(config, objective).records, objective)
+    assert 0 < len(report.refining_directions) <= 2 * dimension
+    for direction in report.refining_directions:
+        assert all(math.isfinite(c) for c in direction)
+        assert math.sqrt(sum(c * c for c in direction)) == 1.0
+
+
 # --------------------------------------------------------------------------
 # verify_counterexample_closed_form
 

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddsearch import AlgoConfig, Trace, cli, get_objective, read_trace, write_trace
+from ddsearch import AlgoConfig, cli, get_objective, read_trace, run, write_trace
 from ddsearch.cli import main
-from ddsearch.engine import iterate
 from ddsearch.objective import ObjectiveSpec
+from ddsearch.traceio import trace_lines
 
 from helpers import CONFIGS_DIR
 
@@ -271,20 +271,19 @@ def test_analyze_lemma_past_the_index_range_exits_2(workdir, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_analyze_step_size_past_the_float_range_exits_2(workdir, capsys):
-    # An int step size doubles with each success on neg_abs; the engine writes
-    # 24 records, and the 25th iteration's step size no longer converts to a float.
+def test_analyze_int_step_size_past_the_float_range_replays_as_floats(workdir, capsys):
+    # An int step size doubles with each success on neg_abs until it passes
+    # the float range; the engine's step size is a float, so the run and its
+    # trace are those of the float spelling of the config.
     config = AlgoConfig(x0=(0.0,), alpha0=2**1000, gamma=2, poll_directions="pm1", max_iterations=40)
-    records = []
-    with pytest.raises(OverflowError):
-        records.extend(iterate(config, get_objective("neg_abs")))
-    assert len(records) == 24
-    write_trace(Trace(config, "neg_abs", tuple(records)), workdir / "trace.jsonl")
-    assert main(["analyze", "trace.jsonl"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "the header on line 1 does not replay" in captured.err
-    assert "Traceback" not in captured.err
+    trace = run(config, get_objective("neg_abs"))
+    floats = run(dataclasses.replace(config, alpha0=2.0**1000, gamma=2.0), get_objective("neg_abs"))
+    assert len(trace.records) == 40
+    assert list(trace_lines(trace))[1:] == list(trace_lines(floats))[1:]
+    write_trace(trace, workdir / "trace.jsonl")
+    assert main(["analyze", "trace.jsonl"]) == 0
+    # Each unsuccessful iteration polls at infinite offsets, which have no direction.
+    assert "refining_directions: " in capsys.readouterr().out.splitlines()
 
 
 def _analyze_peaks(workdir: Path, source: str, counts: tuple[int, int], *flags: str, code: int = 0) -> list[int]:

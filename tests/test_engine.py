@@ -177,6 +177,14 @@ def test_run_zero_iterations(counterexample_objective):
     assert trace.final_incumbent() == (1.25,)
 
 
+def test_the_start_state_of_an_int_config_is_floats():
+    config = AlgoConfig(x0=(3,), alpha0=1, gamma=1, poll_directions="pm1", max_iterations=6)
+    trace = run(config, get_objective("quadratic_1d"))
+    assert {type(v) for r in trace.records for v in (*r.x, r.alpha, *r.x_next, r.alpha_next)} == {float}
+    empty = run(dataclasses.replace(config, max_iterations=0), get_objective("quadratic_1d"))
+    assert type(empty.final_incumbent()[0]) is float
+
+
 def test_iterate_yields_the_records_of_run_one_at_a_time(counterexample_objective):
     records = iterate(revealing_config(max_iterations=10**12, alpha_min=0.0), counterexample_objective)
     first_five = [next(records) for _ in range(5)]

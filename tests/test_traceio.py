@@ -154,14 +154,14 @@ def _bowl(point):
 @pytest.mark.parametrize(
     "make_trace, first_line_holds",
     [
-        # alpha0 and gamma as Python ints: the step size stays an int over
-        # successful iterations, and json writes it as one.
+        # alpha0 and gamma as Python ints: the engine's step size is a float
+        # all the same.
         (
             lambda: run(
                 AlgoConfig(x0=(3.0,), alpha0=1, gamma=1, poll_directions="pm1", max_iterations=6),
                 get_objective("quadratic_1d"),
             ),
-            '"alpha":1,',
+            '"alpha":1.0,',
         ),
         (
             lambda: Trace(counterexample_config(), "counterexample", (_EDGE_RECORD,)),
