@@ -49,6 +49,7 @@ POLL = "poll"
 
 TERMINATED_MAX_ITERATIONS = "max_iterations"
 TERMINATED_ALPHA_MIN = "alpha_min"
+TERMINATED_ALPHA_OVERFLOW = "alpha_overflow"
 
 
 class ConfigError(ValueError):
@@ -242,8 +243,7 @@ class Trace:
     @property
     def termination(self) -> str | None:
         """The ``stop_reason`` after the last record (``alpha0`` and 0 when
-        there is none): TERMINATED_MAX_ITERATIONS or TERMINATED_ALPHA_MIN,
-        or None if the run goes on past the records."""
+        there is none), or None if the run goes on past the records."""
         alpha = self.records[-1].alpha_next if self.records else self.config.alpha0
         return stop_reason(len(self.records), alpha, self.config)
 
@@ -282,6 +282,8 @@ def stop_reason(k: int, alpha: float, config: AlgoConfig) -> str | None:
         return TERMINATED_MAX_ITERATIONS
     if alpha < config.alpha_min:
         return TERMINATED_ALPHA_MIN
+    if alpha == math.inf:
+        return TERMINATED_ALPHA_OVERFLOW
     return None
 
 
@@ -411,10 +413,11 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     moves the incumbent there, sets the step size to ``gamma*alpha`` and
     skips the remaining steps.  An iteration without a success keeps the
     incumbent and contracts to ``beta2*alpha``.  The loop stops after
-    ``max_iterations`` iterations or as soon as the step size falls below
-    ``alpha_min``.  Identical configs (seed included) produce identical
-    records.  The config and the objective are checked, and the objective is
-    evaluated at ``x0``, when the first record is requested.
+    ``max_iterations`` iterations, as soon as the step size falls below
+    ``alpha_min``, or once an expansion overflows it to ``inf``.  Identical
+    configs (seed included) produce identical records.  The config and the
+    objective are checked, and the objective is evaluated at ``x0``, when
+    the first record is requested.
     """
     validate_config(config)
     if objective.dimension != len(config.x0):

@@ -1,5 +1,6 @@
 """Shared test machinery: the bundled instances as configs, a counting
-objective wrapper, and a strategy of random configs for the acceptance gate.
+objective wrapper, a strategy of random configs for the acceptance gate, and
+the peak memory of a call.
 Whether a trace is one the engine writes is decided by writing it and
 reading it back (``traceio.read_trace`` replays it), and whether a config is
 valid by ``engine.validate_config``, not by rules kept here."""
@@ -8,7 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 from hypothesis import strategies as st
 
@@ -103,3 +106,13 @@ def evaluation_count(trace: Trace) -> int:
     return 1 + sum(
         sum(1 for t in o.trials if t.in_domain) for r in trace.records for o in r.outcomes
     )
+
+
+def peak_memory(call: Callable[[], object]) -> tuple[object, int]:
+    """What ``call()`` returns, and the peak in bytes that ``tracemalloc``
+    traces while it runs."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from ddsearch.analysis import (
 from ddsearch.engine import ObjectiveError
 from ddsearch.objective import ObjectiveSpec, counterexample_value
 
-from helpers import counterexample_config, revealing_config
+from helpers import counterexample_config, peak_memory, revealing_config
 
 
 # --------------------------------------------------------------------------
@@ -138,17 +137,6 @@ def test_refining_directions_stay_unit_vectors_when_offsets_overflow(dimension):
 # verify_counterexample_closed_form
 
 
-def test_closed_form_verifies_on_vanilla_trace(vanilla_trace_52):
-    assert verify_counterexample_closed_form(vanilla_trace_52.records, 12)
-    assert verify_counterexample_closed_form(vanilla_trace_52.records, 25)
-
-
-def test_closed_form_spot_values(vanilla_trace_52):
-    record = vanilla_trace_52.records[6]
-    assert record.x == (5 / 32,)
-    assert record.alpha == 1 / 32
-
-
 def test_closed_form_fails_once_the_revealing_poll_succeeds(counterexample_objective):
     trace = run(revealing_config(seed=42), counterexample_objective)
     assert len(trace.records) >= 26
@@ -258,12 +246,7 @@ def test_covering_radius_memory_is_bounded():
     # One 31 700 x 2000 x 2 difference block would be about 1 GB.
     draw = random.Random(13)
     points = [(draw.uniform(-2, 2), draw.uniform(-2, 2)) for _ in range(2000)]
-    tracemalloc.start()
-    try:
-        radius = covering_radius(points, (0.0, 0.0), 2.0, 201)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    radius, peak = peak_memory(lambda: covering_radius(points, (0.0, 0.0), 2.0, 201))
     assert 0.0 < radius < 0.5
     assert peak < 32 * 2**20
 
@@ -271,12 +254,7 @@ def test_covering_radius_memory_is_bounded():
 def test_covering_radius_memory_is_bounded_in_three_dimensions(monkeypatch):
     # The whole res^3 lattice at res 101 holds 1 030 301 x 3 coordinates; built
     # at once, with its in-ball test, it peaked near 90 MB.
-    tracemalloc.start()
-    try:
-        radius = covering_radius([(0.0, 0.0, 0.0)], (0.0, 0.0, 0.0), 1.0, 101)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    radius, peak = peak_memory(lambda: covering_radius([(0.0, 0.0, 0.0)], (0.0, 0.0, 0.0), 1.0, 101))
     assert radius == 1.0
     assert peak < 16 * 2**20
     draw = random.Random(14)
@@ -455,14 +433,7 @@ def test_clarke_estimate_memory_does_not_grow_with_the_sample_count(monkeypatch)
     spec = get_objective("abs")
     value = engine.TrialPoint((0.0,), 0.0, True)
     monkeypatch.setattr(engine, "evaluate", lambda objective, point: value)
-    peaks = []
-    for n in (5_000, 200_000):
-        tracemalloc.start()
-        try:
-            clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [peak_memory(lambda: clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, n))[1] for n in (5_000, 200_000)]
     # One 4096-sample block peaks near 1 MB; all 200 000 samples at once
     # would hold tens of MB.
     assert peaks[1] <= peaks[0] + 64 * 2**10

@@ -157,19 +157,6 @@ def test_validate_config_accepts_the_largest_values(tmp_path, counterexample_obj
     write_trace(dataclasses.replace(trace, config=config), tmp_path / "trace.jsonl")
 
 
-def test_run_counterexample_closed_form_first_12_iterations(counterexample_objective):
-    trace = run(counterexample_config(max_iterations=12), counterexample_objective)
-    assert len(trace.records) == 12
-    assert trace.termination == TERMINATED_MAX_ITERATIONS
-    for q in range(6):
-        even, odd = trace.records[2 * q], trace.records[2 * q + 1]
-        assert even.x == (1.25 * 2.0**-q,)
-        assert odd.x == (1.25 * 2.0**-q,)
-        assert even.alpha == 0.25 * 2.0**-q
-        assert odd.alpha == 0.125 * 2.0**-q
-        assert not even.success and odd.success
-
-
 def test_run_zero_iterations(counterexample_objective):
     trace = run(counterexample_config(max_iterations=0), counterexample_objective)
     assert trace.records == ()

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from ddsearch.engine import iteration_rng
 from ddsearch.objective import UnknownNameError
 from ddsearch.steps import (
+    _POLL_DIRECTIONS,
     counterexample_search,
     get_forcing,
     get_poll_directions,
@@ -46,20 +46,18 @@ def test_coordinate_directions_2d():
 
 
 @pytest.mark.parametrize(
-    "directions,dim",
-    [([(-1.0,), (1.0,)], 1), ([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], 2)],
+    "name,dimension",
+    # Each registered set in each dimension it allows, up to 4 for any.
+    [(name, n) for name, (_, required) in _POLL_DIRECTIONS.items() for n in ([required] if required else range(1, 5))],
 )
-def test_bundled_direction_sets_positively_span(directions, dim):
-    # Positive spanning: every target is a nonnegative combination of the
-    # directions, checked as a small LP feasibility problem.
-    columns = np.array(directions, dtype=float).T
-    targets = [np.eye(dim)[i] * s for i in range(dim) for s in (1.0, -1.0)]
-    targets.append(np.ones(dim) * 0.37)
-    for v in targets:
-        result = linprog(
-            c=np.zeros(columns.shape[1]), A_eq=columns, b_eq=v, bounds=(0.0, None), method="highs"
-        )
-        assert result.status == 0, f"{v} is not a nonnegative combination"
+def test_bundled_direction_sets_positively_span(name, dimension):
+    # A certificate of positive spanning (Davis, 1954): with rank n, any
+    # vector is some combination of the directions, and with a zero sum,
+    # adding one constant to every coefficient keeps the vector, so the
+    # coefficients can all be made nonnegative.
+    directions = np.array(get_poll_directions(name, dimension))
+    assert np.linalg.matrix_rank(directions) == dimension
+    assert not directions.sum(axis=0).any()
 
 
 def test_sample_ball_range_and_determinism():

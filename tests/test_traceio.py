@@ -9,7 +9,6 @@ import json
 import math
 import re
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from ddsearch.engine import MAX_REVEALING_COUNT, POLL, REVEALING_POLL, Iteration
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import TraceFormatError, trace_lines
 
-from helpers import counterexample_config, random_config, revealing_config
+from helpers import counterexample_config, peak_memory, random_config, revealing_config
 
 
 def test_round_trip_identity_on_vanilla_trace(tmp_path, vanilla_trace_52):
@@ -81,13 +80,6 @@ def test_round_trip_of_a_run_that_never_draws(tmp_path, counterexample_objective
     write_trace(trace, path)
     assert path.stat().st_size < MAX_REVEALING_COUNT
     assert read_trace(path) == trace
-
-
-def test_written_bytes_are_deterministic(tmp_path, vanilla_trace_52):
-    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_trace(vanilla_trace_52, first)
-    write_trace(vanilla_trace_52, second)
-    assert first.read_bytes() == second.read_bytes()
 
 
 def _holds(parsed, value) -> bool:
@@ -409,13 +401,8 @@ def test_wide_x0_header_is_rejected_within_bounded_time_and_memory(tmp_path, mon
     path = tmp_path / "trace.jsonl"
     _write_parsed(path, parsed)
     start = time.perf_counter()
-    tracemalloc.start()
-    try:
-        with pytest.raises(TraceFormatError, match="dimension"):
-            read_trace(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rejection, peak = peak_memory(lambda: pytest.raises(TraceFormatError, read_trace, path))
+    rejection.match("dimension")
     assert time.perf_counter() - start < 1.0
     assert peak < 20 * 2**20
     _assert_rejected(path, "dimension", monkeypatch, capsys)
@@ -431,13 +418,8 @@ def test_header_at_the_revealing_count_cap_is_rejected_within_bounded_time_and_m
     path = tmp_path / "trace.jsonl"
     _write_parsed(path, parsed)
     start = time.perf_counter()
-    tracemalloc.start()
-    try:
-        with pytest.raises(TraceFormatError, match=r"line 2\b"):
-            read_trace(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rejection, peak = peak_memory(lambda: pytest.raises(TraceFormatError, read_trace, path))
+    rejection.match(r"line 2\b")
     assert time.perf_counter() - start < 1.0
     assert peak < 20 * 2**20
     _assert_rejected(path, r"line 2\b", monkeypatch, capsys)
