@@ -68,7 +68,7 @@ class EscapeStats:
     n_trials: int
     n_escaped: int
     n_converged: int
-    first_escape_iterations: tuple[int, ...]
+    first_escape_histogram: tuple[tuple[int, int], ...]  # sorted (iteration, trials) pairs
 
 
 def _extrapolate_limit(points: Sequence[Vector]) -> Vector:
@@ -417,10 +417,14 @@ def clarke_estimate(
     return best
 
 
+# Trials per engine.first_seed_blocks pass, whose rows take 2 KB per trial.
+_SEED_BATCH = 32
+
+
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial run seed mixed from (master seed, trial index):
     word 0 of ``SeedSequence((master_seed, trial_index))``'s uint64 state,
-    read from the engine's memo of iteration seed words."""
+    read from the engine's memo, whose blocks hold the seeds of 64 trials."""
     return int(engine.iteration_seed_words(master_seed, trial_index)[0])
 
 
@@ -435,7 +439,9 @@ def monte_carlo_escape(
     when its final incumbent is within 1e-3 of the global minimizer -1.
     Results depend only on (master_seed, trial index), so aggregation order
     is deterministic.  Both tests fit the dyadic objective only, so any other
-    objective raises ConfigError.
+    objective raises ConfigError.  Trials run through ``engine.run`` in groups
+    of ``_SEED_BATCH`` inside ``engine.first_seed_blocks``; the histogram has
+    at most ``max_iterations + 1`` pairs, so memory does not grow with ``n_trials``.
     """
     if objective.name != "counterexample":
         raise ConfigError(f"monte_carlo_escape requires the counterexample objective, got {objective.name!r}")
@@ -447,23 +453,25 @@ def monte_carlo_escape(
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     n_escaped = 0
     n_converged = 0
-    first_escape: list[int] = []
-    for trial in range(n_trials):
-        config = dataclasses.replace(base_config, seed=derive_trial_seed(master_seed, trial))
-        trace = engine.run(config, objective)
-        records, final = trace.records, trace.final_incumbent()
-        # Incumbent values never increase, so the first escape is at 0 if
-        # f(x_0) <= 0, else at k + 1 for the first record with f_next <= 0.
-        f_start = records[0].f_x if records else engine.evaluate(objective, final).value
-        escaped_at = 0 if f_start <= 0.0 else next((r.k + 1 for r in records if r.f_next <= 0.0), None)
-        if escaped_at is not None:
-            n_escaped += 1
-            first_escape.append(escaped_at)
-        if math.dist(final, GLOBAL_MINIMIZER) <= CONVERGENCE_TOL:
-            n_converged += 1
+    first_escapes: dict[int, int] = {}
+    for start in range(0, n_trials, _SEED_BATCH):
+        seeds = [derive_trial_seed(master_seed, trial) for trial in range(start, min(start + _SEED_BATCH, n_trials))]
+        with engine.first_seed_blocks(seeds):
+            for seed in seeds:
+                trace = engine.run(dataclasses.replace(base_config, seed=seed), objective)
+                records, final = trace.records, trace.final_incumbent()
+                # Incumbent values never increase, so the first escape is at 0 if
+                # f(x_0) <= 0, else at k + 1 for the first record with f_next <= 0.
+                f_start = records[0].f_x if records else engine.evaluate(objective, final).value
+                escaped_at = 0 if f_start <= 0.0 else next((r.k + 1 for r in records if r.f_next <= 0.0), None)
+                if escaped_at is not None:
+                    n_escaped += 1
+                    first_escapes[escaped_at] = first_escapes.get(escaped_at, 0) + 1
+                if math.dist(final, GLOBAL_MINIMIZER) <= CONVERGENCE_TOL:
+                    n_converged += 1
     return EscapeStats(
         n_trials=n_trials,
         n_escaped=n_escaped,
         n_converged=n_converged,
-        first_escape_iterations=tuple(first_escape),
+        first_escape_histogram=tuple(sorted(first_escapes.items())),
     )

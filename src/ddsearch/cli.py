@@ -10,7 +10,6 @@ config error, 3 runtime objective error.
 from __future__ import annotations
 
 import argparse
-import collections
 import math
 import os
 import re
@@ -95,7 +94,7 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
     print(f"escaped: {stats.n_escaped}/{stats.n_trials}")
     print(f"converged: {stats.n_converged}/{stats.n_trials}")
     print("first_escape_histogram:")
-    for iteration, count in sorted(collections.Counter(stats.first_escape_iterations).items()):
+    for iteration, count in stats.first_escape_histogram:
         print(f"  {iteration}: {count}")
     if stats.n_escaped < stats.n_trials:
         return EXIT_EXPECTATION_FAILED

@@ -20,6 +20,9 @@ if ``iterate``, replayed from its header, writes exactly its lines.
 ``validate_config`` bounds what one iteration may cost, so a header cannot
 buy unbounded work before its first comparison.
 
+Iteration k of a run draws from ``PCG64(SeedSequence((seed, k)))``, hashed 64
+iterations at a time, or as block 0 of many seeds at once (``first_seed_blocks``).
+
 The per-trial records ``TrialPoint``, ``StepOutcome`` and ``IterationRecord``
 are immutable named tuples, the cheapest immutable record to build: a record
 equals the plain tuple of its fields, and ``record._replace(...)`` copies one
@@ -29,13 +32,14 @@ runs in C.  ``AlgoConfig`` and ``Trace`` are frozen dataclasses.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
 import reprlib
 import sys
 import typing
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,15 +305,32 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
 def iteration_seed_words(seed: int, k: int) -> np.ndarray:
     """``SeedSequence((seed, k)).generate_state(4, np.uint64)``, the words
     PCG64 is seeded with for iteration k, read from the memo of 64-iteration
-    blocks that ``_seed_block`` computes."""
+    blocks that ``_seed_block`` computes (or ``first_seed_blocks`` holds)."""
     seed, k = operator.index(seed), operator.index(k)
     if seed < 0 or k < 0:
         raise ValueError(f"expected nonnegative integers, got seed {seed} and k {k}")
-    return _seed_block(seed, k >> _BLOCK_BITS)[k & (_BLOCK_SIZE - 1)]
+    rows = _first_blocks.get(seed) if k < _BLOCK_SIZE else None
+    return (_seed_block(seed, k >> _BLOCK_BITS) if rows is None else rows)[k & (_BLOCK_SIZE - 1)]
+
+
+@contextlib.contextmanager
+def first_seed_blocks(seeds: Sequence[int]) -> Iterator[None]:
+    """Within the ``with`` block, iterations 0..63 of each run seed in ``seeds``
+    read their seed words from one ``_seed_blocks`` pass per seed word count,
+    not from the memo.  The rows only spare work and are dropped on exit."""
+    try:
+        for n_words in {len(_uint32_words(seed)) for seed in seeds}:
+            group = [seed for seed in seeds if len(_uint32_words(seed)) == n_words]
+            _first_blocks.update(zip(group, _seed_blocks(group, 0)))
+        yield
+    finally:
+        _first_blocks.clear()
 
 
 _BLOCK_BITS = 6
 _BLOCK_SIZE = 1 << _BLOCK_BITS
+_LANES = np.arange(_BLOCK_SIZE, dtype=np.uint32)  # the low word of k, less 64 * block
+_first_blocks: dict[int, np.ndarray] = {}  # seed -> block 0, inside first_seed_blocks only
 
 # SeedSequence's hashing constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -318,7 +339,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # _OTHERS[i_src]: the pool words that mix in a hash of pool word i_src, in
 # SeedSequence's order.
-_OTHERS = tuple([d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE))
+_OTHERS = tuple(np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE))
 
 
 @functools.lru_cache(maxsize=4)
@@ -345,19 +366,26 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _seed_block(seed: int, block: int) -> np.ndarray:
     """``SeedSequence((seed, k)).generate_state(4, np.uint64)`` as row ``k % 64``
-    for the 64 iterations ``k`` of ``block``, in one numpy pass.
+    for the 64 iterations ``k`` of ``block``, in one numpy pass."""
+    return _seed_blocks((seed,), block)[0]
 
-    Column j of every uint32 array below belongs to ``k = 64 * block + j``.
-    A block never crosses a multiple of 2**32, so only the low word of ``k``
-    varies within it.  SeedSequence's pool mixing runs in the same order;
-    the hashes one pool word sends to the other three are independent, so
-    they run as one row-wise call.
+
+def _seed_blocks(seeds: Sequence[int], block: int) -> np.ndarray:
+    """``_seed_block(seed, block)`` of every seed, stacked, in one numpy pass.
+    The seeds must have the same number of 32-bit words.
+
+    Column ``64 * i + j`` of every uint32 array below belongs to seed i and
+    ``k = 64 * block + j``.  A block never crosses a multiple of 2**32, so
+    only the low word of ``k`` varies within it.  SeedSequence's pool mixing
+    runs in the same order; the hashes one pool word sends to the other
+    three are independent, so they run as one row-wise call.
     """
-    seed_words = _uint32_words(seed)
-    words = seed_words + _uint32_words(block << _BLOCK_BITS)
-    entropy = np.zeros((max(len(words), _POOL_SIZE), _BLOCK_SIZE), dtype=np.uint32)
-    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(seed_words)] += np.arange(_BLOCK_SIZE, dtype=np.uint32)
+    block_words = _uint32_words(block << _BLOCK_BITS)
+    words = np.array([_uint32_words(seed) + block_words for seed in seeds], dtype=np.uint32).T
+    entropy = np.zeros((max(len(words), _POOL_SIZE), len(seeds), _BLOCK_SIZE), dtype=np.uint32)
+    entropy[: len(words)] = words[:, :, None]
+    entropy[len(words) - len(block_words)] += _LANES
+    entropy = entropy.reshape(len(entropy), -1)
     extra = len(entropy) - _POOL_SIZE
     consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra) + 1)
     pool = _hash(entropy[:_POOL_SIZE], consts[: _POOL_SIZE + 1])
@@ -373,7 +401,7 @@ def _seed_block(seed: int, block: int) -> np.ndarray:
     state = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1))
     block_state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
     block_state.setflags(write=False)  # shared by every caller through the memo
-    return block_state
+    return block_state.reshape(len(seeds), _BLOCK_SIZE, _POOL_SIZE)
 
 
 @functools.cache
@@ -396,12 +424,7 @@ def _row_seed_sequence() -> type:
 
 def _uint32_words(n: int) -> list[int]:
     """Little-endian 32-bit words of a nonnegative integer, 0 as ``[0]``."""
-    words = [n & 0xFFFFFFFF]
-    n >>= 32
-    while n:
-        words.append(n & 0xFFFFFFFF)
-        n >>= 32
-    return words
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
 def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationRecord]:

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddsearch import AlgoConfig, ConfigError, InitializationError, ObjectiveError, get_objective, run, write_trace
+from ddsearch import AlgoConfig, ConfigError, InitializationError, ObjectiveError, engine, get_objective, run, write_trace
 from ddsearch.engine import (
     MAX_REVEALING_COUNT,
     POLL,
@@ -28,6 +28,7 @@ from ddsearch.engine import (
     Trace,
     TrialPoint,
     evaluate,
+    first_seed_blocks,
     iterate,
     iteration_rng,
     sufficient_decrease,
@@ -381,6 +382,24 @@ def test_iteration_rng_does_not_depend_on_access_order():
     for order in orders:
         for seed, k in order:
             assert iteration_rng(seed, k).bit_generator.state == expected[seed, k], (seed, k)
+
+
+def test_first_seed_blocks_are_the_seed_sequence_states_of_every_seed():
+    # One batch mixes seeds of 1, 2, 3 and 5 words, so each word count
+    # takes its own pass; none of the rows enters the single-seed memo.
+    seeds = [5, 2**40 + 3, 2**70 + 1, 2**150 + 7]
+    misses = engine._seed_block.cache_info().misses
+    with first_seed_blocks(seeds):
+        for seed in seeds:
+            for k in range(64):
+                reference = np.random.SeedSequence(entropy=(seed, k)).generate_state(4, np.uint64)
+                assert engine._first_blocks[seed][k].tolist() == reference.tolist(), (seed, k)
+                assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
+        assert engine._seed_block.cache_info().misses == misses
+    assert engine._first_blocks == {}
+    for seed in seeds:
+        for k in (0, 63, 64):
+            assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
 
 
 def test_importing_ddsearch_does_not_import_numpy_random():
