@@ -49,6 +49,8 @@ class RefinementReport:
     discontinuity the run slid into without sampling across it.
     ``n_unsuccessful`` counts the unsuccessful iterations, and ``f_tail``
     holds the incumbent values of the last five of them, oldest first.
+    ``refining_directions`` are the distinct unit poll directions tried at
+    those iterations; search and revealing-poll trials do not count.
     """
 
     n_unsuccessful: int
@@ -95,39 +97,25 @@ def _extrapolate_limit(points: Sequence[Vector]) -> Vector:
     return tuple(estimate)
 
 
-def _join_cluster(representatives: list[Vector], u: Vector, tol: float) -> None:
-    """Greedy angular clustering, one direction at a time: ``u`` becomes a
-    representative unless it lies within ``tol`` of one, so representatives
-    stay in order of first appearance."""
-    for rep in representatives:
-        # Clipped: rounding can carry the dot product of two unit vectors past ±1.
-        cosine = min(max(sum(map(operator.mul, u, rep)), -1.0), 1.0)
-        if math.acos(cosine) <= tol:
-            return
-    representatives.append(u)
-
-
-def extract_refining(
-    records: Iterable[IterationRecord], objective: ObjectiveSpec, cluster_tol: float = 1e-3
-) -> RefinementReport:
+def extract_refining(records: Iterable[IterationRecord], objective: ObjectiveSpec) -> RefinementReport:
     """Extract the refining subsequence (all unsuccessful iterations) from
     the records of a run, in one pass over them.
 
     The refined point is the extrapolated limit of the unsuccessful
-    incumbents; the refining directions are angular-cluster representatives
-    of the normalized trial directions from poll and revealing-poll steps at
-    those iterations.  ``objective`` gives the fresh evaluation at the
+    incumbents; the refining directions are the distinct normalized offsets
+    ``point - x`` of the poll step's trials at those iterations, in order of
+    first appearance: at most 2n for the ``coordinate`` set.  Search and
+    revealing-poll trials do not count, since their offsets do not shrink
+    with the step size.  ``objective`` gives the fresh evaluation at the
     refined point.  The pass keeps a count, the last five unsuccessful
     incumbent values, the last three distinct unsuccessful incumbents and
-    the cluster representatives, so ``records`` may be a stream such as
+    the directions, so ``records`` may be a stream such as
     ``traceio.replay_trace`` yields.
     """
-    if not cluster_tol > 0.0:
-        raise AnalysisError(f"cluster_tol must be > 0, got {cluster_tol}")
     n_unsuccessful = 0
     f_tail: deque[float] = deque(maxlen=5)
     tail: deque[Vector] = deque(maxlen=3)
-    representatives: list[Vector] = []
+    directions: dict[Vector, None] = {}
     alpha_tail = math.nan
     inf = math.inf
     for record in records:
@@ -140,20 +128,21 @@ def extract_refining(
         if not tail or x != tail[-1]:
             tail.append(x)
         for outcome in record.outcomes:
-            if outcome.kind == engine.SEARCH:
+            if outcome.kind != engine.POLL:
                 continue
             for trial in outcome.trials:
                 v = tuple(map(operator.sub, trial.point, x))
-                # sqrt(v . v), not math.hypot, which rounds differently where
-                # the squares underflow (the tails of alpha_min = 0 runs).
+                # Scaled to largest |coordinate| 1 first, v . v neither
+                # overflows nor underflows, so a poll offset along +-e_i
+                # normalizes to exactly +-e_i.
+                scale = max(map(abs, v))
+                if not 0.0 < scale < inf:
+                    continue
+                v = tuple(map(operator.truediv, v, itertools.repeat(scale)))
                 norm = math.sqrt(sum(map(operator.mul, v, v)))
-                if norm == inf:
-                    # v . v overflows: scale v by its largest |coordinate| first.
-                    # An infinite coordinate scales to NaN, which fails norm > 0.
-                    v = tuple(map(operator.truediv, v, itertools.repeat(max(map(abs, v)))))
-                    norm = math.sqrt(sum(map(operator.mul, v, v)))
-                if norm > 0.0:
-                    _join_cluster(representatives, tuple(map(operator.truediv, v, itertools.repeat(norm))), cluster_tol)
+                # A NaN coordinate that max() passed over fails this.
+                if norm >= 1.0:
+                    directions[tuple(map(operator.truediv, v, itertools.repeat(norm)))] = None
     if not n_unsuccessful:
         raise AnalysisError("trace has no unsuccessful iteration; no refining subsequence exists")
 
@@ -164,7 +153,7 @@ def extract_refining(
         n_unsuccessful=n_unsuccessful,
         refined_point=refined,
         alpha_tail=alpha_tail,
-        refining_directions=tuple(representatives),
+        refining_directions=tuple(directions),
         f_limit=f_limit,
         f_refined=f_refined,
         gap=f_limit - f_refined,

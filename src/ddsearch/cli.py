@@ -66,7 +66,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # The verdicts come once the whole file has replayed, so a trace that
     # turns out corrupt prints no result.
     try:
-        report = analysis.extract_refining(records, objective, cluster_tol=args.cluster_tol)
+        report = analysis.extract_refining(records, objective)
     except analysis.ClosedFormError as exc:
         print(exc)
         return EXIT_EXPECTATION_FAILED
@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="extract the refining subsequence from a trace")
     p_analyze.add_argument("trace", help="path to a trace file written by 'run'")
-    p_analyze.add_argument("--cluster-tol", type=float, default=1e-3, help="angular clustering tolerance (radians)")
     p_analyze.add_argument(
         "--verify-lemma",
         type=int,

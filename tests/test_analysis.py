@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from ddsearch import AlgoConfig, ConfigError, analysis, engine, get_objective, run
+from ddsearch import AlgoConfig, ConfigError, analysis, engine, get_objective, run, steps
 from ddsearch.analysis import (
     AnalysisError,
     ClosedFormError,
@@ -82,11 +82,6 @@ def test_extract_refining_requires_an_unsuccessful_iteration():
         extract_refining(trace.records, spec)
 
 
-def test_extract_refining_rejects_bad_tolerance(vanilla_trace_30, counterexample_objective):
-    with pytest.raises(AnalysisError, match="cluster_tol"):
-        extract_refining(vanilla_trace_30.records, counterexample_objective, cluster_tol=0.0)
-
-
 def test_extract_refining_f_tail_follows_the_incumbents(vanilla_trace_30, counterexample_objective):
     report = extract_refining(vanilla_trace_30.records, counterexample_objective)
     values = [r.f_x for r in vanilla_trace_30.records if not r.success]
@@ -112,25 +107,81 @@ def test_refining_directions_are_unit_vectors(vanilla_trace_30, counterexample_o
     trace = run(revealing_config(seed=8, max_iterations=80), counterexample_objective)
     for report_trace in (vanilla_trace_30, trace):
         report = extract_refining(report_trace.records, counterexample_objective)
+        poll_set = steps.get_poll_directions(report_trace.config.poll_directions, counterexample_objective.dimension)
         for direction in report.refining_directions:
             norm = math.sqrt(sum(c * c for c in direction))
             assert abs(norm - 1.0) <= 1e-9
+            assert direction in poll_set
+
+
+def _assert_refining_directions_are_finite_unit_vectors(config: AlgoConfig, objective: ObjectiveSpec) -> None:
+    # Each finite nonzero offset normalizes to a coordinate direction, and
+    # an infinite or zero one is skipped.
+    report = extract_refining(run(config, objective).records, objective)
+    assert 0 < len(report.refining_directions) <= 2 * objective.dimension
+    for direction in report.refining_directions:
+        assert all(math.isfinite(c) for c in direction)
+        assert math.sqrt(sum(c * c for c in direction)) == 1.0
 
 
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_refining_directions_stay_unit_vectors_when_offsets_overflow(dimension):
     # The step size doubles from 1e301: v . v of a poll offset overflows,
-    # and then the offsets become infinite.  Each finite offset normalizes
-    # to a coordinate direction, and an infinite one is skipped.
+    # and then the offsets become infinite.
     objective = ObjectiveSpec(f"neg_l1_{dimension}d", dimension, lambda p: -sum(map(abs, p)))
     config = AlgoConfig(
         x0=(0.0,) * dimension, alpha0=1e301, gamma=2.0, poll_directions="coordinate", max_iterations=40, alpha_min=0.0
     )
+    _assert_refining_directions_are_finite_unit_vectors(config, objective)
+
+
+def test_refining_directions_stay_unit_vectors_when_offsets_underflow():
+    # The step size halves from 1e-160 at the minimizer 0: v . v of a poll
+    # offset is subnormal, then zero, and then the offsets vanish.
+    config = AlgoConfig(x0=(3e-160,), alpha0=1e-160, poll_directions="pm1", max_iterations=400, alpha_min=0.0)
+    _assert_refining_directions_are_finite_unit_vectors(config, get_objective("abs"))
+
+
+def test_refining_directions_skip_offsets_from_an_infinite_incumbent():
+    # The first poll moves x2 to +inf, where the incumbent stays: every later
+    # poll offset holds inf - inf = NaN, which max() can pass over.
+    objective = ObjectiveSpec("inf_wins_2d", 2, lambda p: -1.0 if p[1] == math.inf else 0.0)
+    config = AlgoConfig(x0=(0.0, 1e308), alpha0=1e308, poll_directions="coordinate", max_iterations=6, alpha_min=0.0)
     report = extract_refining(run(config, objective).records, objective)
-    assert 0 < len(report.refining_directions) <= 2 * dimension
-    for direction in report.refining_directions:
-        assert all(math.isfinite(c) for c in direction)
-        assert math.sqrt(sum(c * c for c in direction)) == 1.0
+    assert report.n_unsuccessful == 5
+    assert report.refining_directions == ()
+
+
+def _sphere_3d_run(max_iterations: int) -> tuple[tuple[engine.IterationRecord, ...], ObjectiveSpec]:
+    """The records of a 3-D revealing run on x1^2 + x2^2 + x3^2, with
+    coordinate polls and eight radius-1 revealing offsets per iteration, and
+    its objective."""
+    objective = ObjectiveSpec("sphere_3d", 3, lambda p: sum(c * c for c in p))
+    config = AlgoConfig(
+        x0=(1.0, 1.0, 1.0),
+        alpha0=0.5,
+        revealing_radius=1.0,
+        revealing_count=8,
+        poll_directions="coordinate",
+        seed=3,
+        max_iterations=max_iterations,
+        alpha_min=0.0,
+    )
+    return run(config, objective).records, objective
+
+
+def test_refining_directions_of_a_3d_revealing_run_are_its_poll_directions():
+    report = extract_refining(*_sphere_3d_run(2000))
+    assert 0 < len(report.refining_directions) <= 6
+    assert set(report.refining_directions) <= set(steps.get_poll_directions("coordinate", 3))
+
+
+def test_extract_refining_memory_does_not_grow_with_a_3d_revealing_run():
+    runs = [_sphere_3d_run(n) for n in (500, 2000)]
+    # The first traced call also traces one-off allocations.
+    peak_memory(lambda: extract_refining(*runs[0]))
+    peaks = [peak_memory(lambda: extract_refining(*args))[1] for args in runs]
+    assert peaks[1] <= peaks[0] + 1024
 
 
 # --------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def test_golden_sample(grid, tmp_path):
 # traces of both bundled configs.
 STDOUT_SHA256 = {
     "analyze counterexample_trace.jsonl --verify-lemma 25": "253c7a6b344be6f112a438d525b7d698e1bc98daceb775a5b2234114c8f42c32",
-    "analyze revealing_trace.jsonl": "059ac34f8e6d40329da9245b64d30cb7048ec91303dafc656aa3e5882ee976d1",
+    "analyze revealing_trace.jsonl": "e0e52d41df78733f378aae8f1769311344d02c6e8dbefe113d574f4b18b89f44",
     "montecarlo revealing.cfg --trials 200 --master-seed 7": "b5d5d476dca3836fcf202e739b268a075f2b1bffebe35bee2ff88eaaf346001b",
 }
 
