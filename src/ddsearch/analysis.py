@@ -406,7 +406,8 @@ def clarke_estimate(
     return best
 
 
-# Trials per engine.first_seed_blocks pass, whose rows take 2 KB per trial.
+# Trials per engine.hash_seed_blocks pass; with their master seed they fit
+# in the engine's memo, which holds the latest block of 64 seeds.
 _SEED_BATCH = 32
 
 
@@ -429,8 +430,9 @@ def monte_carlo_escape(
     Results depend only on (master_seed, trial index), so aggregation order
     is deterministic.  Both tests fit the dyadic objective only, so any other
     objective raises ConfigError.  Trials run through ``engine.run`` in groups
-    of ``_SEED_BATCH`` inside ``engine.first_seed_blocks``; the histogram has
-    at most ``max_iterations + 1`` pairs, so memory does not grow with ``n_trials``.
+    of ``_SEED_BATCH``, whose block 0 ``engine.hash_seed_blocks`` hashes in one
+    pass; the histogram has at most ``max_iterations + 1`` pairs, so memory
+    does not grow with ``n_trials``.
     """
     if objective.name != "counterexample":
         raise ConfigError(f"monte_carlo_escape requires the counterexample objective, got {objective.name!r}")
@@ -445,19 +447,19 @@ def monte_carlo_escape(
     first_escapes: dict[int, int] = {}
     for start in range(0, n_trials, _SEED_BATCH):
         seeds = [derive_trial_seed(master_seed, trial) for trial in range(start, min(start + _SEED_BATCH, n_trials))]
-        with engine.first_seed_blocks(seeds):
-            for seed in seeds:
-                trace = engine.run(dataclasses.replace(base_config, seed=seed), objective)
-                records, final = trace.records, trace.final_incumbent()
-                # Incumbent values never increase, so the first escape is at 0 if
-                # f(x_0) <= 0, else at k + 1 for the first record with f_next <= 0.
-                f_start = records[0].f_x if records else engine.evaluate(objective, final).value
-                escaped_at = 0 if f_start <= 0.0 else next((r.k + 1 for r in records if r.f_next <= 0.0), None)
-                if escaped_at is not None:
-                    n_escaped += 1
-                    first_escapes[escaped_at] = first_escapes.get(escaped_at, 0) + 1
-                if math.dist(final, GLOBAL_MINIMIZER) <= CONVERGENCE_TOL:
-                    n_converged += 1
+        engine.hash_seed_blocks(seeds, 0)
+        for seed in seeds:
+            trace = engine.run(dataclasses.replace(base_config, seed=seed), objective)
+            records, final = trace.records, trace.final_incumbent()
+            # Incumbent values never increase, so the first escape is at 0 if
+            # f(x_0) <= 0, else at k + 1 for the first record with f_next <= 0.
+            f_start = records[0].f_x if records else engine.evaluate(objective, final).value
+            escaped_at = 0 if f_start <= 0.0 else next((r.k + 1 for r in records if r.f_next <= 0.0), None)
+            if escaped_at is not None:
+                n_escaped += 1
+                first_escapes[escaped_at] = first_escapes.get(escaped_at, 0) + 1
+            if math.dist(final, GLOBAL_MINIMIZER) <= CONVERGENCE_TOL:
+                n_converged += 1
     return EscapeStats(
         n_trials=n_trials,
         n_escaped=n_escaped,

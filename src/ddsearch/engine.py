@@ -21,7 +21,7 @@ if ``iterate``, replayed from its header, writes exactly its lines.
 buy unbounded work before its first comparison.
 
 Iteration k of a run draws from ``PCG64(SeedSequence((seed, k)))``, hashed 64
-iterations at a time, or as block 0 of many seeds at once (``first_seed_blocks``).
+iterations at a time into a memo of the latest block of the last 64 seeds.
 
 The per-trial records ``TrialPoint``, ``StepOutcome`` and ``IterationRecord``
 are immutable named tuples, the cheapest immutable record to build: a record
@@ -32,7 +32,6 @@ runs in C.  ``AlgoConfig`` and ``Trace`` are frozen dataclasses.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
@@ -164,8 +163,8 @@ def validate_config(config: AlgoConfig) -> None:
             "beta1, beta2 must satisfy 0 < beta1 <= beta2 < 1, "
             f"got beta1={_shown(config.beta1)}, beta2={_shown(config.beta2)}"
         )
-    if not config.gamma >= 1.0:
-        raise ConfigError(f"gamma must be >= 1, got {_shown(config.gamma)}")
+    if not 1.0 <= config.gamma < math.inf:
+        raise ConfigError(f"gamma must be finite and >= 1, got {_shown(config.gamma)}")
     if config.revealing_radius is not None and not 0.0 < config.revealing_radius < math.inf:
         raise ConfigError(f"revealing_radius must be finite and > 0, got {_shown(config.revealing_radius)}")
     if not 1 <= config.revealing_count <= MAX_REVEALING_COUNT:
@@ -304,33 +303,36 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
 
 def iteration_seed_words(seed: int, k: int) -> np.ndarray:
     """``SeedSequence((seed, k)).generate_state(4, np.uint64)``, the words
-    PCG64 is seeded with for iteration k, read from the memo of 64-iteration
-    blocks that ``_seed_block`` computes (or ``first_seed_blocks`` holds)."""
+    PCG64 is seeded with for iteration k, read from the memo."""
     seed, k = operator.index(seed), operator.index(k)
     if seed < 0 or k < 0:
         raise ValueError(f"expected nonnegative integers, got seed {seed} and k {k}")
-    rows = _first_blocks.get(seed) if k < _BLOCK_SIZE else None
-    return (_seed_block(seed, k >> _BLOCK_BITS) if rows is None else rows)[k & (_BLOCK_SIZE - 1)]
+    held = _memo.get(seed)
+    if held is None or held[0] != k >> _BLOCK_BITS:
+        hash_seed_blocks((seed,), k >> _BLOCK_BITS)
+        held = _memo[seed]
+    return held[1][k & (_BLOCK_SIZE - 1)]
 
 
-@contextlib.contextmanager
-def first_seed_blocks(seeds: Sequence[int]) -> Iterator[None]:
-    """Within the ``with`` block, iterations 0..63 of each run seed in ``seeds``
-    read their seed words from one ``_seed_blocks`` pass per seed word count,
-    not from the memo.  The rows only spare work and are dropped on exit."""
-    try:
-        for n_words in {len(_uint32_words(seed)) for seed in seeds}:
-            group = [seed for seed in seeds if len(_uint32_words(seed)) == n_words]
-            _first_blocks.update(zip(group, _seed_blocks(group, 0)))
-        yield
-    finally:
-        _first_blocks.clear()
+def hash_seed_blocks(seeds: Sequence[int], block: int) -> None:
+    """Hash the 64 iterations of ``block`` of every seed in ``seeds`` into the
+    memo, one ``_seed_blocks`` pass per seed word count.  The memo keeps one
+    block per seed, the latest hashed, for the last ``_MEMO_SEEDS`` seeds
+    hashed: a run only moves forward through its blocks."""
+    for n_words in {len(_uint32_words(seed)) for seed in seeds}:
+        group = [seed for seed in seeds if len(_uint32_words(seed)) == n_words]
+        for seed, rows in zip(group, _seed_blocks(group, block)):
+            _memo.pop(seed, None)
+            _memo[seed] = (block, rows)
+    while len(_memo) > _MEMO_SEEDS:
+        del _memo[next(iter(_memo))]
 
 
 _BLOCK_BITS = 6
 _BLOCK_SIZE = 1 << _BLOCK_BITS
 _LANES = np.arange(_BLOCK_SIZE, dtype=np.uint32)  # the low word of k, less 64 * block
-_first_blocks: dict[int, np.ndarray] = {}  # seed -> block 0, inside first_seed_blocks only
+_MEMO_SEEDS = 64  # 2 KB of rows each; a Monte Carlo group and its master seed fit
+_memo: dict[int, tuple[int, np.ndarray]] = {}  # seed -> (block, its rows), oldest hash first
 
 # SeedSequence's hashing constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -363,16 +365,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-@functools.lru_cache(maxsize=8)
-def _seed_block(seed: int, block: int) -> np.ndarray:
-    """``SeedSequence((seed, k)).generate_state(4, np.uint64)`` as row ``k % 64``
-    for the 64 iterations ``k`` of ``block``, in one numpy pass."""
-    return _seed_blocks((seed,), block)[0]
-
-
 def _seed_blocks(seeds: Sequence[int], block: int) -> np.ndarray:
-    """``_seed_block(seed, block)`` of every seed, stacked, in one numpy pass.
-    The seeds must have the same number of 32-bit words.
+    """``SeedSequence((seed, k)).generate_state(4, np.uint64)`` as row ``k % 64``
+    for the 64 iterations ``k`` of ``block``, of every seed, stacked, in one
+    numpy pass.  The seeds must have the same number of 32-bit words.
 
     Column ``64 * i + j`` of every uint32 array below belongs to seed i and
     ``k = 64 * block + j``.  A block never crosses a multiple of 2**32, so
@@ -407,7 +403,7 @@ def _seed_blocks(seeds: Sequence[int], block: int) -> np.ndarray:
 @functools.cache
 def _row_seed_sequence() -> type:
     """A SeedSequence stand-in that hands PCG64 one precomputed row of
-    ``_seed_block``, the answer to the ``generate_state(4, np.uint64)`` call
+    ``_seed_blocks``, the answer to the ``generate_state(4, np.uint64)`` call
     PCG64 makes.  Built on first use, so importing ddsearch does not import
     numpy.random."""
     from numpy.random.bit_generator import ISeedSequence
@@ -491,14 +487,14 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
                 points = [(x[0] + alpha * d[0],) for d in poll_directions]
             else:
                 points = [tuple([xi + alpha * di for xi, di in zip(x, d)]) for d in poll_directions]
-            # The winner is the first trial of least value among the in-domain
-            # trials with a finite value; None if there is none.
+            # The winner is the first trial of least finite value, None if there
+            # is none; a trial out of the domain has value inf, so never wins.
             trials = []
             winner = None
             best = inf
             for point in points:
                 trial = evaluate_(objective, point)
-                if trial.in_domain and -inf < trial.value < best:
+                if -inf < trial.value < best:
                     winner, best = len(trials), trial.value
                 trials.append(trial)
             success = winner is not None and sufficient_decrease(best, f_x, math.dist(trials[winner].point, x), forcing)

@@ -22,7 +22,6 @@ trace.  ``read_trace`` collects its records into a ``Trace``.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 from pathlib import Path
@@ -128,7 +127,7 @@ def replay_trace(
     such an error is one of the header.
     """
     lines = _file_lines(path)
-    with _naming(path):
+    try:
         number, head = next(lines, (None, None))
         if head is None:
             raise TraceFormatError("the trace is empty")
@@ -145,6 +144,8 @@ def replay_trace(
             raise TraceFormatError(f"the header on line {number} does not replay: {exc}") from exc
         if head != _line(_header(config, objective.name)):
             raise TraceFormatError(f"line {number} differs from the replayed run")
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"trace file {path}: {exc}") from exc
     return config, objective, _replayed_records(path, lines, number, config, objective)
 
 
@@ -156,15 +157,6 @@ def read_trace(path: str | Path, objective: ObjectiveSpec | None = None) -> Trac
     objective name."""
     config, objective, records = replay_trace(path, objective)
     return Trace(config, objective.name, tuple(records))
-
-
-@contextlib.contextmanager
-def _naming(path: str | Path) -> Iterator[None]:
-    """Prefix the message of a TraceFormatError with the file's path."""
-    try:
-        yield
-    except TraceFormatError as exc:
-        raise TraceFormatError(f"trace file {path}: {exc}") from exc
 
 
 def _file_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -183,18 +175,17 @@ def _replayed_records(
     path: str | Path, lines: Iterator[tuple[int, str]], header_number: int, config: AlgoConfig, objective: ObjectiveSpec
 ) -> Iterator[IterationRecord]:
     count, alpha = 0, config.alpha0
-    with _naming(path):
-        try:
-            for record, line in _encoded(engine.iterate(config, objective)):
-                _expect(lines, line)
-                yield record
-                count, alpha = count + 1, record.alpha_next
-        except TraceFormatError:
-            raise
-        except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
-            raise TraceFormatError(f"the header on line {header_number} does not replay: {exc}") from exc
+    try:
+        for record, line in _encoded(engine.iterate(config, objective)):
+            _expect(lines, line)
+            yield record
+            count, alpha = count + 1, record.alpha_next
         _expect(lines, _line({"termination": engine.stop_reason(count, alpha, config)}))
         _expect(lines, None)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"trace file {path}: {exc}") from exc
+    except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
+        raise TraceFormatError(f"trace file {path}: the header on line {header_number} does not replay: {exc}") from exc
 
 
 def _read_header(line: str) -> tuple[AlgoConfig, str]:

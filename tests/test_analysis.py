@@ -518,32 +518,12 @@ def test_monte_carlo_counts_are_consistent(counterexample_objective):
 def test_monte_carlo_memory_does_not_grow_with_the_trials(counterexample_objective):
     # Trials that start in the nonpositive region run no iteration and all
     # escape at x_0, so each one costs the same and the histogram is the
-    # only state that could grow.  600 trials already fill the memo of 8
-    # seed blocks with the master seed's blocks, as 4600 do.
+    # only state that could grow.  600 trials already fill the engine's memo
+    # of 64 seeds, as 4600 do.
     config = revealing_config(x0=(-1.0,), max_iterations=0)
     peaks = [peak_memory(lambda: monte_carlo_escape(config, counterexample_objective, n, 7))[1] for n in (600, 4600)]
     # A tuple of every first escape raised the peak by about 20 KB here.
     assert peaks[1] < peaks[0] + 8 * 2**10, peaks
-
-
-def test_monte_carlo_holds_first_seed_blocks_only_while_a_group_runs(counterexample_objective, monkeypatch):
-    run_trial = engine.run
-    seen = []
-
-    def run_or_raise(config, objective):
-        assert config.seed in engine._first_blocks
-        seen.append(config.seed)
-        if len(seen) == 41:
-            raise RuntimeError("trial 40")
-        return run_trial(config, objective)
-
-    stats = monte_carlo_escape(revealing_config(), counterexample_objective, 40, 11)
-    assert stats.n_escaped == 40 and engine._first_blocks == {}
-    monkeypatch.setattr(engine, "run", run_or_raise)
-    with pytest.raises(RuntimeError, match="trial 40"):
-        monte_carlo_escape(revealing_config(), counterexample_objective, 50, 11)
-    assert engine._first_blocks == {}
-    assert seen == [derive_trial_seed(11, trial) for trial in range(41)]
 
 
 def test_vanilla_run_never_escapes(vanilla_trace_52):

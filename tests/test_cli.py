@@ -104,6 +104,7 @@ def test_run_objective_error_exits_3(workdir, capsys):
     [
         ("revealing_radius = inf", 2),
         ("alpha0 = inf", 2),
+        ("gamma = inf", 2),
         # The step expands to inf, and the run stops there.
         ("gamma = 1e308", 0),
         # Beyond MAX_REVEALING_COUNT: one poll would ask numpy for 10**20 points.
@@ -314,6 +315,16 @@ def test_montecarlo_reports_and_exits_0(workdir, capsys):
     assert "first_escape_histogram:" in first
     assert main(["montecarlo", str(config), "--trials", "5", "--master-seed", "7"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_montecarlo_exit_code_counts_escapes_only(workdir, capsys):
+    # Trial 161 escapes at iteration 31 after its step has halved 15 times;
+    # with gamma = 1 it ends at max_iterations outside 1e-3 of -1.
+    config = workdir / "revealing.cfg"
+    config.write_text((CONFIGS_DIR / "revealing.cfg").read_text())
+    assert main(["montecarlo", str(config), "--trials", "200", "--master-seed", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["escaped: 200/200", "converged: 199/200"]
 
 
 def test_montecarlo_without_revealing_exits_2(workdir, capsys):

@@ -14,8 +14,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ddsearch import AlgoConfig, ConfigError, InitializationError, ObjectiveError, engine, get_objective, run, write_trace
+from ddsearch import (
+    AlgoConfig,
+    ConfigError,
+    InitializationError,
+    ObjectiveError,
+    engine,
+    get_objective,
+    objective_names,
+    read_trace,
+    run,
+    steps,
+    write_trace,
+)
 from ddsearch.engine import (
     MAX_REVEALING_COUNT,
     POLL,
@@ -28,7 +42,6 @@ from ddsearch.engine import (
     Trace,
     TrialPoint,
     evaluate,
-    first_seed_blocks,
     iterate,
     iteration_rng,
     sufficient_decrease,
@@ -139,6 +152,7 @@ def test_run_step_size_follows_the_deterministic_update(counterexample_objective
         (dict(x0=(np.float16(1.25),)), "x0"),
         (dict(revealing_radius=np.float32(2.0)), "revealing_radius"),
         (dict(revealing_radius=1.0, revealing_count=np.int32(2)), "revealing_count"),
+        (dict(gamma=math.inf), "gamma"),
     ],
 )
 def test_validate_config_names_offending_field(overrides, field):
@@ -384,22 +398,34 @@ def test_iteration_rng_does_not_depend_on_access_order():
             assert iteration_rng(seed, k).bit_generator.state == expected[seed, k], (seed, k)
 
 
-def test_first_seed_blocks_are_the_seed_sequence_states_of_every_seed():
-    # One batch mixes seeds of 1, 2, 3 and 5 words, so each word count
-    # takes its own pass; none of the rows enters the single-seed memo.
+def test_hash_seed_blocks_fills_the_memo_with_the_seed_sequence_states_of_every_seed(monkeypatch):
+    # One fill mixes seeds of 1, 2, 3 and 5 words, so each word count takes
+    # its own pass; reading iterations 0..63 then hashes nothing more.
     seeds = [5, 2**40 + 3, 2**70 + 1, 2**150 + 7]
-    misses = engine._seed_block.cache_info().misses
-    with first_seed_blocks(seeds):
+    engine.hash_seed_blocks(seeds, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_seed_blocks", lambda seeds, block: pytest.fail(f"hashed {seeds} block {block} again"))
         for seed in seeds:
             for k in range(64):
                 reference = np.random.SeedSequence(entropy=(seed, k)).generate_state(4, np.uint64)
-                assert engine._first_blocks[seed][k].tolist() == reference.tolist(), (seed, k)
+                assert engine.iteration_seed_words(seed, k).tolist() == reference.tolist(), (seed, k)
                 assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
-        assert engine._seed_block.cache_info().misses == misses
-    assert engine._first_blocks == {}
     for seed in seeds:
         for k in (0, 63, 64):
             assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
+
+
+def test_memo_holds_the_latest_block_of_a_bounded_number_of_seeds():
+    for seed in range(1000):
+        engine.iteration_seed_words(seed, 64 * (seed % 3) + 1)
+    assert len(engine._memo) <= engine._MEMO_SEEDS
+    assert 0 not in engine._memo and engine._memo[998][0] == 2
+    # An evicted seed is hashed again, and a seed keeps its latest block only.
+    for seed, k in ((0, 5), (0, 70), (998, 130), (998, 0)):
+        reference = np.random.SeedSequence(entropy=(seed, k)).generate_state(4, np.uint64)
+        assert engine.iteration_seed_words(seed, k).tolist() == reference.tolist(), (seed, k)
+        assert engine._memo[seed][0] == k // 64
+    assert len(engine._memo) <= engine._MEMO_SEEDS
 
 
 def test_importing_ddsearch_does_not_import_numpy_random():
@@ -424,3 +450,51 @@ def test_evaluator_failure_raises_objective_error():
         evaluate(spec, (2.0,))
     assert isinstance(info.value.__cause__, ValueError)
 
+
+# Float extremes for the step size, its expansion, the start and the radius.
+_EXTREMES = [5e-324, 1e-300, 0.25, 1e300, 1.7e308, 1e308, -1e308, math.inf]
+_ONE_D_NAMES = [name for name in objective_names() if get_objective(name).dimension == 1]
+
+
+@settings(max_examples=600, deadline=None, database=None, derandomize=True)
+@given(
+    name=st.sampled_from(_ONE_D_NAMES),
+    x0=st.sampled_from(_EXTREMES),
+    alpha0=st.sampled_from(_EXTREMES),
+    gamma=st.sampled_from(_EXTREMES),
+    revealing_radius=st.sampled_from(_EXTREMES),
+    search_schedule=st.sampled_from(sorted(steps._SEARCH_SCHEDULES)),
+    poll_directions=st.sampled_from(sorted(steps._POLL_DIRECTIONS)),
+    seed=st.integers(0, 3),
+)
+# gamma = inf turned a success at the underflowed step 0.0 into a NaN step.
+@example(
+    name="abs", x0=0.25, alpha0=5e-324, gamma=math.inf, revealing_radius=0.25,
+    search_schedule="none", poll_directions="pm1", seed=0,
+)
+def test_runs_at_float_extremes_are_rejected_or_finish_without_nan(
+    tmp_path_factory, name, x0, alpha0, gamma, revealing_radius, search_schedule, poll_directions, seed
+):
+    config = AlgoConfig(
+        x0=(x0,),
+        alpha0=alpha0,
+        gamma=gamma,
+        revealing_radius=revealing_radius,
+        search_schedule=search_schedule,
+        poll_directions=poll_directions,
+        seed=seed,
+        max_iterations=100,
+    )
+    try:
+        trace = run(config, get_objective(name))
+    except (ConfigError, InitializationError):
+        return
+    except ObjectiveError as error:
+        assert not any(math.isnan(v) for v in error.point), error
+        return
+    for record in trace.records:
+        values = (record.alpha, record.alpha_next, record.f_x, *record.x, *record.x_next)
+        assert not any(math.isnan(v) for v in values), record
+    path = tmp_path_factory.getbasetemp() / "extremes.jsonl"
+    write_trace(trace, path)
+    assert read_trace(path) == trace
