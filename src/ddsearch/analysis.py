@@ -15,16 +15,18 @@ import itertools
 import math
 import operator
 import sys
+import typing
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import engine
 from .engine import AlgoConfig, ConfigError, IterationRecord, Trace
 # get_objective stays a name of this module: perfbench's tracer rebinds it here.
 from .objective import ObjectiveSpec, Vector, get_objective
+
+if typing.TYPE_CHECKING:
+    import numpy as np
 
 
 class AnalysisError(ValueError):
@@ -248,6 +250,8 @@ def covering_radius(
     ``center`` holds at least one finite number, and ``points`` are NaN-free
     and of the dimension of ``center``.
     """
+    import numpy as np
+
     if type(grid_resolution) is not int or grid_resolution < 2:
         raise ValueError(f"grid_resolution must be an int >= 2, got {grid_resolution!r}")
     if not 0.0 < radius < math.inf:
@@ -321,6 +325,8 @@ def _radical_inverses(start: int, stop: int, base: int) -> np.ndarray:
     denom`` run on that index alone: the operations are the same IEEE ones in
     the same order, and an index whose digits are exhausted adds ``0.0``.
     """
+    import numpy as np
+
     index = start + np.arange(stop - start, dtype=np.int64)
     value = np.zeros(len(index))
     denom = 1.0
@@ -334,6 +340,8 @@ def _radical_inverses(start: int, stop: int, base: int) -> np.ndarray:
 def _finite_vector(name: str, values: Vector, dimension: int) -> np.ndarray:
     """``values`` as a float array; ValueError naming the argument unless it
     holds ``dimension`` finite numbers."""
+    import numpy as np
+
     message = f"{name} must hold {dimension} finite numbers, got {values!r}"
     try:
         array = np.asarray(values, dtype=float)
@@ -371,6 +379,8 @@ def clarke_estimate(
     ``0 < h_min < h_max`` with ``h_max`` and ``h_max / h_min`` finite, and
     ``n_samples`` is an ``int`` in ``[1, 2**63)``.
     """
+    import numpy as np
+
     point = _finite_vector("x", x, objective.dimension)
     d = _finite_vector("direction", direction, objective.dimension)
     if not 0.0 < h_min < h_max <= sys.float_info.max:

@@ -111,8 +111,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
     # Absent optional keys keep their AlgoConfig defaults.
     algo = {key: _PARSERS[_ALGORITHM_TYPES[key]]("algorithm", key, raw) for key, raw in parser["algorithm"].items()}
+    trace_path = parser["output"]["trace_path"].strip()
+    if not trace_path:
+        raise ConfigFileError(f"field [output] trace_path: empty path in {path}")
     return ExperimentConfig(
         objective_name=parser["objective"]["name"].strip(),
         algo=AlgoConfig(**algo),
-        trace_path=parser["output"]["trace_path"].strip(),
+        trace_path=trace_path,
     )

@@ -22,6 +22,8 @@ buy unbounded work before its first comparison.
 
 Iteration k of a run draws from ``PCG64(SeedSequence((seed, k)))``, hashed 64
 iterations at a time into a memo of the latest block of the last 64 seeds.
+numpy is imported by the first block hashed, not with this module, so a run
+without the revealing poll never loads it.
 
 The per-trial records ``TrialPoint``, ``StepOutcome`` and ``IterationRecord``
 are immutable named tuples, the cheapest immutable record to build: a record
@@ -38,13 +40,14 @@ import operator
 import reprlib
 import sys
 import typing
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import steps
 from .objective import ObjectiveSpec, Vector
+
+if typing.TYPE_CHECKING:
+    import numpy as np
 
 SEARCH = "search"
 REVEALING_POLL = "revealing_poll"
@@ -298,7 +301,7 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
     the search or poll configuration cannot shift them.  The stream is the
     one ``PCG64(SeedSequence((seed, k)))`` gives.
     """
-    return np.random.Generator(np.random.PCG64(_row_seed_sequence()(iteration_seed_words(seed, k))))
+    return _generator_from_row()(iteration_seed_words(seed, k))
 
 
 def iteration_seed_words(seed: int, k: int) -> np.ndarray:
@@ -330,7 +333,6 @@ def hash_seed_blocks(seeds: Sequence[int], block: int) -> None:
 
 _BLOCK_BITS = 6
 _BLOCK_SIZE = 1 << _BLOCK_BITS
-_LANES = np.arange(_BLOCK_SIZE, dtype=np.uint32)  # the low word of k, less 64 * block
 _MEMO_SEEDS = 64  # 2 KB of rows each; a Monte Carlo group and its master seed fit
 _memo: dict[int, tuple[int, np.ndarray]] = {}  # seed -> (block, its rows), oldest hash first
 
@@ -338,16 +340,18 @@ _memo: dict[int, tuple[int, np.ndarray]] = {}  # seed -> (block, its rows), olde
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # _OTHERS[i_src]: the pool words that mix in a hash of pool word i_src, in
 # SeedSequence's order.
-_OTHERS = tuple(np.array([d for d in range(_POOL_SIZE) if d != s]) for s in range(_POOL_SIZE))
+_OTHERS = tuple([d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE))
 
 
 @functools.lru_cache(maxsize=4)
 def _hash_constants(value: int, mult: int, count: int) -> np.ndarray:
     """Column of the first ``count`` hash constants: ``value``, then each
     times ``mult``; hash call i uses constants i and i + 1."""
+    import numpy as np
+
     out = [value]
     for _ in range(count - 1):
         out.append(out[-1] * mult & 0xFFFFFFFF)
@@ -361,7 +365,9 @@ def _hash(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = x * _MIX_MULT_L - y * _MIX_MULT_R
+    import numpy as np
+
+    value = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
     return value ^ (value >> 16)
 
 
@@ -376,11 +382,13 @@ def _seed_blocks(seeds: Sequence[int], block: int) -> np.ndarray:
     runs in the same order; the hashes one pool word sends to the other
     three are independent, so they run as one row-wise call.
     """
+    import numpy as np
+
     block_words = _uint32_words(block << _BLOCK_BITS)
     words = np.array([_uint32_words(seed) + block_words for seed in seeds], dtype=np.uint32).T
     entropy = np.zeros((max(len(words), _POOL_SIZE), len(seeds), _BLOCK_SIZE), dtype=np.uint32)
     entropy[: len(words)] = words[:, :, None]
-    entropy[len(words) - len(block_words)] += _LANES
+    entropy[len(words) - len(block_words)] += np.arange(_BLOCK_SIZE, dtype=np.uint32)  # the low word of k
     entropy = entropy.reshape(len(entropy), -1)
     extra = len(entropy) - _POOL_SIZE
     consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra) + 1)
@@ -401,21 +409,23 @@ def _seed_blocks(seeds: Sequence[int], block: int) -> np.ndarray:
 
 
 @functools.cache
-def _row_seed_sequence() -> type:
-    """A SeedSequence stand-in that hands PCG64 one precomputed row of
-    ``_seed_blocks``, the answer to the ``generate_state(4, np.uint64)`` call
-    PCG64 makes.  Built on first use, so importing ddsearch does not import
-    numpy.random."""
+def _generator_from_row() -> Callable[[np.ndarray], np.random.Generator]:
+    """The function ``row -> Generator(PCG64(RowSeedSequence(row)))``, where
+    RowSeedSequence is a SeedSequence stand-in that hands PCG64 one
+    precomputed row of ``_seed_blocks``, the answer to the
+    ``generate_state(4, np.uint64)`` call PCG64 makes.  Built on the first
+    draw, so numpy is imported then and not with ddsearch."""
+    from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
     class RowSeedSequence(ISeedSequence):
         def __init__(self, row: np.ndarray) -> None:
             self.row = row
 
-        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+        def generate_state(self, n_words: int, dtype: object = None) -> np.ndarray:
             return self.row
 
-    return RowSeedSequence
+    return lambda row: Generator(PCG64(RowSeedSequence(row)))
 
 
 def _uint32_words(n: int) -> list[int]:

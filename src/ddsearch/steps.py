@@ -8,11 +8,12 @@ own but advances the generator it is handed.
 from __future__ import annotations
 
 import math
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .objective import Vector, lookup
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SearchSchedule = Callable[[int, Vector, float], list[Vector]]
 ForcingFunction = Callable[[float], float]
@@ -103,7 +104,7 @@ def sample_ball_uniform(rng: np.random.Generator, dimension: int, radius: float,
     1 this reduces to the uniform distribution on [-radius, radius].  Points
     are computed in the unit ball and then multiplied by ``radius``, so
     samples at radius R equal R times the samples the same generator state
-    yields at radius 1.
+    yields at radius 1.  Only dimensions above 1 import numpy.
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
@@ -111,6 +112,8 @@ def sample_ball_uniform(rng: np.random.Generator, dimension: int, radius: float,
         raise ValueError(f"ball radius must be > 0, got {radius}")
     if dimension == 1:
         return _sample_interval_uniform(rng, radius, count)
+    import numpy as np
+
     gauss = rng.standard_normal((count, dimension))
     norms = np.sqrt(np.sum(gauss * gauss, axis=1))
     # A zero normal vector cannot be normalized; redraw those rows.

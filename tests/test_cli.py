@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddsearch import AlgoConfig, cli, get_objective, read_trace, run, write_trace
+from ddsearch import AlgoConfig, cli, engine, get_objective, read_trace, run, write_trace
 from ddsearch.cli import main
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import trace_lines
@@ -90,6 +90,13 @@ def test_run_non_decimal_number_exits_2(workdir, capsys):
     config = write_config(workdir / "bad.cfg", alpha0="0x1p-2")
     assert main(["run", str(config)]) == 2
     assert "alpha0" in capsys.readouterr().err
+
+
+def test_run_empty_trace_path_exits_2_before_the_solver_starts(workdir, capsys, monkeypatch):
+    config = write_config(workdir / "bad.cfg", trace_path="")
+    monkeypatch.setattr(engine, "run", lambda *args: pytest.fail("the solver ran"))
+    assert main(["run", str(config)]) == 2
+    assert "[output] trace_path" in capsys.readouterr().err
 
 
 def test_run_objective_error_exits_3(workdir, capsys):

@@ -9,6 +9,7 @@ import math
 import os
 import pickle
 import random
+import shutil
 import subprocess
 import sys
 
@@ -50,7 +51,7 @@ from ddsearch.engine import (
 from ddsearch.objective import ObjectiveSpec, UnknownNameError
 from ddsearch.steps import zero_forcing
 
-from helpers import CountingObjective, counterexample_config, evaluation_count, revealing_config
+from helpers import CONFIGS_DIR, CountingObjective, counterexample_config, evaluation_count, revealing_config
 
 
 def test_sufficient_decrease_simple():
@@ -428,17 +429,25 @@ def test_memo_holds_the_latest_block_of_a_bounded_number_of_seeds():
     assert len(engine._memo) <= engine._MEMO_SEEDS
 
 
-def test_importing_ddsearch_does_not_import_numpy_random():
-    # numpy 2 loads numpy.random on first use only; importing ddsearch must
-    # not be that first use, since it would add to every command's start-up.
+def test_ddsearch_and_the_commands_that_draw_nothing_start_without_numpy(tmp_path):
+    # numpy loads at a run's first draw or an analysis kernel's first call,
+    # never with ddsearch: a fresh interpreter imports it, then runs,
+    # analyzes and samples the trap, whose config has no revealing poll.
+    shutil.copy(CONFIGS_DIR / "counterexample.cfg", tmp_path)
+    commands = [
+        "run counterexample.cfg",
+        "analyze counterexample_trace.jsonl --verify-lemma 25",
+        "sample counterexample -2 2 4001 f.csv",
+    ]
     code = (
-        "import sys, numpy; before = 'numpy.random' in sys.modules; "
-        "import ddsearch, ddsearch.cli; print(before, 'numpy.random' in sys.modules)"
+        "import sys, ddsearch, ddsearch.cli as cli; "
+        "codes = [cli.main(argv.split()) for argv in sys.argv[1:]]; "
+        "print(codes, 'numpy' in sys.modules)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    before, after = result.stdout.split()
-    assert after == before
+    argv = [sys.executable, "-c", code, *commands]
+    result = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_evaluator_failure_raises_objective_error():
