@@ -1,11 +1,12 @@
 """Post-hoc trace analysis.
 
 Covers extraction of the refining subsequence (unsuccessful iterations with a
-limit estimate for the incumbents), discontinuity-gap measurement, covering
-radii of trial-point sets, a sampled lower approximation of the Clarke
-directional derivative, and the Monte Carlo harness measuring how reliably
-the revealing poll pulls runs off the discontinuous branch of the dyadic
-objective.
+limit estimate for the incumbents), the bit-exact check of a run against the
+paper's closed-form dyadic trajectory (``verify_counterexample_closed_form``),
+discontinuity-gap measurement, covering radii of trial-point sets, a sampled
+lower approximation of the Clarke directional derivative, and the Monte Carlo
+harness measuring how reliably the revealing poll pulls runs off the
+discontinuous branch of the dyadic objective.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import operator
 import sys
 import typing
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import engine
@@ -31,10 +32,6 @@ if typing.TYPE_CHECKING:
 
 class AnalysisError(ValueError):
     """A trace does not support the requested analysis."""
-
-
-class ClosedFormError(AnalysisError):
-    """The records of a run depart from the closed-form dyadic trajectory."""
 
 
 GLOBAL_MINIMIZER = (-1.0,)
@@ -188,28 +185,6 @@ def _follows_closed_form(record: IterationRecord, k: int) -> bool:
     return polled == {(x_expected - alpha_expected,), (x_expected + alpha_expected,)}
 
 
-def check_closed_form(records: Iterable[IterationRecord], q_max: int) -> Iterator[IterationRecord]:
-    """Pass ``records`` through, checking the first ``2*q_max + 2`` against
-    the closed form (see ``verify_counterexample_closed_form``).  Once
-    ``records`` is exhausted, AnalysisError if it held fewer, else
-    ClosedFormError if one departs: a consumer that reads to the end, such
-    as ``extract_refining`` of a replay, gets no verdict before the end."""
-    if q_max < 0:
-        raise AnalysisError(f"q_max must be >= 0, got {q_max}")
-    needed = 2 * q_max + 2
-    count = 0
-    holds = True
-    for record in records:
-        if count < needed:
-            holds = holds and _follows_closed_form(record, count)
-        count += 1
-        yield record
-    if count < needed:
-        raise AnalysisError(f"trace has {count} iterations, need {needed} for q_max={q_max}")
-    if not holds:
-        raise ClosedFormError(f"closed-form verification failed for q=0..{q_max}")
-
-
 def verify_counterexample_closed_form(records: Iterable[IterationRecord], q_max: int) -> bool:
     """Check the records of a run against the closed-form dyadic trajectory,
     bit-exactly.
@@ -218,17 +193,22 @@ def verify_counterexample_closed_form(records: Iterable[IterationRecord], q_max:
     ``x_{2q} = x_{2q+1} = 5/4 * 2**-q`` with steps
     ``alpha_{2q} = 1/4 * 2**-q = 2 * alpha_{2q+1}``; iteration 2q must fail
     after evaluating both poll points ``x +- alpha``, and iteration 2q+1 must
-    succeed through its search step.  Only the first ``2*q_max + 2`` records
-    are taken from ``records``, and AnalysisError says so if there are fewer.
+    succeed through its search step.  At most the first ``2*q_max + 2``
+    records are taken from ``records``: False at the first that departs,
+    and AnalysisError if they run out while the closed form still holds.
     """
+    if q_max < 0:
+        raise AnalysisError(f"q_max must be >= 0, got {q_max}")
+    needed = 2 * q_max + 2
+    count = 0
     # zip takes range's item first, so no record past the prefix is pulled,
     # and range takes any int (islice stops at sys.maxsize).
-    prefix = (record for _, record in zip(range(2 * q_max + 2), records))
-    try:
-        for _ in check_closed_form(prefix, q_max):
-            pass
-    except ClosedFormError:
-        return False
+    for k, record in zip(range(needed), records):
+        if not _follows_closed_form(record, k):
+            return False
+        count += 1
+    if count < needed:
+        raise AnalysisError(f"trace has {count} iterations, need {needed} for q_max={q_max}")
     return True
 
 

@@ -12,8 +12,6 @@ import pytest
 from ddsearch import AlgoConfig, ConfigError, analysis, engine, get_objective, run, steps
 from ddsearch.analysis import (
     AnalysisError,
-    ClosedFormError,
-    check_closed_form,
     clarke_estimate,
     covering_radius,
     derive_trial_seed,
@@ -210,17 +208,15 @@ def test_closed_form_rejects_negative_q(vanilla_trace_52):
         verify_counterexample_closed_form(vanilla_trace_52.records, -1)
 
 
-def test_closed_form_check_passes_every_record_through_before_its_verdict(counterexample_objective):
-    trace = run(revealing_config(seed=42), counterexample_objective)
-    passed = []
-    with pytest.raises(ClosedFormError, match=r"q=0\.\.12$"):
-        for record in check_closed_form(trace.records, 12):
-            passed.append(record)
-    assert tuple(passed) == trace.records
-    passed.clear()
-    with pytest.raises(AnalysisError, match=f"{len(trace.records)} iterations"):
-        passed.extend(check_closed_form(trace.records, len(trace.records)))
-    assert tuple(passed) == trace.records
+def test_closed_form_check_stops_at_the_first_departing_record(counterexample_objective):
+    # The revealing poll succeeds at iteration 2, where the closed form has
+    # the poll fail.  The check returns there, reading no further record,
+    # although the run's 41 records fall far short of the 2q + 2 it asks for.
+    records = run(revealing_config(seed=42), counterexample_objective).records
+    assert verify_counterexample_closed_form(records[:2], 0)
+    remaining = iter(records)
+    assert not verify_counterexample_closed_form(remaining, len(records))
+    assert next(remaining) == records[3]
 
 
 def test_closed_form_verification_pulls_no_record_past_its_prefix(vanilla_trace_52):

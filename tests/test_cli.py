@@ -208,10 +208,10 @@ def _run_lines(workdir: Path, source: str, **rows) -> list[str]:
     return (workdir / "trace.jsonl").read_text().splitlines()
 
 
-# The exit codes of analyze, in order of precedence: a corrupt trace 2, too
-# few records for the lemma 2, a false lemma 1, no unsuccessful iteration 2.
-# The replay reads the file as the analyses go, so each test below has the
-# analyses decide before the file's fault is read.
+# The exit codes of analyze, in order of precedence: a corrupt trace 2, no
+# unsuccessful iteration 2, a false lemma 1, too few records for a lemma
+# that still holds 2.  The replay reads the file as the analysis goes, and
+# the lemma is checked on the run once the file has replayed.
 
 
 def test_analyze_false_lemma_on_a_corrupt_trace_exits_2(workdir, capsys):
@@ -223,6 +223,27 @@ def test_analyze_false_lemma_on_a_corrupt_trace_exits_2(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"line {len(lines) - 1} differs" in captured.err
+
+
+def test_analyze_false_lemma_on_a_run_without_a_refining_subsequence_exits_2(workdir, capsys):
+    # Every iteration succeeds, and x0 = 1 departs from the closed form.
+    config = AlgoConfig(x0=(1.0,), alpha0=0.25, gamma=2.0, poll_directions="pm1", max_iterations=5)
+    write_trace(run(config, get_objective("neg_abs")), workdir / "trace.jsonl")
+    assert main(["analyze", "trace.jsonl", "--verify-lemma", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no unsuccessful iteration" in captured.err
+
+
+def test_analyze_false_lemma_on_a_trace_shorter_than_its_prefix_exits_1(workdir, capsys):
+    # The revealing trace departs at iteration 2, long before its 41
+    # records run out of the 2002 that q = 0..1000 asks for.
+    _run_lines(workdir, "revealing.cfg")
+    capsys.readouterr()
+    assert main(["analyze", "trace.jsonl", "--verify-lemma", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "closed-form verification failed for q=0..1000\n"
+    assert captured.err == ""
 
 
 def test_analyze_invalid_utf8_on_a_late_line_exits_2(workdir, capsys):
@@ -300,14 +321,14 @@ def test_analyze_memory_does_not_hold_the_records(workdir):
 
 
 def test_analyze_memory_with_the_lemma_does_not_hold_the_records(workdir):
-    # The lemma's check passes the replay through to the analysis, and must
-    # keep none of the records it has checked.
+    # The lemma's check reads the run that the replay has verified, and
+    # must keep none of the records it has checked.
     small, large = _analyze_peaks(workdir, "counterexample.cfg", (200, 2000), "--verify-lemma", "3")
     assert large - small < 2**19, (small, large)
 
 
 def test_analyze_memory_with_a_lemma_longer_than_the_trace_does_not_hold_the_records(workdir):
-    # The lemma's check reads every record of a trace shorter than its
+    # The lemma's check reads every record of a run shorter than its
     # prefix before it exits 2, and must keep none of them.
     small, large = _analyze_peaks(workdir, "counterexample.cfg", (200, 2000), "--verify-lemma", "1000000000", code=2)
     assert large - small < 2**19, (small, large)
