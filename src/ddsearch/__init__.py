@@ -27,7 +27,7 @@ from .engine import (
     TrialPoint,
     run,
 )
-from .objective import ObjectiveSpec, Polynomial, UnknownNameError, get_objective, objective_names
+from .objective import ObjectiveSpec, UnknownNameError, get_objective
 from .steps import sample_ball_uniform
 from .traceio import read_trace, replay_trace, write_trace
 
@@ -41,7 +41,6 @@ __all__ = [
     "IterationRecord",
     "ObjectiveError",
     "ObjectiveSpec",
-    "Polynomial",
     "RefinementReport",
     "StepOutcome",
     "Trace",
@@ -52,7 +51,6 @@ __all__ = [
     "extract_refining",
     "get_objective",
     "monte_carlo_escape",
-    "objective_names",
     "read_trace",
     "replay_trace",
     "run",

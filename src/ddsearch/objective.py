@@ -33,31 +33,11 @@ def lookup(registry: Mapping[str, T], kind: str, name: str) -> T:
         raise UnknownNameError(f"unknown {kind} {name!r}; valid names: {valid}") from None
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial with coefficients stored in ascending degree order."""
-
-    coefficients: tuple[float, ...]
-
-    def __call__(self, x: float) -> float:
-        # Single fixed Horner order (highest degree inward) so that repeated
-        # evaluations are bit-identical on a given platform.
-        acc = self.coefficients[-1]
-        for c in reversed(self.coefficients[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        if len(self.coefficients) == 1:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coefficients))[1:])
-
-
-#: Quartic piece used on the band [1, 2): value 1 at 1 and 2 at 2, stationary
-#: at 1, 5/4 and 2, with the unique interior local minimum at 5/4 (value
-#: exactly 121/128).
-BAND_QUARTIC = Polynomial((-18.0, 60.0, -69.0, 34.0, -6.0))
-_Q0, _Q1, _Q2, _Q3, _Q4 = BAND_QUARTIC.coefficients
+#: Ascending coefficients of the quartic q used on the band [1, 2): value 1
+#: at 1 and 2 at 2, stationary at 1, 5/4 and 2, with the unique interior
+#: local minimum at 5/4 (value exactly 121/128).
+BAND_QUARTIC = (-18.0, 60.0, -69.0, 34.0, -6.0)
+_Q0, _Q1, _Q2, _Q3, _Q4 = BAND_QUARTIC
 
 
 def band_index(x: float) -> int:
@@ -85,7 +65,7 @@ def counterexample_value(x: float) -> float:
         return (x + 1.0) * (x + 1.0) - 2.0
     scale = math.ldexp(1.0, band_index(x))
     y = x / scale
-    # BAND_QUARTIC(y), written out: the same Horner steps in the same order.
+    # q(y) by Horner's rule over BAND_QUARTIC, highest degree inward.
     return scale * ((((_Q4 * y + _Q3) * y + _Q2) * y + _Q1) * y + _Q0)
 
 
@@ -131,10 +111,6 @@ _REGISTRY: dict[str, ObjectiveSpec] = {
     "abs": ObjectiveSpec("abs", 1, _abs_1d),
     "quadratic_1d": ObjectiveSpec("quadratic_1d", 1, _quadratic_1d),
 }
-
-
-def objective_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
 
 
 def get_objective(name: str) -> ObjectiveSpec:

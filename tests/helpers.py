@@ -1,6 +1,6 @@
 """Shared test machinery: the bundled instances as configs, a counting
-objective wrapper, a strategy of random configs for the acceptance gate, and
-the peak memory of a call.
+objective wrapper, a strategy of random configs for the acceptance gate, the
+band quartic in exact arithmetic, and the peak memory of a call.
 Whether a trace is one the engine writes is decided by writing it and
 reading it back (``traceio.read_trace`` replays it), and whether a config is
 valid by ``engine.validate_config``, not by rules kept here."""
@@ -9,15 +9,18 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
 from hypothesis import strategies as st
 
-from ddsearch import AlgoConfig, ConfigError, ObjectiveSpec, Trace, get_objective, objective_names, steps
+from ddsearch import AlgoConfig, ConfigError, ObjectiveSpec, Trace, get_objective, objective, steps
 from ddsearch.configfile import load_experiment_config
 from ddsearch.engine import validate_config
+from ddsearch.objective import BAND_QUARTIC
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -56,6 +59,13 @@ class CountingObjective:
         return self._inner.evaluator(point)
 
 
+def exact_band_quartic(x: Fraction, order: int = 0) -> Fraction:
+    """The ``order``-th derivative of the band quartic at ``x``, in exact
+    rational arithmetic over the coefficients of ``BAND_QUARTIC``."""
+    terms = enumerate(BAND_QUARTIC[order:], order)
+    return sum(math.perm(k, order) * Fraction(c) * x ** (k - order) for k, c in terms)
+
+
 def _is_valid(drawn: tuple[AlgoConfig, str]) -> bool:
     try:
         validate_config(drawn[0])
@@ -68,7 +78,7 @@ def _is_valid(drawn: tuple[AlgoConfig, str]) -> bool:
 # validate_config, so that the filter, not the ranges, decides validity.
 # The betas are drawn as an ordered pair in [0, 1], so that their order,
 # which would fail about half the draws, is not left to the filter.
-_OBJECTIVE_NAMES = st.sampled_from(objective_names())
+_OBJECTIVE_NAMES = st.sampled_from(sorted(objective._REGISTRY))
 _COORDINATES = st.floats(-3.0, 3.0)
 _BETAS = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted)
 _FIELDS = {

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +27,8 @@ from ddsearch.analysis import (
 )
 from ddsearch.cli import main
 from ddsearch.configfile import load_experiment_config
-from ddsearch.objective import BAND_QUARTIC
 
-from helpers import CONFIGS_DIR, CountingObjective, evaluation_count, random_config, revealing_config
+from helpers import CONFIGS_DIR, CountingObjective, evaluation_count, exact_band_quartic, random_config, revealing_config
 
 # sha256 of the traces that ``ddsearch run`` writes for the bundled configs
 # (the reference hashes in ROADMAP.md).
@@ -110,16 +110,12 @@ def test_criterion_3_branch_starvation(bundled_counterexample_trace):
 
 
 def test_criterion_4_polynomial_identities():
-    assert BAND_QUARTIC(1.0) == 1.0
-    assert BAND_QUARTIC(2.0) == 2.0
-    assert abs(BAND_QUARTIC.derivative()(1.0)) <= 1e-12
-    assert abs(BAND_QUARTIC.derivative()(1.25)) <= 1e-12
-    assert abs(BAND_QUARTIC.derivative()(2.0)) <= 1e-12
-    curvature = BAND_QUARTIC.derivative().derivative()
-    assert curvature(1.25) > 0.0
-    assert curvature(1.0) < 0.0
-    assert curvature(2.0) < 0.0
-    report(4, "endpoint values exact, slopes zero at 1, 5/4, 2, curvature signs -, +, -")
+    one, five_quarters, two = Fraction(1), Fraction(5, 4), Fraction(2)
+    assert exact_band_quartic(one) == 1
+    assert exact_band_quartic(two) == 2
+    assert [exact_band_quartic(x, 1) for x in (one, five_quarters, two)] == [0, 0, 0]
+    assert [exact_band_quartic(x, 2) for x in (one, five_quarters, two)] == [-6, Fraction(9, 2), -18]
+    report(4, "exactly: q(1) = 1, q(2) = 2, q' = 0 at 1, 5/4, 2, q'' = -6, 9/2, -18 there")
 
 
 def test_criterion_5_repaired_algorithm_monte_carlo():

@@ -25,7 +25,7 @@ from ddsearch import (
     ObjectiveError,
     engine,
     get_objective,
-    objective_names,
+    objective,
     read_trace,
     run,
     steps,
@@ -462,7 +462,7 @@ def test_evaluator_failure_raises_objective_error():
 
 # Float extremes for the step size, its expansion, the start and the radius.
 _EXTREMES = [5e-324, 1e-300, 0.25, 1e300, 1.7e308, 1e308, -1e308, math.inf]
-_ONE_D_NAMES = [name for name in objective_names() if get_objective(name).dimension == 1]
+_ONE_D_NAMES = [name for name in sorted(objective._REGISTRY) if get_objective(name).dimension == 1]
 
 
 @settings(max_examples=600, deadline=None, database=None, derandomize=True)

@@ -12,37 +12,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddsearch import objective
 from ddsearch.objective import (
     BAND_QUARTIC,
-    Polynomial,
     UnknownNameError,
     band_index,
     counterexample_value,
     get_objective,
-    objective_names,
 )
 
-
-def exact_quartic(x: Fraction) -> Fraction:
-    """Independent oracle: evaluate the quartic in exact rational arithmetic."""
-    coeffs = (Fraction(-18), Fraction(60), Fraction(-69), Fraction(34), Fraction(-6))
-    return sum(c * x**k for k, c in enumerate(coeffs))
+from helpers import exact_band_quartic
 
 
 def test_quartic_interior_values_match_rational_oracle():
+    # [1, 2) is band 0, whose scale is 1: counterexample_value is q there.
     for x in (Fraction(5, 4), Fraction(3, 2), Fraction(9, 8), Fraction(7, 4)):
-        expected = exact_quartic(x)
-        assert BAND_QUARTIC(float(x)) == pytest.approx(float(expected), abs=0.0)
-    assert BAND_QUARTIC(1.25) == 121 / 128
-    assert BAND_QUARTIC(1.5) == 9 / 8
-
-
-def test_quartic_slope_formula():
-    assert BAND_QUARTIC.derivative().coefficients == (60.0, -138.0, 102.0, -24.0)
-
-
-def test_polynomial_derivative_of_constant():
-    assert Polynomial((3.0,)).derivative().coefficients == (0.0,)
+        assert Fraction(counterexample_value(float(x))) == exact_band_quartic(x)
 
 
 @pytest.mark.parametrize("x,expected", [(3.0, 1), (1.0, 0), (0.75, -1)])
@@ -73,7 +58,8 @@ def test_value_examples(x, expected):
 
 
 def test_dyadic_exactness_down_to_q50():
-    base = BAND_QUARTIC(1.25)
+    base = counterexample_value(1.25)
+    assert base == 121 / 128
     for q in range(51):
         scale = 2.0**-q
         assert counterexample_value(1.25 * scale) == scale * base
@@ -81,7 +67,11 @@ def test_dyadic_exactness_down_to_q50():
 
 def _band_quartic_reference(x: float) -> float:
     scale = math.ldexp(1.0, band_index(x))
-    return scale * BAND_QUARTIC(x / scale)
+    y = x / scale
+    acc = BAND_QUARTIC[-1]
+    for c in reversed(BAND_QUARTIC[:-1]):
+        acc = acc * y + c
+    return scale * acc
 
 
 _POSITIVE_FLOATS = st.one_of(
@@ -94,7 +84,7 @@ _POSITIVE_FLOATS = st.one_of(
 @given(_POSITIVE_FLOATS)
 def test_counterexample_value_is_the_scaled_band_quartic(x):
     # counterexample_value writes the quartic's Horner steps out; they must
-    # round exactly as BAND_QUARTIC's loop does.
+    # round exactly as a Horner loop over BAND_QUARTIC does.
     assert counterexample_value(x).hex() == _band_quartic_reference(x).hex()
 
 
@@ -170,7 +160,7 @@ def test_registry_unknown_name_lists_valid_names():
     with pytest.raises(UnknownNameError) as excinfo:
         get_objective("bogus")
     message = str(excinfo.value)
-    for name in objective_names():
+    for name in sorted(objective._REGISTRY):
         assert name in message
 
 
