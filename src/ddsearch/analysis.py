@@ -89,7 +89,9 @@ def _extrapolate_limit(points: Sequence[Vector]) -> Vector:
         curvature = c - 2.0 * b + a
         value = c
         if curvature != 0.0:
-            correction = step * step / curvature
+            # step * (step / curvature): step * step underflows to 0 once
+            # |step| < 1e-162, long before the correction itself does.
+            correction = step * (step / curvature)
             if math.isfinite(correction) and abs(correction) <= 10.0 * abs(step):
                 value = c - correction
         estimate.append(value)
@@ -146,7 +148,7 @@ def extract_refining(records: Iterable[IterationRecord], objective: ObjectiveSpe
         raise AnalysisError("trace has no unsuccessful iteration; no refining subsequence exists")
 
     refined = _extrapolate_limit(tail)
-    f_refined = engine.evaluate(objective, refined).value
+    f_refined = engine.value_at(objective, refined)
     f_limit = f_tail[-1]
     return RefinementReport(
         n_unsuccessful=n_unsuccessful,
@@ -353,8 +355,8 @@ def clarke_estimate(
     The stream is built in blocks of at most ``_CLARKE_BLOCK`` samples, so
     memory does not grow with ``n_samples``.  Each point and step is bit for
     bit the value of its formula in Python floats, and the points are
-    evaluated one at a time, y before ``y + t*d``, in stream order, through
-    ``engine.evaluate`` as looked up at the call.  ValueError unless x and
+    evaluated one at a time, y before ``y + t*d``, in stream order, by
+    ``engine.value_at``, which builds no record.  ValueError unless x and
     direction hold ``objective.dimension`` finite numbers each,
     ``0 < h_min < h_max`` with ``h_max`` and ``h_max / h_min`` finite, and
     ``n_samples`` is an ``int`` in ``[1, 2**63)``.
@@ -371,7 +373,7 @@ def clarke_estimate(
     if type(n_samples) is not int or not 1 <= n_samples < 2**63:
         raise ValueError(f"n_samples must be an int in [1, 2**63), got {n_samples!r}")
     log_ratio = math.log(ratio)
-    evaluate, isfinite = engine.evaluate, math.isfinite
+    value_at, isfinite = engine.value_at, math.isfinite
     best = -math.inf
     for start in range(1, n_samples + 1, _CLARKE_BLOCK):
         stop = min(start + _CLARKE_BLOCK, n_samples + 1)
@@ -385,8 +387,8 @@ def clarke_estimate(
         # Points as tuples zipped from the coordinate columns, which is
         # faster than a tuple per row.
         for y, y_step, t in zip(zip(*bases.T.tolist()), zip(*stepped.T.tolist()), steps):
-            f_y = evaluate(objective, y).value
-            f_y_step = evaluate(objective, y_step).value
+            f_y = value_at(objective, y)
+            f_y_step = value_at(objective, y_step)
             if isfinite(f_y) and isfinite(f_y_step):
                 # Both values are finite and t > 0, so the quotient is never
                 # NaN and this keeps what max() would.
@@ -443,7 +445,7 @@ def monte_carlo_escape(
             records, final = trace.records, trace.final_incumbent()
             # Incumbent values never increase, so the first escape is at 0 if
             # f(x_0) <= 0, else at k + 1 for the first record with f_next <= 0.
-            f_start = records[0].f_x if records else engine.evaluate(objective, final).value
+            f_start = records[0].f_x if records else engine.value_at(objective, final)
             escaped_at = 0 if f_start <= 0.0 else next((r.k + 1 for r in records if r.f_next <= 0.0), None)
             if escaped_at is not None:
                 n_escaped += 1

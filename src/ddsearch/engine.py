@@ -12,6 +12,10 @@ Every trial point of a step is evaluated, even after a decrease is found
 trace, and update formulas avoid fused operations so that runs on dyadic
 data are bit-reproducible.
 
+``value_at`` is the one statement of an objective's value at a point: the
+solver records it in a ``TrialPoint`` built by ``evaluate``, once per trial,
+and analyses that keep no record take the bare float.
+
 ``iterate`` is the one statement of an iteration: it yields each
 iteration's record as it completes, and ``run`` collects the records into a
 ``Trace``, which derives its termination from them.  ``iterate`` is also
@@ -267,18 +271,32 @@ def sufficient_decrease(
     return math.isfinite(f_trial) and f_trial < f_incumbent - forcing(distance)
 
 
-def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
-    """Apply the domain oracle, then the evaluator; infeasible points get +inf.
+def value_at(objective: ObjectiveSpec, point: Vector) -> float:
+    """The value rule: +inf where the domain oracle rejects ``point``, which
+    is then not evaluated, else ``float(evaluator(point))``.
 
-    An evaluator failure raises ObjectiveError.
+    An evaluator failure raises ObjectiveError naming the point.  Callers
+    that keep no record of the point take its value here; the solver takes
+    its ``TrialPoint`` from ``evaluate``.
     """
-    if not objective.domain_oracle(point):
-        return _trial_point((point, math.inf, False))
+    return _value_at(objective, point, objective.domain_oracle(point))
+
+
+def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
+    """The solver's record of a trial: ``point``, its ``value_at`` and the
+    domain oracle's verdict on it."""
+    in_domain = objective.domain_oracle(point)
+    return _trial_point((point, _value_at(objective, point, in_domain), in_domain))
+
+
+def _value_at(objective: ObjectiveSpec, point: Vector, in_domain: bool) -> float:
+    """``value_at(objective, point)``, given the oracle's verdict on the point."""
+    if not in_domain:
+        return math.inf
     try:
-        value = float(objective.evaluator(point))
+        return float(objective.evaluator(point))
     except EVALUATOR_FAILURES as exc:
         raise ObjectiveError(objective.name, point) from exc
-    return _trial_point((point, value, True))
 
 
 def stop_reason(k: int, alpha: float, config: AlgoConfig) -> str | None:

@@ -1,6 +1,7 @@
 """Shared test machinery: the bundled instances as configs, a counting
-objective wrapper, a strategy of random configs for the acceptance gate, the
-band quartic in exact arithmetic, and the peak memory of a call.
+objective wrapper, a 2-D objective with a domain oracle, a strategy of random
+configs for the acceptance gate, the band quartic in exact arithmetic, and
+the peak memory of a call.
 Whether a trace is one the engine writes is decided by writing it and
 reading it back (``traceio.read_trace`` replays it), and whether a config is
 valid by ``engine.validate_config``, not by rules kept here."""
@@ -57,6 +58,22 @@ class CountingObjective:
     def _evaluate(self, point):
         self.calls += 1
         return self._inner.evaluator(point)
+
+
+def wedge_value(point):
+    """A 2-D kink with a step down across y = 0 and value inf above x + y = 0.05."""
+    x, y = point
+    if x + y > 0.05:
+        return math.inf
+    return abs(x) - 0.5 * abs(y) + (0.25 if y < 0.0 else 0.0)
+
+
+def _above(point):
+    return point[1] >= -0.05
+
+
+#: ``wedge_value`` restricted to y >= -0.05 by its domain oracle.
+WEDGE = ObjectiveSpec("wedge_2d", 2, wedge_value, _above)
 
 
 def exact_band_quartic(x: Fraction, order: int = 0) -> Fraction:

@@ -3,6 +3,7 @@ covering radii, the Clarke estimator, and the Monte Carlo escape harness."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -23,7 +24,7 @@ from ddsearch.analysis import (
 from ddsearch.engine import ObjectiveError
 from ddsearch.objective import ObjectiveSpec, counterexample_value
 
-from helpers import counterexample_config, peak_memory, revealing_config
+from helpers import WEDGE, counterexample_config, peak_memory, revealing_config, wedge_value
 
 
 # --------------------------------------------------------------------------
@@ -68,6 +69,14 @@ def test_extract_refining_evaluates_a_passed_objective():
     report = extract_refining(trace.records, shifted)
     assert report.f_refined == 2.0
     assert abs(report.gap - 1.0) <= 1e-3
+
+
+@pytest.mark.parametrize("max_iterations", [52, 1080, 2146])
+def test_extract_refining_trap_gap_is_one_to_the_end_of_binary64(counterexample_objective, max_iterations):
+    # From about 1080 iterations on, the last three distinct incumbents are
+    # below 1e-162, so the Aitken correction must not square the step first.
+    records = run(counterexample_config(max_iterations=max_iterations), counterexample_objective).records
+    assert abs(extract_refining(records, counterexample_objective).gap - 1.0) <= 1e-3
 
 
 def test_extract_refining_requires_an_unsuccessful_iteration():
@@ -190,6 +199,14 @@ def test_closed_form_fails_once_the_revealing_poll_succeeds(counterexample_objec
     trace = run(revealing_config(seed=42), counterexample_objective)
     assert len(trace.records) >= 26
     assert not verify_counterexample_closed_form(trace.records, 12)
+
+
+def test_closed_form_holds_until_the_step_underflows(counterexample_objective):
+    # At q = 1072 the step is 2**-1074, the smallest subnormal; its halving
+    # rounds to 0.0 at k = 2145, so iteration 2145 departs.
+    records = run(counterexample_config(max_iterations=2146), counterexample_objective).records
+    assert verify_counterexample_closed_form(records, 1071)
+    assert not verify_counterexample_closed_form(records, 1072)
 
 
 def test_closed_form_rejects_short_trace(vanilla_trace_52):
@@ -374,20 +391,6 @@ def test_clarke_estimate_rejects_bad_input(message, arguments):
         clarke_estimate(get_objective("abs"), *arguments)
 
 
-def _wedge(point):
-    """A 2-D kink with a step down across y = 0 and value inf above x + y = 0.05."""
-    x, y = point
-    if x + y > 0.05:
-        return math.inf
-    return abs(x) - 0.5 * abs(y) + (0.25 if y < 0.0 else 0.0)
-
-
-def _above(point):
-    return point[1] >= -0.05
-
-
-WEDGE = ObjectiveSpec("wedge_2d", 2, _wedge, _above)
-
 # float.hex of the estimates on the counterexample with h in [1e-6, 1e-2],
 # recorded with the scalar stream the block stream replaced, at n = 1, 4095,
 # 4096, 4097 and 9000 (across the 4096-sample block boundary).
@@ -452,7 +455,7 @@ def test_radical_inverses_equal_the_scalar_recurrence(base):
         assert analysis._radical_inverses(start, start + 10, base).tolist() == expected
 
 
-def test_clarke_estimate_evaluates_the_scalar_stream_in_order(monkeypatch):
+def test_clarke_estimate_evaluates_the_scalar_stream_in_order():
     x, direction, h_min, h_max, n = (0.0, 0.0), (0.6, 0.8), 1e-6, 0.1, 4097
     log_ratio = math.log(h_max / h_min)
     expected = []
@@ -462,24 +465,21 @@ def test_clarke_estimate_evaluates_the_scalar_stream_in_order(monkeypatch):
         y = tuple(xj + h_max * offset * dj for xj, dj in zip(x, direction))
         expected += [y, tuple(yj + t * dj for yj, dj in zip(y, direction))]
     evaluated = []
-    evaluate = engine.evaluate
 
-    def counting_evaluate(objective, point):
+    def recording_wedge(point):
         evaluated.append(point)
-        return evaluate(objective, point)
+        return wedge_value(point)
 
-    monkeypatch.setattr(engine, "evaluate", counting_evaluate)
-    clarke_estimate(WEDGE, x, direction, h_min, h_max, n)
+    # No domain oracle, so that every point of the stream reaches the evaluator.
+    clarke_estimate(ObjectiveSpec("wedge_2d", 2, recording_wedge), x, direction, h_min, h_max, n)
     assert len(evaluated) == 2 * n
     assert [tuple(map(float.hex, p)) for p in evaluated] == [tuple(map(float.hex, p)) for p in expected]
 
 
-def test_clarke_estimate_memory_does_not_grow_with_the_sample_count(monkeypatch):
-    # A constant evaluation keeps tracemalloc's per-allocation cost off the
-    # evaluator; what is measured is the stream.
-    spec = get_objective("abs")
-    value = engine.TrialPoint((0.0,), 0.0, True)
-    monkeypatch.setattr(engine, "evaluate", lambda objective, point: value)
+def test_clarke_estimate_memory_does_not_grow_with_the_sample_count():
+    # A constant evaluator keeps tracemalloc's per-allocation cost off the
+    # evaluation; what is measured is the stream.
+    spec = dataclasses.replace(get_objective("abs"), evaluator=lambda point: 0.0)
     peaks = [peak_memory(lambda: clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, n))[1] for n in (5_000, 200_000)]
     # One 4096-sample block peaks near 1 MB; all 200 000 samples at once
     # would hold tens of MB.

@@ -47,11 +47,20 @@ from ddsearch.engine import (
     iteration_rng,
     sufficient_decrease,
     validate_config,
+    value_at,
 )
 from ddsearch.objective import ObjectiveSpec, UnknownNameError
 from ddsearch.steps import zero_forcing
 
-from helpers import CONFIGS_DIR, CountingObjective, counterexample_config, evaluation_count, revealing_config
+from helpers import (
+    CONFIGS_DIR,
+    WEDGE,
+    CountingObjective,
+    counterexample_config,
+    evaluation_count,
+    revealing_config,
+    wedge_value,
+)
 
 
 def test_sufficient_decrease_simple():
@@ -299,6 +308,20 @@ def test_alpha_min_termination(counterexample_objective):
     assert trace.records[-1].alpha_next < 1e-9
 
 
+def test_vanilla_trap_spins_at_step_zero_up_to_max_iterations(counterexample_objective):
+    # alpha_min = 0 never stops the run: from k = 2145 on the step is 0.0,
+    # every trial is the incumbent, and each record repeats, apart from k,
+    # the one two iterations before it: the search proposes x at odd k only.
+    trace = run(counterexample_config(max_iterations=2200), counterexample_objective)
+    records = trace.records
+    assert [r.alpha for r in records[2144:2146]] == [2.0**-1074, 0.0]
+    spinning = records[2145:]
+    assert all(not r.success and r.x == records[2145].x for r in spinning)
+    assert all(t.point == r.x for r in spinning for o in r.outcomes for t in o.trials)
+    assert all(r._replace(k=r.k - 2) == records[r.k - 2] for r in records[2147:])
+    assert len(records) == 2200 and trace.termination == TERMINATED_MAX_ITERATIONS
+
+
 @pytest.mark.parametrize(
     "overrides, termination",
     [
@@ -458,6 +481,33 @@ def test_evaluator_failure_raises_objective_error():
     with pytest.raises(ObjectiveError, match="'broken' failed at \\(2.0,\\): no value here") as info:
         evaluate(spec, (2.0,))
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_value_at_is_the_value_evaluate_records():
+    calls = []
+
+    def recording(point):
+        calls.append(point)
+        return wedge_value(point)
+
+    spec = dataclasses.replace(WEDGE, evaluator=recording)
+    # Points in the domain with a finite and an infinite value, and out of it.
+    points = [(x, y) for x in (-0.1, 0.0, 0.1) for y in (-0.1, -0.05, 0.0, 0.1)]
+    for point in points:
+        calls.clear()
+        value = value_at(spec, point)
+        assert calls == ([point] if WEDGE.domain_oracle(point) else [])
+        assert value == evaluate(spec, point).value
+    assert value_at(spec, (0.0, -0.1)) == math.inf
+    assert value_at(spec, (0.1, 0.0)) == math.inf and value_at(spec, (0.0, 0.0)) == 0.0
+
+    def broken(point):
+        raise ZeroDivisionError("no value here")
+
+    with pytest.raises(ObjectiveError, match="'wedge_2d' failed at \\(0.0, 0.0\\): no value here") as info:
+        value_at(dataclasses.replace(WEDGE, evaluator=broken), (0.0, 0.0))
+    assert info.value.point == (0.0, 0.0)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 # Float extremes for the step size, its expansion, the start and the radius.
