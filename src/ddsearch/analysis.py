@@ -11,6 +11,7 @@ discontinuous branch of the dyadic objective.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -214,8 +215,8 @@ def verify_counterexample_closed_form(records: Iterable[IterationRecord], q_max:
     return True
 
 
-# Coordinates in one difference block of covering_radius (2 MB of float64);
-# a 1-D pilot of up to 1304 samples on a 201-point grid is a single block.
+# Coordinates in one difference block of covering_radius in n >= 2
+# dimensions (2 MB of float64).
 _COVERING_BLOCK = 1 << 18
 
 
@@ -231,6 +232,12 @@ def covering_radius(
     ``grid_resolution`` is an ``int`` >= 2, ``radius`` is finite and > 0,
     ``center`` holds at least one finite number, and ``points`` are NaN-free
     and of the dimension of ``center``.
+
+    In 1-D the sample coordinates are sorted once and each grid point ``g``
+    finds its nearest sample ``s`` by bisection, as ``abs(g - s)``: O((G + S)
+    log S) time and O(S) memory for G grid points and S samples, exact at
+    any radius.  In n-D offsets are taken in units of ``radius`` before they
+    are squared, so an extreme radius alone neither overflows nor underflows.
     """
     import numpy as np
 
@@ -248,6 +255,19 @@ def covering_radius(
         raise ValueError("points must not hold NaN")
     if len(points) == 0:
         return math.inf
+    if n == 1:
+        # fl(g - s) is monotone in s, so the nearest sample to g is one of
+        # the two around its insertion point in the sorted coordinates.
+        coordinates = np.sort(samples[:, 0]).tolist()
+        c, last, found = float(center_array[0]), len(coordinates) - 1, 0.0
+        lo, hi = c - radius, c + radius
+        for i in range(grid_resolution):
+            g = ((grid_resolution - 1 - i) * lo + i * hi) / (grid_resolution - 1)
+            if abs(g - c) <= radius:
+                j = bisect.bisect_left(coordinates, g)
+                nearest = min(abs(g - coordinates[min(j, last)]), abs(g - coordinates[max(j - 1, 0)]))
+                found = max(found, nearest)
+        return float(found)
     weights = np.arange(grid_resolution, dtype=float)
     axes = [
         ((grid_resolution - 1 - weights) * (c - radius) + weights * (c + radius)) / (grid_resolution - 1)
@@ -263,7 +283,7 @@ def covering_radius(
     for row in range(0, lattice_size, rows):
         index = np.unravel_index(np.arange(row, min(row + rows, lattice_size)), (grid_resolution,) * n)
         mesh = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
-        part = mesh[np.linalg.norm(mesh - center_array, axis=1) <= radius]
+        part = mesh[np.linalg.norm((mesh - center_array) / radius, axis=1) <= 1.0]
         if len(part) == 0:
             continue
         nearest = np.full(len(part), math.inf)
@@ -273,11 +293,11 @@ def covering_radius(
             # np.linalg.norm sums them; sqrt is monotone, so it is taken last.
             squared = np.zeros((len(part), len(block)))
             for i in range(n):
-                difference = part[:, i, None] - block[:, i]
+                difference = (part[:, i, None] - block[:, i]) / radius
                 squared += difference * difference
             nearest = np.minimum(nearest, squared.min(axis=1))
         radius_found = max(radius_found, float(np.sqrt(nearest.max())))
-    return radius_found
+    return radius_found * radius
 
 
 def trial_points(trace: Trace, kinds: tuple[str, ...] | None = None, unsuccessful_only: bool = False) -> list[Vector]:

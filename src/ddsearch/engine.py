@@ -14,7 +14,8 @@ data are bit-reproducible.
 
 ``value_at`` is the one statement of an objective's value at a point: the
 solver records it in a ``TrialPoint`` built by ``evaluate``, once per trial,
-and analyses that keep no record take the bare float.
+and analyses that keep no record take the bare float.  ``evaluate`` adds only
+the domain oracle's verdict, so its value is ``value_at``'s by construction.
 
 ``iterate`` is the one statement of an iteration: it yields each
 iteration's record as it completes, and ``run`` collects the records into a
@@ -279,24 +280,20 @@ def value_at(objective: ObjectiveSpec, point: Vector) -> float:
     that keep no record of the point take its value here; the solver takes
     its ``TrialPoint`` from ``evaluate``.
     """
-    return _value_at(objective, point, objective.domain_oracle(point))
-
-
-def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
-    """The solver's record of a trial: ``point``, its ``value_at`` and the
-    domain oracle's verdict on it."""
-    in_domain = objective.domain_oracle(point)
-    return _trial_point((point, _value_at(objective, point, in_domain), in_domain))
-
-
-def _value_at(objective: ObjectiveSpec, point: Vector, in_domain: bool) -> float:
-    """``value_at(objective, point)``, given the oracle's verdict on the point."""
-    if not in_domain:
+    if not objective.domain_oracle(point):
         return math.inf
     try:
         return float(objective.evaluator(point))
     except EVALUATOR_FAILURES as exc:
         raise ObjectiveError(objective.name, point) from exc
+
+
+def evaluate(objective: ObjectiveSpec, point: Vector) -> TrialPoint:
+    """The solver's record of a trial: ``point``, its ``value_at`` and the
+    domain oracle's verdict on it.  A rejected point is valued +inf, so any
+    other value was accepted; the oracle is asked again only for +inf."""
+    value = value_at(objective, point)
+    return _trial_point((point, value, value != math.inf or objective.domain_oracle(point)))
 
 
 def stop_reason(k: int, alpha: float, config: AlgoConfig) -> str | None:

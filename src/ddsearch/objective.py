@@ -40,33 +40,32 @@ BAND_QUARTIC = (-18.0, 60.0, -69.0, 34.0, -6.0)
 _Q0, _Q1, _Q2, _Q3, _Q4 = BAND_QUARTIC
 
 
-def band_index(x: float) -> int:
-    """Return the unique integer l with ``2^l <= x < 2^(l+1)`` for x > 0.
-
-    Uses binary exponent extraction rather than a logarithm so that dyadic
-    boundary points (x exactly a power of two) classify into the left-closed
-    band without rounding.
-    """
-    if not (x > 0.0) or math.isinf(x):
-        raise ValueError(f"band_index requires a finite x > 0, got {x!r}")
-    mantissa, exponent = math.frexp(x)  # x = mantissa * 2**exponent, mantissa in [0.5, 1)
-    return exponent - 1
-
-
-def counterexample_value(x: float) -> float:
-    """The discontinuous piecewise objective, total on the reals.
-
-    ``(x+1)^2 - 2`` for x <= 0; ``2^l * q(x / 2^l)`` with q the band quartic
-    and l = band_index(x) for x > 0.  The scaling and descaling by ``2^l``
-    are exact floating-point operations, so dyadic inputs map to bit-exact
-    outputs.
-    """
+def _counterexample(point: Vector) -> float:
+    """``counterexample_value(point[0])`` in one frame: the registry's
+    evaluator of the ``counterexample`` objective."""
+    x = point[0]
     if x <= 0.0:
         return (x + 1.0) * (x + 1.0) - 2.0
-    scale = math.ldexp(1.0, band_index(x))
+    if not x < math.inf:
+        raise ValueError(f"counterexample_value requires x < inf, got {x!r}")
+    # x = m * 2**e with m in [0.5, 1), so its band is l = e - 1 even where
+    # x is exactly a power of two; frexp extracts it without rounding.
+    scale = math.ldexp(1.0, math.frexp(x)[1] - 1)
     y = x / scale
     # q(y) by Horner's rule over BAND_QUARTIC, highest degree inward.
     return scale * ((((_Q4 * y + _Q3) * y + _Q2) * y + _Q1) * y + _Q0)
+
+
+def counterexample_value(x: float) -> float:
+    """The discontinuous piecewise objective, total on the reals below +inf.
+
+    ``(x+1)^2 - 2`` for x <= 0; ``2^l * q(x / 2^l)`` for x > 0, with q the
+    band quartic and l the band of x, the integer with ``2^l <= x <
+    2^(l+1)``.  The scaling and descaling by ``2^l`` are exact
+    floating-point operations, so dyadic inputs map to bit-exact outputs.
+    ValueError at +inf and NaN.
+    """
+    return _counterexample((x,))
 
 
 def _always_in_domain(point: Vector) -> bool:
@@ -77,7 +76,9 @@ def _always_in_domain(point: Vector) -> bool:
 class ObjectiveSpec:
     """An evaluatable extended-real objective with a domain membership oracle.
 
-    ``evaluator`` must be deterministic and side-effect free; it may return
+    ``evaluator`` and ``domain_oracle`` must be deterministic and
+    side-effect free: replay re-evaluates every trial, and the solver may
+    ask the oracle about a point more than once.  ``evaluator`` may return
     ``math.inf`` to mark an extended-real value.  Points rejected by
     ``domain_oracle`` are never evaluated by the solver.
     """
@@ -86,10 +87,6 @@ class ObjectiveSpec:
     dimension: int
     evaluator: Callable[[Vector], float]
     domain_oracle: Callable[[Vector], bool] = field(default=_always_in_domain)
-
-
-def _counterexample_1d(point: Vector) -> float:
-    return counterexample_value(point[0])
 
 
 def _neg_abs_1d(point: Vector) -> float:
@@ -106,7 +103,7 @@ def _quadratic_1d(point: Vector) -> float:
 
 
 _REGISTRY: dict[str, ObjectiveSpec] = {
-    "counterexample": ObjectiveSpec("counterexample", 1, _counterexample_1d),
+    "counterexample": ObjectiveSpec("counterexample", 1, _counterexample),
     "neg_abs": ObjectiveSpec("neg_abs", 1, _neg_abs_1d),
     "abs": ObjectiveSpec("abs", 1, _abs_1d),
     "quadratic_1d": ObjectiveSpec("quadratic_1d", 1, _quadratic_1d),

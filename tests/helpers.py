@@ -24,6 +24,7 @@ from ddsearch.engine import validate_config
 from ddsearch.objective import BAND_QUARTIC
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+CALIBRATION_SCRIPT = CONFIGS_DIR.parent / "scripts" / "calibrate_covering_threshold.py"
 
 
 @functools.cache

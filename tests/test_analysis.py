@@ -9,6 +9,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddsearch import AlgoConfig, ConfigError, analysis, engine, get_objective, run, steps
 from ddsearch.analysis import (
@@ -295,6 +297,49 @@ def test_covering_radius_matches_sorted_gaps_in_one_dimension():
         exact = max(points[0] - lo, hi - points[-1], *gaps)
         found = covering_radius([(p,) for p in points], (center,), radius, resolution)
         assert exact - spacing / 2 - 1e-12 <= found <= exact + 1e-12, count
+
+
+@pytest.mark.parametrize("radius", [1e200, 1e-170])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_covering_radius_at_extreme_radii(dimension, radius):
+    # The square of the radius overflows at 1e200 and underflows at 1e-170.
+    origin = (0.0,) * dimension
+    assert covering_radius([origin], origin, radius, 3) == radius
+
+
+@st.composite
+def _one_dimensional_covering(draw):
+    """A 1-D ball at a radius from 1e-300 to 1e300, its grid, and 1 to 3000
+    samples: grid points, grid points moved by a subnormal offset, and
+    points of the ball and around it."""
+    radius = 10.0 ** draw(st.floats(-300.0, 300.0))
+    center = radius * draw(st.floats(-3.0, 3.0))
+    resolution = draw(st.integers(2, 201))
+    lo, hi = center - radius, center + radius
+    grid = [((resolution - 1 - i) * lo + i * hi) / (resolution - 1) for i in range(resolution)]
+    draw_sample = random.Random(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for _ in range(draw(st.integers(1, 3000))):
+        kind = draw_sample.randrange(3)
+        if kind == 0:
+            samples.append(draw_sample.choice(grid))
+        elif kind == 1:
+            offset = math.ldexp(draw_sample.randrange(1, 2**52), -1074)
+            samples.append(draw_sample.choice(grid) + draw_sample.choice((-offset, offset)))
+        else:
+            samples.append(center + radius * draw_sample.uniform(-1.5, 1.5))
+    in_ball = [g for g in grid if abs(g - center) <= radius]
+    return samples, center, radius, resolution, in_ball
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(_one_dimensional_covering())
+def test_covering_radius_is_the_brute_force_radius_in_one_dimension(case):
+    samples, center, radius, resolution, in_ball = case
+    # Rounding can leave even c +- r out of the ball; an empty grid reads 0.
+    distances = np.abs(np.array(in_ball)[:, None] - np.array(samples)[None, :])
+    expected = float(distances.min(axis=1, initial=math.inf).max(initial=0.0))
+    assert covering_radius([(s,) for s in samples], (center,), radius, resolution) == expected
 
 
 def test_covering_radius_does_not_depend_on_the_block_size(monkeypatch):

@@ -510,6 +510,28 @@ def test_value_at_is_the_value_evaluate_records():
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
+def test_oracle_is_asked_once_per_value_and_again_only_for_inf():
+    asked = []
+
+    def counting(point):
+        asked.append(point)
+        return WEDGE.domain_oracle(point)
+
+    spec = dataclasses.replace(WEDGE, domain_oracle=counting)
+    seen = set()
+    for point in [(x, y) for x in (-0.1, 0.0, 0.1) for y in (-0.1, -0.05, 0.0, 0.1)]:
+        asked.clear()
+        value_at(spec, point)
+        assert asked == [point]
+        asked.clear()
+        trial = evaluate(spec, point)
+        assert asked == [point] * (2 if trial.value == math.inf else 1)
+        assert trial.in_domain == WEDGE.domain_oracle(point)
+        seen.add((trial.in_domain, trial.value == math.inf))
+    # Finite values, +inf in the domain, and points out of it.
+    assert seen == {(True, False), (True, True), (False, True)}
+
+
 # Float extremes for the step size, its expansion, the start and the radius.
 _EXTREMES = [5e-324, 1e-300, 0.25, 1e300, 1.7e308, 1e308, -1e308, math.inf]
 _ONE_D_NAMES = [name for name in sorted(objective._REGISTRY) if get_objective(name).dimension == 1]

@@ -8,13 +8,16 @@ bundled configs are pinned by acceptance criterion 8.  The configs here
 cover what those skip: the n-D ball sampler (batched and single draws),
 2-D ``coordinate`` polls, domain rejects, ``inf`` values, ``quadratic``
 forcing, ``gamma > 1``, ``revealing_count > 1``, a seed of more than 64
-bits and the ``alpha_min`` stop.
+bits and the ``alpha_min`` stop.  The covering radii of the calibration
+pilot are pinned by their ``float.hex``, and the script's stdout by its hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import runpy
+import sys
 from collections import Counter
 
 import pytest
@@ -25,7 +28,7 @@ from ddsearch.engine import TERMINATED_ALPHA_MIN, TERMINATED_MAX_ITERATIONS
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import trace_lines
 
-from helpers import CONFIGS_DIR
+from helpers import CALIBRATION_SCRIPT, CONFIGS_DIR
 
 
 def _valley(point):
@@ -142,3 +145,28 @@ def test_golden_stdout(command, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+# sha256 of the comma-joined float.hex of the covering radii that the
+# calibration script's pilot(20) returns.
+PILOT_RADII_SHA256 = "5944d1af42968644dfc95a97bbaeb2971e7bf3758373177915c6e5e7b607d0d4"
+
+
+def test_golden_pilot_radii():
+    radii = runpy.run_path(str(CALIBRATION_SCRIPT))["pilot"](20)
+    data = ",".join(float(radius).hex() for radius in radii).encode()
+    assert hashlib.sha256(data).hexdigest() == PILOT_RADII_SHA256
+
+
+# arguments -> sha256 of the calibration script's stdout.  CI checks the
+# first entry.
+CALIBRATION_STDOUT_SHA256 = {
+    "--seeds 5": "b9c6f1f8cafc0458aa9ea258e763184602e0ed484533b6a142280aa5a78f9c5a",
+}
+
+
+@pytest.mark.parametrize("arguments", list(CALIBRATION_STDOUT_SHA256))
+def test_golden_calibration_stdout(arguments, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(CALIBRATION_SCRIPT), *arguments.split()])
+    runpy.run_path(str(CALIBRATION_SCRIPT), run_name="__main__")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CALIBRATION_STDOUT_SHA256[arguments]

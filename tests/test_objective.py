@@ -16,7 +16,6 @@ from ddsearch import objective
 from ddsearch.objective import (
     BAND_QUARTIC,
     UnknownNameError,
-    band_index,
     counterexample_value,
     get_objective,
 )
@@ -30,23 +29,43 @@ def test_quartic_interior_values_match_rational_oracle():
         assert Fraction(counterexample_value(float(x))) == exact_band_quartic(x)
 
 
+def _band(x: float) -> int:
+    """The band of x > 0, the l with ``2^l <= x < 2^(l+1)``, in exact
+    arithmetic: x is p / 2^k with ``2^(a-1) <= p < 2^a``, so l = a - 1 - k."""
+    exact = Fraction(x)
+    return exact.numerator.bit_length() - exact.denominator.bit_length()
+
+
 @pytest.mark.parametrize("x,expected", [(3.0, 1), (1.0, 0), (0.75, -1)])
 def test_band_index_examples(x, expected):
-    assert band_index(x) == expected
+    # The value at x is the band quartic scaled to band `expected`; x sits
+    # where the neighbouring bands' quartics differ.
+    assert _band(x) == expected
+    scale = Fraction(2) ** expected
+    assert Fraction(counterexample_value(x)) == scale * exact_band_quartic(Fraction(x) / scale)
 
 
 def test_band_index_exact_at_dyadic_boundaries():
+    # A power of two opens its band, and the float below it closes the band
+    # beneath; the registry's evaluator scales by that band, bit for bit.
+    evaluator = get_objective("counterexample").evaluator
     for level in range(-40, 41):
         boundary = 2.0**level
-        assert band_index(boundary) == level
-        assert band_index(math.nextafter(boundary, 0.0)) == level - 1
-        assert band_index(math.nextafter(boundary, math.inf)) == level
+        below, above = math.nextafter(boundary, 0.0), math.nextafter(boundary, math.inf)
+        for x, band in ((boundary, level), (below, level - 1), (above, level)):
+            assert _band(x) == band
+            assert evaluator((x,)).hex() == _band_quartic_reference(x).hex(), x
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.25, math.inf, math.nan])
 def test_band_index_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
-        band_index(bad)
+    # No band holds a nonpositive x, which takes the quadratic, nor +inf or
+    # NaN, which raise.
+    if bad <= 0.0:
+        assert counterexample_value(bad) == (bad + 1.0) * (bad + 1.0) - 2.0
+    else:
+        with pytest.raises(ValueError):
+            counterexample_value(bad)
 
 
 @pytest.mark.parametrize(
@@ -66,7 +85,7 @@ def test_dyadic_exactness_down_to_q50():
 
 
 def _band_quartic_reference(x: float) -> float:
-    scale = math.ldexp(1.0, band_index(x))
+    scale = math.ldexp(1.0, _band(x))
     y = x / scale
     acc = BAND_QUARTIC[-1]
     for c in reversed(BAND_QUARTIC[:-1]):
@@ -97,9 +116,10 @@ def test_counterexample_value_is_the_scaled_band_quartic_at_every_band_edge():
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
-def test_counterexample_value_rejects_non_finite_input_as_band_index_does(bad):
-    with pytest.raises(ValueError) as expected:
-        band_index(bad)
+def test_counterexample_value_rejects_non_finite_input(bad):
+    # The scalar form fails as the registry's point evaluator does.
+    with pytest.raises(ValueError, match="requires x < inf") as expected:
+        get_objective("counterexample").evaluator((bad,))
     with pytest.raises(ValueError) as actual:
         counterexample_value(bad)
     assert str(actual.value) == str(expected.value)

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import runpy
-from pathlib import Path
 
 from ddsearch import run
 from ddsearch.analysis import covering_radius, trial_points
 
-from helpers import revealing_config
-
-CALIBRATION_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "calibrate_covering_threshold.py"
+from helpers import CALIBRATION_SCRIPT, revealing_config
 
 
 def test_covering_radius_of_revealing_points_is_non_increasing(counterexample_objective):
