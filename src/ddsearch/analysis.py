@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from . import engine
 from .engine import AlgoConfig, ConfigError, IterationRecord, Trace
 # get_objective stays a name of this module: perfbench's tracer rebinds it here.
-from .objective import ObjectiveSpec, Vector, get_objective
+from .objective import InputError, ObjectiveSpec, Vector, get_objective
 
 if typing.TYPE_CHECKING:
     import numpy as np
 
 
-class AnalysisError(ValueError):
+class AnalysisError(ValueError, InputError):
     """A trace does not support the requested analysis."""
 
 
@@ -230,14 +230,17 @@ def covering_radius(
     ``[center - radius, center + radius]`` intersected with the closed ball,
     so endpoints and midpoints land exactly.  ValueError unless
     ``grid_resolution`` is an ``int`` >= 2, ``radius`` is finite and > 0,
-    ``center`` holds at least one finite number, and ``points`` are NaN-free
-    and of the dimension of ``center``.
+    ``center`` holds at least one finite number, ``points`` are NaN-free and
+    of the dimension of ``center``, and some grid point lies in the ball
+    (rounding can leave none, and in n-D a 2-point grid has only corners).
 
     In 1-D the sample coordinates are sorted once and each grid point ``g``
     finds its nearest sample ``s`` by bisection, as ``abs(g - s)``: O((G + S)
     log S) time and O(S) memory for G grid points and S samples, exact at
     any radius.  In n-D offsets are taken in units of ``radius`` before they
-    are squared, so an extreme radius alone neither overflows nor underflows.
+    are squared, so an extreme radius alone neither overflows nor underflows;
+    a grid point whose nearest squared distance in those units still does is
+    measured again by ``_nearest_rescaled``.
     """
     import numpy as np
 
@@ -259,7 +262,7 @@ def covering_radius(
         # fl(g - s) is monotone in s, so the nearest sample to g is one of
         # the two around its insertion point in the sorted coordinates.
         coordinates = np.sort(samples[:, 0]).tolist()
-        c, last, found = float(center_array[0]), len(coordinates) - 1, 0.0
+        c, last, found = float(center_array[0]), len(coordinates) - 1, -1.0
         lo, hi = c - radius, c + radius
         for i in range(grid_resolution):
             g = ((grid_resolution - 1 - i) * lo + i * hi) / (grid_resolution - 1)
@@ -267,6 +270,8 @@ def covering_radius(
                 j = bisect.bisect_left(coordinates, g)
                 nearest = min(abs(g - coordinates[min(j, last)]), abs(g - coordinates[max(j - 1, 0)]))
                 found = max(found, nearest)
+        if found < 0.0:
+            raise _empty_grid(center, radius, grid_resolution)
         return float(found)
     weights = np.arange(grid_resolution, dtype=float)
     axes = [
@@ -279,7 +284,7 @@ def covering_radius(
     columns = max(1, min(len(samples), _COVERING_BLOCK // n))
     rows = max(1, _COVERING_BLOCK // (columns * n))
     lattice_size = grid_resolution**n
-    radius_found = 0.0
+    found = -1.0
     for row in range(0, lattice_size, rows):
         index = np.unravel_index(np.arange(row, min(row + rows, lattice_size)), (grid_resolution,) * n)
         mesh = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
@@ -287,17 +292,59 @@ def covering_radius(
         if len(part) == 0:
             continue
         nearest = np.full(len(part), math.inf)
+        # A sample more than about 1e154 radii from a grid point overflows
+        # its square; the nearest one is taken, so only a grid point with no
+        # nearer sample reads inf.
+        with np.errstate(over="ignore"):
+            for column in range(0, len(samples), columns):
+                block = samples[column : column + columns]
+                # Squared distances summed coordinate by coordinate, in the order
+                # np.linalg.norm sums them; sqrt is monotone, so it is taken last.
+                squared = np.zeros((len(part), len(block)))
+                for i in range(n):
+                    difference = (part[:, i, None] - block[:, i]) / radius
+                    squared += difference * difference
+                nearest = np.minimum(nearest, squared.min(axis=1))
+        # Overflowed, or below the normal floats (a sample within about
+        # 1e-154 radii, or on the grid point): measured again.
+        normal = (nearest >= sys.float_info.min) & (nearest < math.inf)
+        if normal.any():
+            found = max(found, float(np.sqrt(nearest[normal].max())) * radius)
+        if not normal.all():
+            found = max(found, float(_nearest_rescaled(part[~normal], samples, columns).max()))
+    if found < 0.0:
+        raise _empty_grid(center, radius, grid_resolution)
+    return found
+
+
+def _empty_grid(center: Vector, radius: float, grid_resolution: int) -> ValueError:
+    return ValueError(
+        f"the grid of {grid_resolution} points per axis has no point in the ball of radius "
+        f"{radius!r} around {tuple(center)!r}"
+    )
+
+
+def _nearest_rescaled(part: np.ndarray, samples: np.ndarray, columns: int) -> np.ndarray:
+    """The distance from each row of ``part`` to its nearest sample, at any
+    scale: offsets are taken in units of the row's Chebyshev distance to its
+    nearest sample, in which its nearest squared distance lies in [1, n].
+    ``columns`` samples at a time, as ``covering_radius`` chunks them."""
+    import numpy as np
+
+    chebyshev = np.full(len(part), math.inf)
+    with np.errstate(over="ignore"):
         for column in range(0, len(samples), columns):
-            block = samples[column : column + columns]
-            # Squared distances summed coordinate by coordinate, in the order
-            # np.linalg.norm sums them; sqrt is monotone, so it is taken last.
-            squared = np.zeros((len(part), len(block)))
-            for i in range(n):
-                difference = (part[:, i, None] - block[:, i]) / radius
-                squared += difference * difference
-            nearest = np.minimum(nearest, squared.min(axis=1))
-        radius_found = max(radius_found, float(np.sqrt(nearest.max())))
-    return radius_found * radius
+            offsets = np.abs(part[:, None] - samples[None, column : column + columns])
+            chebyshev = np.minimum(chebyshev, offsets.max(axis=2).min(axis=1))
+        # A row with a sample on it reads 0, and one whose every offset
+        # overflows reads inf, as abs(g - s) does in 1-D.
+        scaled = (chebyshev > 0.0) & (chebyshev < math.inf)
+        unit = np.where(scaled, chebyshev, 1.0)[:, None, None]
+        squared = np.full(len(part), math.inf)
+        for column in range(0, len(samples), columns):
+            difference = (part[:, None] - samples[None, column : column + columns]) / unit
+            squared = np.minimum(squared, (difference * difference).sum(axis=2).min(axis=1))
+    return np.where(scaled, np.sqrt(squared) * chebyshev, chebyshev)
 
 
 def trial_points(trace: Trace, kinds: tuple[str, ...] | None = None, unsuccessful_only: bool = False) -> list[Vector]:

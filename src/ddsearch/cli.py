@@ -15,11 +15,13 @@ import os
 import re
 import sys
 
-from . import analysis, engine, traceio
-from .analysis import AnalysisError
-from .configfile import ConfigFileError, load_experiment_config
-from .engine import EVALUATOR_FAILURES, ConfigError, InitializationError, ObjectiveError
-from .objective import UnknownNameError, get_objective
+# analysis and traceio load in the commands that use them, so that a fresh
+# process loads only what its command runs; their functions are called
+# through the module, where perfbench's tracer rebinds them.
+from . import engine
+from .configfile import load_experiment_config
+from .engine import EVALUATOR_FAILURES, InitializationError, ObjectiveError
+from .objective import InputError, get_objective
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -36,6 +38,8 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import traceio
+
     experiment = load_experiment_config(args.config)
     objective = get_objective(experiment.objective_name)
     trace = engine.run(experiment.algo, objective)
@@ -54,6 +58,8 @@ def _format_vector(v: tuple[float, ...]) -> str:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analysis, traceio
+
     if args.expect_gap is not None and not math.isfinite(args.expect_gap):
         return _fail(f"--expect-gap must be finite, got {args.expect_gap}", EXIT_INPUT_ERROR)
     if not 0.0 <= args.tol < math.inf:
@@ -84,6 +90,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
+    from . import analysis
+
     experiment = load_experiment_config(args.config)
     objective = get_objective(experiment.objective_name)
     stats = analysis.monte_carlo_escape(experiment.algo, objective, args.trials, args.master_seed)
@@ -185,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigFileError, ConfigError, UnknownNameError, traceio.TraceFormatError, AnalysisError, OSError) as exc:
+    except (InputError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT_ERROR)
     except (InitializationError, ObjectiveError) as exc:
         return _fail(str(exc), EXIT_OBJECTIVE_ERROR)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import AlgoConfig
+from .objective import InputError
 
 _OBJECTIVE_KEYS = {"name"}
 _ALGORITHM_KEYS = {f.name for f in dataclasses.fields(AlgoConfig)}
@@ -23,7 +24,7 @@ _ALGORITHM_OPTIONAL = {"revealing_radius", "revealing_count"}
 _OUTPUT_KEYS = {"trace_path"}
 
 
-class ConfigFileError(ValueError):
+class ConfigFileError(ValueError, InputError):
     """An experiment config file is missing, malformed, or inconsistent."""
 
 
@@ -79,7 +80,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """
     path = Path(path)
     if not path.is_file():
-        raise ConfigFileError(f"config file not found: {path}")
+        # A directory or a device (/dev/null) exists but holds no config.
+        problem = "is not a regular file" if path.exists() else "not found"
+        raise ConfigFileError(f"config file {problem}: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -49,7 +49,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import steps
-from .objective import ObjectiveSpec, Vector
+from .objective import InputError, ObjectiveSpec, Vector
 
 if typing.TYPE_CHECKING:
     import numpy as np
@@ -63,7 +63,7 @@ TERMINATED_ALPHA_MIN = "alpha_min"
 TERMINATED_ALPHA_OVERFLOW = "alpha_overflow"
 
 
-class ConfigError(ValueError):
+class ConfigError(ValueError, InputError):
     """An algorithm configuration violates its invariants."""
 
 

@@ -19,7 +19,13 @@ Vector = tuple[float, ...]
 T = TypeVar("T")
 
 
-class UnknownNameError(LookupError):
+class InputError(Exception):
+    """Base of the errors that a bad input raises: a config, a trace file, a
+    registry name, or an analysis argument.  The command line exits 2 on
+    these (and on OSError), so catching this base states that contract once."""
+
+
+class UnknownNameError(LookupError, InputError):
     """Raised when a registry lookup names no known entry."""
 
 

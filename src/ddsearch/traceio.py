@@ -30,13 +30,13 @@ from typing import Any, Iterable, Iterator
 from . import engine
 from . import objective as objectives
 from .engine import AlgoConfig, InitializationError, IterationRecord, ObjectiveError, Trace
-from .objective import ObjectiveSpec
+from .objective import InputError, ObjectiveSpec
 
 FORMAT_NAME = "ddsearch-trace"
 FORMAT_VERSION = 1
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(ValueError, InputError):
     """A trace file is missing, truncated, or differs from the run its
     header names."""
 

@@ -307,6 +307,35 @@ def test_covering_radius_at_extreme_radii(dimension, radius):
     assert covering_radius([origin], origin, radius, 3) == radius
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_covering_radius_of_a_sample_far_outside_the_ball(dimension):
+    # 1e600 radii away: in units of the radius its offset overflows.
+    origin = (0.0,) * dimension
+    assert covering_radius([(1e300,) + origin[1:]], origin, 1e-300, 3) == 1e300
+
+
+def test_covering_radius_of_samples_next_to_the_grid_in_two_dimensions():
+    # In units of the radius the square of 1e-200 underflows to 0.
+    grid_points = [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+    assert covering_radius([(1e-200, 0.0), *grid_points], (0.0, 0.0), 1.0, 3) == 1e-200
+    assert covering_radius([(0.0, 0.0), *grid_points], (0.0, 0.0), 1.0, 3) == 0.0
+
+
+@pytest.mark.parametrize(
+    "arguments",
+    [
+        # Rounding puts both ends of the 1-D grid outside the ball.
+        ([(126.49110640673517,)], (94.86832980505137,), 31.622776601683793, 2),
+        ([(126.49110640673517, 0.0)], (94.86832980505137, 0.0), 31.622776601683793, 2),
+        # In 2-D a 2-point grid has only the corners of the square.
+        ([(0.0, 0.0)], (0.0, 0.0), 1.0, 2),
+    ],
+)
+def test_covering_radius_rejects_a_grid_with_no_point_in_the_ball(arguments):
+    with pytest.raises(ValueError, match="^the grid of 2 points per axis has no point in the ball"):
+        covering_radius(*arguments)
+
+
 @st.composite
 def _one_dimensional_covering(draw):
     """A 1-D ball at a radius from 1e-300 to 1e300, its grid, and 1 to 3000
@@ -336,9 +365,13 @@ def _one_dimensional_covering(draw):
 @given(_one_dimensional_covering())
 def test_covering_radius_is_the_brute_force_radius_in_one_dimension(case):
     samples, center, radius, resolution, in_ball = case
-    # Rounding can leave even c +- r out of the ball; an empty grid reads 0.
+    if not in_ball:
+        # Rounding can leave even c +- r out of the ball.
+        with pytest.raises(ValueError, match="no point in the ball"):
+            covering_radius([(s,) for s in samples], (center,), radius, resolution)
+        return
     distances = np.abs(np.array(in_ball)[:, None] - np.array(samples)[None, :])
-    expected = float(distances.min(axis=1, initial=math.inf).max(initial=0.0))
+    expected = float(distances.min(axis=1).max())
     assert covering_radius([(s,) for s in samples], (center,), radius, resolution) == expected
 
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +58,12 @@ def test_run_bundled_counterexample_config(workdir, capsys):
 def test_run_missing_config_exits_2(workdir, capsys):
     assert main(["run", "absent.cfg"]) == 2
     assert "absent.cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [os.devnull, "."])
+def test_run_of_a_path_that_is_not_a_regular_file_exits_2(workdir, capsys, path):
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == f"error: config file is not a regular file: {path}\n"
 
 
 def test_run_garbage_config_exits_2(workdir, capsys):
@@ -461,3 +471,73 @@ def test_sample_accepts_negative_bounds(workdir, x_min, separator):
 
 def test_sample_unknown_objective_exits_2(workdir, capsys):
     assert main(["sample", "mystery", "0", "1", "10", "bad.csv"]) == 2
+
+
+# --------------------------------------------------------------------------
+# What a fresh process loads
+
+
+def _fresh_python(workdir: Path, code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a fresh interpreter in ``workdir``, on
+    this interpreter's import path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=workdir, capture_output=True, text=True, env=env)
+
+
+_LAZY_MODULES = ("ddsearch.analysis", "ddsearch.traceio", "json")
+
+
+@pytest.mark.parametrize(
+    ("statement", "loaded"),
+    [
+        # The set-up probe of perfbench/run.py.
+        ("import ddsearch.cli, ddsearch.configfile as c; c.load_experiment_config(sys.argv[1]); status = 0", []),
+        ("import ddsearch.cli as cli; status = cli.main(['sample', 'counterexample', '-2', '2', '5', 's.csv'])", []),
+        ("import ddsearch.cli as cli; status = cli.main(['run', sys.argv[1]])", ["ddsearch.traceio", "json"]),
+    ],
+    ids=["set-up probe", "sample", "run"],
+)
+def test_a_fresh_process_loads_analysis_and_traceio_only_for_the_commands_that_use_them(workdir, statement, loaded):
+    shutil.copy(CONFIGS_DIR / "counterexample.cfg", workdir)
+    code = f"import sys\n{statement}\nprint(status, [name for name in {_LAZY_MODULES!r} if name in sys.modules])"
+    result = _fresh_python(workdir, code, "counterexample.cfg")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        ("analyze truncated.jsonl", "truncated: the file ends before the replayed run does"),
+        ("analyze trace.jsonl --verify-lemma -1", "q_max must be >= 0, got -1"),
+        ("run unknown_field.cfg", "unknown field [algorithm] gamm"),
+        ("run invalid.cfg", "gamma must be finite and >= 1"),
+        ("sample mystery 0 1 10 s.csv", "unknown objective 'mystery'"),
+    ],
+    ids=["TraceFormatError", "AnalysisError", "ConfigFileError", "ConfigError", "UnknownNameError"],
+)
+def test_every_input_error_exits_2_from_a_fresh_process(workdir, argv, message):
+    # Each class is caught as an InputError, before or after its module loads.
+    lines = _run_lines(workdir, "counterexample.cfg")
+    (workdir / "truncated.jsonl").write_text("\n".join(lines[:20]) + "\n")
+    write_config(workdir / "unknown_field.cfg", gamm=2)
+    write_config(workdir / "invalid.cfg", gamma="0.5")
+    result = _fresh_python(workdir, "import sys, ddsearch.cli as cli; sys.exit(cli.main(sys.argv[1:]))", *argv.split())
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_every_public_name_resolves_in_a_fresh_process(workdir):
+    code = (
+        "import sys, ddsearch\n"
+        "listed = set(ddsearch.__all__) <= set(dir(ddsearch))\n"
+        "found = [getattr(ddsearch, name) for name in ddsearch.__all__]\n"
+        "defined = all(getattr(sys.modules[value.__module__], name) is value for name, value in zip(ddsearch.__all__, found))\n"
+        "star = {}\n"
+        "exec('from ddsearch import *', star)\n"
+        "print(listed, defined, set(star) >= set(ddsearch.__all__), hasattr(ddsearch, 'absent'), len(found))"
+    )
+    result = _fresh_python(workdir, code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "True True True False 23"
