@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
+import numbers
 import operator
 import sys
 import typing
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import engine
@@ -228,7 +230,9 @@ def covering_radius(
 
     The grid is the per-axis convex-combination lattice of
     ``[center - radius, center + radius]`` intersected with the closed ball,
-    so endpoints and midpoints land exactly.  ValueError unless
+    so endpoints and midpoints land exactly, also where the formula's
+    weighted sums would pass the float range (``_grid_axis``).  ``radius``
+    and ``center`` are taken as binary64 floats.  ValueError unless
     ``grid_resolution`` is an ``int`` >= 2, ``radius`` is finite and > 0,
     ``center`` holds at least one finite number, ``points`` are NaN-free and
     of the dimension of ``center``, and some grid point lies in the ball
@@ -246,6 +250,7 @@ def covering_radius(
 
     if type(grid_resolution) is not int or grid_resolution < 2:
         raise ValueError(f"grid_resolution must be an int >= 2, got {grid_resolution!r}")
+    radius = _binary64("radius", radius)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     n = len(center)
@@ -263,9 +268,7 @@ def covering_radius(
         # the two around its insertion point in the sorted coordinates.
         coordinates = np.sort(samples[:, 0]).tolist()
         c, last, found = float(center_array[0]), len(coordinates) - 1, -1.0
-        lo, hi = c - radius, c + radius
-        for i in range(grid_resolution):
-            g = ((grid_resolution - 1 - i) * lo + i * hi) / (grid_resolution - 1)
+        for g in _grid_axis(c, radius, grid_resolution):
             if abs(g - c) <= radius:
                 j = bisect.bisect_left(coordinates, g)
                 nearest = min(abs(g - coordinates[min(j, last)]), abs(g - coordinates[max(j - 1, 0)]))
@@ -273,11 +276,7 @@ def covering_radius(
         if found < 0.0:
             raise _empty_grid(center, radius, grid_resolution)
         return float(found)
-    weights = np.arange(grid_resolution, dtype=float)
-    axes = [
-        ((grid_resolution - 1 - weights) * (c - radius) + weights * (c + radius)) / (grid_resolution - 1)
-        for c in center
-    ]
+    axes = [np.fromiter(_grid_axis(c, radius, grid_resolution), float, grid_resolution) for c in center_array.tolist()]
     # Enumerate the grid a block of lattice points at a time, and chunk over
     # samples, so that no block of grid coordinates or of differences holds
     # more than _COVERING_BLOCK coordinates; a max of mins over chunks is exact.
@@ -315,6 +314,24 @@ def covering_radius(
     if found < 0.0:
         raise _empty_grid(center, radius, grid_resolution)
     return found
+
+
+def _grid_axis(c: float, radius: float, grid_resolution: int) -> Iterator[float]:
+    """The points ``((G - 1 - i) * (c - radius) + i * (c + radius)) / (G -
+    1)`` of the convex-combination grid of ``[c - radius, c + radius]``.
+
+    Where the weighted sums could pass the float range, the ends are scaled
+    by a power of two ``s`` that keeps the sums below a quarter of the
+    range, and each point is scaled back.  The scaled ends are exact, so
+    rounding commutes with ``s``: each point is the formula's value without
+    overflow, and a point that fits does not move.
+    """
+    lo, hi, intervals = c - radius, c + radius, grid_resolution - 1
+    scale = 1.0
+    if not 4.0 * intervals * max(abs(lo), abs(hi)) < math.inf:
+        scale = math.ldexp(1.0, -2 - intervals.bit_length())
+    lo, hi = lo * scale, hi * scale
+    return (((intervals - i) * lo + i * hi) / intervals / scale for i in range(grid_resolution))
 
 
 def _empty_grid(center: Vector, radius: float, grid_resolution: int) -> ValueError:
@@ -386,6 +403,37 @@ def _radical_inverses(start: int, stop: int, base: int) -> np.ndarray:
     return value
 
 
+@functools.lru_cache(maxsize=1)
+def _clarke_block(
+    start: int, stop: int, h_min: float, h_max: float
+) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """Samples ``start, ..., stop - 1`` of the Clarke stream of the window
+    ``[h_min, h_max]``: the read-only columns of base offsets ``h_max * (2u
+    - 1)`` and of steps, and the steps as floats.  The latest block is kept,
+    so the estimates over one window build it once; the key is binary64, as
+    ``clarke_estimate`` passes it."""
+    import numpy as np
+
+    offsets = (h_max * (2.0 * _radical_inverses(start, stop, 2) - 1.0))[:, None]
+    log_ratio = math.log(h_max / h_min)
+    # math.exp per step: numpy's exp need not round as libm's does.
+    steps = tuple([h_min * math.exp(u * log_ratio) for u in _radical_inverses(start, stop, 3).tolist()])
+    step_column = np.array(steps)[:, None]
+    offsets.flags.writeable = step_column.flags.writeable = False
+    return offsets, step_column, steps
+
+
+def _binary64(name: str, value: float) -> float:
+    """``value`` as a Python float, +-inf where it is too large for one;
+    ValueError naming the argument unless it is a real number."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _finite_vector(name: str, values: Vector, dimension: int) -> np.ndarray:
     """``values`` as a float array; ValueError naming the argument unless it
     holds ``dimension`` finite numbers."""
@@ -420,8 +468,10 @@ def clarke_estimate(
     Only meaningful where the objective is locally Lipschitz.
 
     The stream is built in blocks of at most ``_CLARKE_BLOCK`` samples, so
-    memory does not grow with ``n_samples``.  Each point and step is bit for
-    bit the value of its formula in Python floats, and the points are
+    memory does not grow with ``n_samples``, and the latest block is kept
+    for the next estimate over the same window (``_clarke_block``).
+    ``h_min`` and ``h_max`` are taken as binary64 floats, and each point and
+    step is bit for bit the value of its formula in Python floats; the points are
     evaluated one at a time, y before ``y + t*d``, in stream order, by
     ``engine.value_at``, which builds no record.  ValueError unless x and
     direction hold ``objective.dimension`` finite numbers each,
@@ -432,25 +482,21 @@ def clarke_estimate(
 
     point = _finite_vector("x", x, objective.dimension)
     d = _finite_vector("direction", direction, objective.dimension)
-    if not 0.0 < h_min < h_max <= sys.float_info.max:
+    lower, upper = _binary64("h_min", h_min), _binary64("h_max", h_max)
+    if not 0.0 < lower < upper < math.inf:
         raise ValueError(f"need 0 < h_min < h_max < inf, got h_min={h_min}, h_max={h_max}")
-    ratio = h_max / h_min
-    if not ratio < math.inf:
+    if not upper / lower < math.inf:
         raise ValueError(f"h_max / h_min must be finite, got h_min={h_min}, h_max={h_max}")
     if type(n_samples) is not int or not 1 <= n_samples < 2**63:
         raise ValueError(f"n_samples must be an int in [1, 2**63), got {n_samples!r}")
-    log_ratio = math.log(ratio)
     value_at, isfinite = engine.value_at, math.isfinite
     best = -math.inf
     for start in range(1, n_samples + 1, _CLARKE_BLOCK):
-        stop = min(start + _CLARKE_BLOCK, n_samples + 1)
-        offsets = 2.0 * _radical_inverses(start, stop, 2) - 1.0
-        # math.exp per step: numpy's exp need not round as libm's does.
-        steps = [h_min * math.exp(u * log_ratio) for u in _radical_inverses(start, stop, 3).tolist()]
+        offsets, step_column, steps = _clarke_block(start, min(start + _CLARKE_BLOCK, n_samples + 1), lower, upper)
         # Overflow to inf stays silent, as with Python floats.
         with np.errstate(over="ignore", invalid="ignore"):
-            bases = point + (h_max * offsets)[:, None] * d
-            stepped = bases + np.array(steps)[:, None] * d
+            bases = point + offsets * d
+            stepped = bases + step_column * d
         # Points as tuples zipped from the coordinate columns, which is
         # faster than a tuple per row.
         for y, y_step, t in zip(zip(*bases.T.tolist()), zip(*stepped.T.tolist()), steps):

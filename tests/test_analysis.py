@@ -336,6 +336,41 @@ def test_covering_radius_rejects_a_grid_with_no_point_in_the_ball(arguments):
         covering_radius(*arguments)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_covering_radius_takes_the_radius_as_a_float(dimension):
+    # In float32 arithmetic c +- r, and the result, would round to float32.
+    origin = (0.0,) * dimension
+    sample = (0.1, *origin[1:])
+    found = covering_radius([sample], origin, np.float32(0.3), 5)
+    assert type(found) is float
+    assert found == covering_radius([sample], origin, float(np.float32(0.3)), 5) == 0.40000001192092893
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_covering_radius_of_a_ball_at_the_end_of_the_float_range(dimension):
+    # (G - 1) * (c +- r) passes the float range, although the ball lies inside it.
+    tail = (0.0,) * (dimension - 1)
+    # The sample is 3.4e308 from every grid point, farther than any float.
+    assert covering_radius([(1.7e308, *tail)], (-1.7e308, *tail), 1.0, 3) == math.inf
+    # Every grid point, c +- r/2 and c +- r among them, is exact.
+    center, radius = -(2.0**1023), 2.0**1022
+    assert covering_radius([(center, *tail)], (center, *tail), radius, 5) == radius
+
+
+def test_covering_radius_grid_past_the_float_range_is_its_formula_at_a_smaller_scale():
+    # The same roundings at a scale of 2**-200, where nothing overflows: a
+    # sample on every such point leaves no grid point uncovered.
+    center, radius, resolution, scale = -1.7e308, 5e306, 21, 2.0**-200
+
+    def axis(c):
+        lo, hi = (c - radius) * scale, (c + radius) * scale
+        return [((resolution - 1 - i) * lo + i * hi) / (resolution - 1) / scale for i in range(resolution)]
+
+    assert covering_radius([(g,) for g in axis(center)], (center,), radius, resolution) == 0.0
+    lattice = [(g, h) for g in axis(center) for h in axis(0.0)]
+    assert covering_radius(lattice, (center, 0.0), radius, resolution) == 0.0
+
+
 @st.composite
 def _one_dimensional_covering(draw):
     """A 1-D ball at a radius from 1e-300 to 1e300, its grid, and 1 to 3000
@@ -462,6 +497,8 @@ def test_clarke_estimate_rejects_bad_window():
         ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, 10.0)),
         ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, np.int64(10))),
         ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, 2**63)),
+        ("^h_min must be a real number, got '1e-6'$", ((0.0,), (1.0,), "1e-6", 1e-2, 10)),
+        ("^h_max must be a real number, got None$", ((0.0,), (1.0,), 1e-6, None, 10)),
     ],
 )
 def test_clarke_estimate_rejects_bad_input(message, arguments):
@@ -485,6 +522,37 @@ CLARKE_PINNED = [
 def test_clarke_estimate_pinned_values(counterexample_objective, x, direction, expected):
     counts = (1, 4095, 4096, 4097, 9000)
     assert [clarke_estimate(counterexample_objective, x, direction, 1e-6, 1e-2, n).hex() for n in counts] == expected
+
+
+def test_clarke_estimate_takes_float32_window_bounds_as_floats(counterexample_objective):
+    # float32 arithmetic would round the steps, the points and the estimate;
+    # the suite turns the overflow warning of a float32 bound check into an error.
+    estimate = clarke_estimate(counterexample_objective, (-1.0,), (1.0,), np.float32(0.5), np.float32(0.75), 50)
+    assert type(estimate) is float
+    assert estimate == clarke_estimate(counterexample_objective, (-1.0,), (1.0,), 0.5, 0.75, 50) == 3.4807958887947237
+
+
+def test_clarke_estimates_over_one_window_share_its_stream(counterexample_objective):
+    spec, window, other = counterexample_objective, (1e-6, 1e-2), (1e-5, 0.1)
+    alternating = [(spec, (-1.0,), (1.0,), *w, 5000) for w in (window, other, window)]
+    # The pattern of the density pass: several limit points, both directions.
+    density = [(spec, (x,), (d,), *window, 3000) for x in (-1.0, -0.5, 0.0, 0.25) for d in (1.0, -1.0)]
+    for calls in (alternating, density):
+        fresh = []
+        for call in calls:
+            analysis._clarke_block.cache_clear()
+            fresh.append(clarke_estimate(*call).hex())
+        analysis._clarke_block.cache_clear()
+        assert [clarke_estimate(*call).hex() for call in calls] == fresh
+    # The density pattern builds its one block once, and keeps it read-only.
+    assert analysis._clarke_block.cache_info()[:2] == (len(density) - 1, 1)
+    offsets, step_column, _ = analysis._clarke_block(1, 3001, *window)
+    assert not offsets.flags.writeable and not step_column.flags.writeable
+    # A float32 window is keyed by its binary64 value.
+    analysis._clarke_block.cache_clear()
+    clarke_estimate(spec, (0.0,), (1.0,), np.float32(0.5), np.float32(0.75), 50)
+    clarke_estimate(spec, (0.0,), (1.0,), 0.5, 0.75, 50)
+    assert analysis._clarke_block.cache_info()[:2] == (1, 1)
 
 
 def test_clarke_estimate_pinned_values_in_two_dimensions():
