@@ -21,13 +21,13 @@ import operator
 import sys
 import typing
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from . import engine
 from .engine import AlgoConfig, ConfigError, IterationRecord, Trace
 # get_objective stays a name of this module: perfbench's tracer rebinds it here.
-from .objective import InputError, ObjectiveSpec, Vector, get_objective
+from .objective import InputError, ObjectiveSpec, Vector, get_objective, grid_axis
 
 if typing.TYPE_CHECKING:
     import numpy as np
@@ -229,14 +229,14 @@ def covering_radius(
     nearest element of ``points``; +inf when ``points`` is empty.
 
     The grid is the per-axis convex-combination lattice of
-    ``[center - radius, center + radius]`` intersected with the closed ball,
-    so endpoints and midpoints land exactly, also where the formula's
-    weighted sums would pass the float range (``_grid_axis``).  ``radius``
-    and ``center`` are taken as binary64 floats.  ValueError unless
-    ``grid_resolution`` is an ``int`` >= 2, ``radius`` is finite and > 0,
-    ``center`` holds at least one finite number, ``points`` are NaN-free and
-    of the dimension of ``center``, and some grid point lies in the ball
-    (rounding can leave none, and in n-D a 2-point grid has only corners).
+    ``[center - radius, center + radius]`` (``objective.grid_axis``, also
+    where the formula's weighted sums would pass the float range)
+    intersected with the closed ball.  ``radius`` and ``center`` are taken
+    as binary64 floats.  ValueError unless ``grid_resolution`` is an
+    ``int`` >= 2, ``radius`` is finite and > 0, ``center`` holds at least
+    one finite number, ``points`` are NaN-free and of the dimension of
+    ``center``, and some grid point lies in the ball (rounding can leave
+    none, and in n-D a 2-point grid has only corners).
 
     In 1-D the sample coordinates are sorted once and each grid point ``g``
     finds its nearest sample ``s`` by bisection, as ``abs(g - s)``: O((G + S)
@@ -268,7 +268,7 @@ def covering_radius(
         # the two around its insertion point in the sorted coordinates.
         coordinates = np.sort(samples[:, 0]).tolist()
         c, last, found = float(center_array[0]), len(coordinates) - 1, -1.0
-        for g in _grid_axis(c, radius, grid_resolution):
+        for g in grid_axis(c - radius, c + radius, grid_resolution):
             if abs(g - c) <= radius:
                 j = bisect.bisect_left(coordinates, g)
                 nearest = min(abs(g - coordinates[min(j, last)]), abs(g - coordinates[max(j - 1, 0)]))
@@ -276,7 +276,10 @@ def covering_radius(
         if found < 0.0:
             raise _empty_grid(center, radius, grid_resolution)
         return float(found)
-    axes = [np.fromiter(_grid_axis(c, radius, grid_resolution), float, grid_resolution) for c in center_array.tolist()]
+    axes = [
+        np.fromiter(grid_axis(c - radius, c + radius, grid_resolution), float, grid_resolution)
+        for c in center_array.tolist()
+    ]
     # Enumerate the grid a block of lattice points at a time, and chunk over
     # samples, so that no block of grid coordinates or of differences holds
     # more than _COVERING_BLOCK coordinates; a max of mins over chunks is exact.
@@ -314,24 +317,6 @@ def covering_radius(
     if found < 0.0:
         raise _empty_grid(center, radius, grid_resolution)
     return found
-
-
-def _grid_axis(c: float, radius: float, grid_resolution: int) -> Iterator[float]:
-    """The points ``((G - 1 - i) * (c - radius) + i * (c + radius)) / (G -
-    1)`` of the convex-combination grid of ``[c - radius, c + radius]``.
-
-    Where the weighted sums could pass the float range, the ends are scaled
-    by a power of two ``s`` that keeps the sums below a quarter of the
-    range, and each point is scaled back.  The scaled ends are exact, so
-    rounding commutes with ``s``: each point is the formula's value without
-    overflow, and a point that fits does not move.
-    """
-    lo, hi, intervals = c - radius, c + radius, grid_resolution - 1
-    scale = 1.0
-    if not 4.0 * intervals * max(abs(lo), abs(hi)) < math.inf:
-        scale = math.ldexp(1.0, -2 - intervals.bit_length())
-    lo, hi = lo * scale, hi * scale
-    return (((intervals - i) * lo + i * hi) / intervals / scale for i in range(grid_resolution))
 
 
 def _empty_grid(center: Vector, radius: float, grid_resolution: int) -> ValueError:

@@ -10,6 +10,7 @@ config error, 3 runtime objective error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
@@ -21,7 +22,7 @@ import sys
 from . import engine
 from .configfile import load_experiment_config
 from .engine import EVALUATOR_FAILURES, InitializationError, ObjectiveError
-from .objective import InputError, get_objective
+from .objective import InputError, get_objective, grid_axis
 
 EXIT_OK = 0
 EXIT_EXPECTATION_FAILED = 1
@@ -116,19 +117,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
     if args.n_points < 2:
         return _fail(f"n_points must be >= 2, got {args.n_points}", EXIT_INPUT_ERROR)
     n = args.n_points
-    if n - 1 > sys.float_info.max or not math.isfinite((n - 1) * max(abs(args.x_min), abs(args.x_max))):
+    if n - 1 > sys.float_info.max:
         return _fail(f"grid of {n} points over [{args.x_min}, {args.x_max}] overflows", EXIT_INPUT_ERROR)
-    x_min, x_max, evaluator = args.x_min, args.x_max, objective.evaluator
+    grid, evaluator = grid_axis(args.x_min, args.x_max, n), objective.evaluator
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("x,f\n")
             # One write per block of rows, so memory does not grow with n.
-            for start in range(0, n, _SAMPLE_BLOCK):
+            for _ in range(0, n, _SAMPLE_BLOCK):
                 rows = []
-                for i in range(start, min(start + _SAMPLE_BLOCK, n)):
-                    # Convex-combination grid: endpoints exact, and symmetric
-                    # ranges hit their midpoint (e.g. 0 on [-2, 2]) exactly.
-                    x = ((n - 1 - i) * x_min + i * x_max) / (n - 1)
+                for x in itertools.islice(grid, _SAMPLE_BLOCK):
                     try:
                         value = evaluator((x,))
                     except EVALUATOR_FAILURES as exc:

@@ -7,13 +7,16 @@ at ``5/4 * 2^l``, the function is continuous on the open positive axis, and
 the only discontinuity is at 0 (value -1, right-limit 0, hence lower
 semicontinuous there).  All band arithmetic is by powers of two so that the
 values at dyadic points are bit-exact in binary64.
+
+``grid_axis`` is the grid of ``sample`` and of ``covering_radius``; it sits
+here because ``cli`` and ``analysis`` both load this module without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 Vector = tuple[float, ...]
 T = TypeVar("T")
@@ -37,6 +40,27 @@ def lookup(registry: Mapping[str, T], kind: str, name: str) -> T:
     except KeyError:
         valid = ", ".join(sorted(registry))
         raise UnknownNameError(f"unknown {kind} {name!r}; valid names: {valid}") from None
+
+
+def grid_axis(lo: float, hi: float, grid_resolution: int) -> Iterator[float]:
+    """The points ``((G - 1 - i) * lo + i * hi) / (G - 1)``, i = 0 .. G - 1,
+    of the convex-combination grid of ``[lo, hi]``, where ``G`` is
+    ``grid_resolution``: a symmetric range hits its midpoint exactly.
+
+    Where the weighted sums could pass the float range, the ends are scaled
+    by a power of two ``s`` that keeps the sums below a quarter of the
+    range, and each point is scaled back.  An end at least ``2**-1022 / s``
+    in magnitude scales exactly, and rounding commutes with ``s``: each
+    point is then the formula's value without overflow, and a point that
+    fits does not move.  A smaller end is rounded to a multiple of
+    ``2**-1074 / s``.  ``G - 1`` must not pass the float range.
+    """
+    intervals = grid_resolution - 1
+    scale = 1.0
+    if not 4.0 * intervals * max(abs(lo), abs(hi)) < math.inf:
+        scale = math.ldexp(1.0, -2 - intervals.bit_length())
+    lo, hi = lo * scale, hi * scale
+    return (((intervals - i) * lo + i * hi) / intervals / scale for i in range(grid_resolution))
 
 
 #: Ascending coefficients of the quartic q used on the band [1, 2): value 1

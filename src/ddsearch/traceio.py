@@ -5,9 +5,12 @@ per iteration record, and a trailer carrying the termination reason.  Floats
 are serialized as Python's shortest round-trip decimals, and +inf survives as
 the JSON-extension token ``Infinity``.  Records are written by one direct
 encoder (``_encoded``) that gives the bytes ``json`` would give for the
-record's fields, and writes the text of a vector once for the records that
-share it as the same object; the header and the trailer are written by
-``json``.
+record's fields; the header and the trailer are written by ``json``.  The
+encoder writes each value's text once and reuses it: by identity for a
+value the engine hands on to the next record, and by equality for a nonzero
+float within a record, such as a poll trial at step 0.0, which is its
+incumbent.  Equal zeros are not reused, as ``0.0 == -0.0``, and a NaN
+equals nothing.
 
 The engine is the one definition of a valid trace: a trace is valid if and
 only if the engine, run from its header, writes exactly its lines.  Reading
@@ -50,20 +53,27 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
     fields with compact separators.  Every coordinate, value and step size
     is a float (``np.float64`` included) and is written by ``float.__repr__``.
 
-    The engine hands each record's ``x_next`` on as the next record's ``x``,
-    and an unsuccessful iteration's ``x_next`` is its ``x``, so the text of
-    the last ``x_next`` is reused for the same object: by identity, never by
-    equality, since ``(0.0,) == (-0.0,)``."""
-    last = last_text = None
+    The text of a value already written is reused, by identity where the
+    engine hands the value on: a record's ``x``, ``alpha`` and ``f`` are the
+    objects of the last record's ``x_next``, ``alpha_next`` and (without a
+    success) ``f``, and an unsuccessful ``x_next`` is its ``x``.  Within a
+    record, a trial point equal to ``x``, a trial value equal to ``f`` and
+    an ``alpha_next`` equal to ``alpha`` take their text by equality, since
+    equal nonzero floats have one shortest repr.  Zeros are excluded, as
+    ``0.0 == -0.0`` and the two are written apart; a NaN equals nothing, so
+    it is always written anew."""
+    last_x = last_x_text = last_f = last_f_text = last_alpha = last_alpha_text = None
     for record in records:
         k, x, alpha, f_x, outcomes, success, x_next, alpha_next = record
-        x_text = last_text if x is last else "[" + ",".join(map(_float_repr, x)) + "]"
-        last_text = x_text if x_next is x else "[" + ",".join(map(_float_repr, x_next)) + "]"
-        last = x_next
+        x_text = last_x_text if x is last_x else "[" + ",".join(map(_float_repr, x)) + "]"
+        f_text = last_f_text if f_x is last_f else _float_repr(f_x)
+        alpha_text = last_alpha_text if alpha is last_alpha else _float_repr(alpha)
+        x_reusable = 0.0 not in x
         steps = []
         for kind, trials, winner, step_success in outcomes:
             trial_texts = [
-                f'{{"point":[{",".join(map(_float_repr, point))}],"value":{_float_repr(value)},'
+                f'{{"point":{x_text if point == x and x_reusable else "[" + ",".join(map(_float_repr, point)) + "]"},'
+                f'"value":{f_text if value == f_x != 0.0 else _float_repr(value)},'
                 f'"in_domain":{"true" if in_domain else "false"}}}'
                 for point, value, in_domain in trials
             ]
@@ -71,10 +81,13 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
                 f'{{"step":"{kind}","trials":[{",".join(trial_texts)}],"winner":{"null" if winner is None else winner},'
                 f'"success":{"true" if step_success else "false"}}}'
             )
+        last_x, last_f, last_f_text, last_alpha = x_next, f_x, f_text, alpha_next
+        last_x_text = x_text if x_next is x else "[" + ",".join(map(_float_repr, x_next)) + "]"
+        last_alpha_text = alpha_text if alpha_next == alpha != 0.0 else _float_repr(alpha_next)
         line = (
-            f'{{"k":{k},"x":{x_text},"alpha":{_float_repr(alpha)},"f":{_float_repr(f_x)},'
+            f'{{"k":{k},"x":{x_text},"alpha":{alpha_text},"f":{f_text},'
             f'"outcomes":[{",".join(steps)}],"success":{"true" if success else "false"},'
-            f'"x_next":{last_text},"alpha_next":{_float_repr(alpha_next)}}}'
+            f'"x_next":{last_x_text},"alpha_next":{last_alpha_text}}}'
         )
         # float.__repr__ writes inf, -inf, nan for json's Infinity, -Infinity, NaN; no
         # key, literal or step name holds "inf" or "nan", so one replace maps them all.

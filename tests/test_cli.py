@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ddsearch import AlgoConfig, cli, engine, get_objective, read_trace, run, write_trace
 from ddsearch.cli import main
-from ddsearch.objective import ObjectiveSpec
+from ddsearch.objective import ObjectiveSpec, counterexample_value
 from ddsearch.traceio import trace_lines
 
 from helpers import CONFIGS_DIR, peak_memory
@@ -416,7 +416,10 @@ def test_sample_invalid_range_exits_2(workdir, capsys):
 
 
 def test_sample_overflowing_grid_exits_2(workdir, capsys):
-    assert main(["sample", "counterexample", "--", "-1e308", "1e308", "5", "bad.csv"]) == 2
+    # Weighted sums past the float range, grid points within it: the rows of the formula.
+    assert main(["sample", "counterexample", "--", "-1e308", "1e308", "5", "f.csv"]) == 0
+    rows = "".join(f"{x!r},{counterexample_value(x)!r}\n" for x in (-1e308, -5e307, 0.0, 5e307, 1e308))
+    assert (workdir / "f.csv").read_text() == "x,f\n" + rows
     assert main(["sample", "counterexample", "0", "1", str(10**309), "bad.csv"]) == 2
     assert "overflows" in capsys.readouterr().err
     assert not (workdir / "bad.csv").exists()

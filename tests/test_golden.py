@@ -8,12 +8,15 @@ bundled configs are pinned by acceptance criterion 8.  The configs here
 cover what those skip: the n-D ball sampler (batched and single draws),
 2-D ``coordinate`` polls, domain rejects, ``inf`` values, ``quadratic``
 forcing, ``gamma > 1``, ``revealing_count > 1``, a seed of more than 64
-bits and the ``alpha_min`` stop.  The covering radii of the calibration
+bits, the ``alpha_min`` stop and the step-0 regime: with ``alpha_min = 0``
+the step underflows to 0.0, and from then on every poll trial is the
+incumbent and no iteration succeeds.  The covering radii of the calibration
 pilot are pinned by their ``float.hex``, and the script's stdout by its hash.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import runpy
@@ -24,7 +27,8 @@ import pytest
 
 from ddsearch import AlgoConfig, get_objective, run
 from ddsearch.cli import main
-from ddsearch.engine import TERMINATED_ALPHA_MIN, TERMINATED_MAX_ITERATIONS
+from ddsearch.configfile import load_experiment_config
+from ddsearch.engine import POLL, TERMINATED_ALPHA_MIN, TERMINATED_MAX_ITERATIONS
 from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import trace_lines
 
@@ -84,6 +88,17 @@ GOLDEN = {
         TERMINATED_MAX_ITERATIONS,
         "114ecb411d234883aa953640a19b20c1110de2defeca3fa6ac5ca4402258b8c4",
     ),
+    # perfbench's long.cfg at benchmark seed 1: 2 912 of its 4 000
+    # iterations run at step 0.0.  CI checks this pin too.
+    "revealing_step_zero": (
+        dataclasses.replace(
+            load_experiment_config(CONFIGS_DIR / "revealing.cfg").algo,
+            seed=577090037, max_iterations=4000, alpha_min=0.0,
+        ),
+        get_objective("counterexample"),
+        TERMINATED_MAX_ITERATIONS,
+        "4d8ada9670399f183b14cd38eba4e5e9e1cf0580379701cba78b88eb860e0702",
+    ),
 }
 
 
@@ -100,6 +115,8 @@ def test_golden_traces_reach_the_paths_they_pin():
     seen = Counter()
     for config, objective, _, _ in GOLDEN.values():
         for record in run(config, objective).records:
+            polled = {trial.point for outcome in record.outcomes if outcome.kind == POLL for trial in outcome.trials}
+            seen["step-0 polls at the incumbent"] += record.alpha == 0.0 and polled == {record.x}
             for outcome in record.outcomes:
                 seen[outcome.kind, "wins"] += outcome.success
                 seen["no winner among trials"] += outcome.winner is None and bool(outcome.trials)
@@ -108,6 +125,7 @@ def test_golden_traces_reach_the_paths_they_pin():
                     seen["inf values"] += trial.in_domain and math.isinf(trial.value)
     assert all(seen[key] > 0 for key in [("search", "wins"), ("revealing_poll", "wins"), ("poll", "wins")])
     assert seen["domain rejects"] > 0 and seen["inf values"] > 0 and seen["no winner among trials"] > 0
+    assert seen["step-0 polls at the incumbent"] > 0
 
 
 # grid -> sha256 of the CSV that `ddsearch sample counterexample <grid> f.csv`

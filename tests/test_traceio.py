@@ -125,17 +125,44 @@ _EDGE_RECORD = IterationRecord(
 )
 
 
-# The encoder reuses the text of a vector that is the same object as one it
-# has written.  Record 1's x is -0.0 after record 0's x_next of 0.0, and its
-# x_next is 0.0 again: equal vectors, other objects.  Record 2's x_next is its
-# x and holds NaN.
+# The encoder reuses the text of a value it has written: by identity where
+# the engine hands a value on, and by equality for a nonzero float.  Each
+# record puts next to a written value an equal one of another object, type
+# or sign.  Record 0's alpha_next equals its alpha and its x_next is the
+# winning trial's point.  Record 1's x is -0.0 after that x_next of 0.0, its
+# f is the winning trial's value object, its poll trial (0.0,) at (-0.0,)
+# has value -0.0 under f 0.0, and its x_next is 0.0 again.  Record 2's
+# x_next is its x and holds NaN, as do its f and trial value.  Record 3 is
+# the n-D form, with a zero coordinate in x and a trial value 0.0 under f
+# -0.0, and its step 0.0 goes to -0.0.  Record 4's trial point, trial value
+# and alpha_next are np.float64 values equal to its Python floats.  Records
+# 5 and 6 write an inf and a NaN f next to trial values of other objects.
 _ORIGIN, _NAN_POINT = (0.0,), (math.nan,)
 _WON = StepOutcome(POLL, (TrialPoint(_ORIGIN, 0.0, True),), 0, True)
 _LOST = StepOutcome(POLL, (TrialPoint(_NAN_POINT, math.nan, True),), None, False)
+
+
+def _polled(*trials):
+    return (StepOutcome(POLL, tuple(TrialPoint(point, value, True) for point, value in trials), None, False),)
+
+
 _REUSE_RECORDS = (
     IterationRecord(0, (0.5,), 0.5, 0.25, (_WON,), True, _ORIGIN, 0.5),
-    IterationRecord(1, (-0.0,), 0.5, 0.0, (), False, (0.0,), 0.25),
+    IterationRecord(1, (-0.0,), 0.5, _WON.trials[0].value, _polled(((0.0,), -0.0)), False, (0.0,), 0.25),
     IterationRecord(2, _NAN_POINT, 0.25, math.nan, (_LOST,), False, _NAN_POINT, 0.125),
+    IterationRecord(
+        3, (0.5, -0.0), 0.0, -0.0, _polled(((0.5, 0.0), 0.0), ((0.5, -0.0), -0.0)), False, (0.5, -0.0), -0.0
+    ),
+    IterationRecord(
+        4, (0.75, 2.0), 0.125, 1.5, _polled(((np.float64(0.75), np.float64(2.0)), np.float64(1.5))), False,
+        (0.75, 2.0), np.float64(0.125),
+    ),
+    IterationRecord(
+        5, (0.75,), 0.125, math.inf, _polled(((0.75,), float("inf")), ((1.0,), -math.inf)), False, (0.75,), 0.125
+    ),
+    IterationRecord(
+        6, (0.75,), 0.125, float("nan"), _polled(((0.75,), math.nan), ((0.75,), float("nan"))), False, (0.75,), 0.0625
+    ),
 )
 
 
