@@ -497,14 +497,14 @@ def clarke_estimate(
 
 
 # Trials per engine.hash_seed_blocks pass; with their master seed they fit
-# in the engine's memo, which holds the latest block of 64 seeds.
+# in the engine's memo, which holds the latest span of 64 seeds.
 _SEED_BATCH = 32
 
 
 def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial run seed mixed from (master seed, trial index):
     word 0 of ``SeedSequence((master_seed, trial_index))``'s uint64 state,
-    read from the engine's memo, whose blocks hold the seeds of 64 trials."""
+    read from the engine's memo, whose spans hold the seeds of 64 to 512 trials."""
     return int(engine.iteration_seed_words(master_seed, trial_index)[0])
 
 
@@ -520,9 +520,9 @@ def monte_carlo_escape(
     Results depend only on (master_seed, trial index), so aggregation order
     is deterministic.  Both tests fit the dyadic objective only, so any other
     objective raises ConfigError.  Trials run through ``engine.run`` in groups
-    of ``_SEED_BATCH``, whose block 0 ``engine.hash_seed_blocks`` hashes in one
-    pass; the histogram has at most ``max_iterations + 1`` pairs, so memory
-    does not grow with ``n_trials``.
+    of ``_SEED_BATCH``, whose first span, iterations 0 to 63,
+    ``engine.hash_seed_blocks`` hashes in one pass; the histogram has at most
+    ``max_iterations + 1`` pairs, so memory does not grow with ``n_trials``.
     """
     if objective.name != "counterexample":
         raise ConfigError(f"monte_carlo_escape requires the counterexample objective, got {objective.name!r}")

@@ -25,10 +25,11 @@ if ``iterate``, replayed from its header, writes exactly its lines.
 ``validate_config`` bounds what one iteration may cost, so a header cannot
 buy unbounded work before its first comparison.
 
-Iteration k of a run draws from ``PCG64(SeedSequence((seed, k)))``, hashed 64
-iterations at a time into a memo of the latest block of the last 64 seeds.
-numpy is imported by the first block hashed, not with this module, so a run
-without the revealing poll never loads it.
+Iteration k of a run draws from ``PCG64(SeedSequence((seed, k)))``, hashed
+in aligned spans of iterations that grow along the run, [0, 64), [64, 128),
+[128, 256), [256, 512) and then blocks of 512, into a memo of the latest span
+of the last 64 seeds.  numpy is imported by the first span hashed, not with
+this module, so a run without the revealing poll never loads it.
 
 The per-trial records ``TrialPoint``, ``StepOutcome`` and ``IterationRecord``
 are immutable named tuples, the cheapest immutable record to build: a record
@@ -326,30 +327,37 @@ def iteration_seed_words(seed: int, k: int) -> np.ndarray:
     if seed < 0 or k < 0:
         raise ValueError(f"expected nonnegative integers, got seed {seed} and k {k}")
     held = _memo.get(seed)
-    if held is None or held[0] != k >> _BLOCK_BITS:
-        hash_seed_blocks((seed,), k >> _BLOCK_BITS)
+    if held is None or not 0 <= k - held[0] < len(held[1]):
+        hash_seed_blocks((seed,), k)
         held = _memo[seed]
-    return held[1][k & (_BLOCK_SIZE - 1)]
+    return held[1][k - held[0]]
 
 
-def hash_seed_blocks(seeds: Sequence[int], block: int) -> None:
-    """Hash the 64 iterations of ``block`` of every seed in ``seeds`` into the
-    memo, one ``_seed_blocks`` pass per seed word count.  The memo keeps one
-    block per seed, the latest hashed, for the last ``_MEMO_SEEDS`` seeds
-    hashed: a run only moves forward through its blocks."""
+def hash_seed_blocks(seeds: Sequence[int], k: int) -> None:
+    """Hash the span of iterations that holds k, of every seed in ``seeds``,
+    into the memo, one ``_seed_blocks`` pass per seed word count.
+
+    The span of k is aligned and its size is ``2**floor(log2(k))`` clamped
+    to [64, 512]: [0, 64), [64, 128), [128, 256), [256, 512), then blocks of
+    512.  A long run thus hashes a few large spans, and a miss costs at most
+    512 rows.  The memo keeps one span per seed, the latest hashed, for the
+    last ``_MEMO_SEEDS`` seeds hashed: a run only moves forward through its
+    spans.
+    """
+    bits = min(max(k.bit_length() - 1, _MIN_SPAN_BITS), _MAX_SPAN_BITS)
+    start, size = k >> bits << bits, 1 << bits
     for n_words in {len(_uint32_words(seed)) for seed in seeds}:
         group = [seed for seed in seeds if len(_uint32_words(seed)) == n_words]
-        for seed, rows in zip(group, _seed_blocks(group, block)):
+        for seed, rows in zip(group, _seed_blocks(group, start, size)):
             _memo.pop(seed, None)
-            _memo[seed] = (block, rows)
+            _memo[seed] = (start, rows)
     while len(_memo) > _MEMO_SEEDS:
         del _memo[next(iter(_memo))]
 
 
-_BLOCK_BITS = 6
-_BLOCK_SIZE = 1 << _BLOCK_BITS
-_MEMO_SEEDS = 64  # 2 KB of rows each; a Monte Carlo group and its master seed fit
-_memo: dict[int, tuple[int, np.ndarray]] = {}  # seed -> (block, its rows), oldest hash first
+_MIN_SPAN_BITS, _MAX_SPAN_BITS = 6, 9
+_MEMO_SEEDS = 64  # at most 16 KB of rows each, 1 MB in all; a Monte Carlo group and its master seed fit
+_memo: dict[int, tuple[int, np.ndarray]] = {}  # seed -> (span start, its rows), oldest hash first
 
 # SeedSequence's hashing constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -386,24 +394,26 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ (value >> 16)
 
 
-def _seed_blocks(seeds: Sequence[int], block: int) -> np.ndarray:
-    """``SeedSequence((seed, k)).generate_state(4, np.uint64)`` as row ``k % 64``
-    for the 64 iterations ``k`` of ``block``, of every seed, stacked, in one
-    numpy pass.  The seeds must have the same number of 32-bit words.
+def _seed_blocks(seeds: Sequence[int], start: int, size: int) -> np.ndarray:
+    """``SeedSequence((seed, k)).generate_state(4, np.uint64)`` as row
+    ``k - start`` for the ``size`` iterations ``k`` from ``start`` on, of
+    every seed, stacked, in one numpy pass.  The seeds must have the same
+    number of 32-bit words, and ``start`` must be a multiple of ``size``, a
+    power of two no larger than 2**32.
 
-    Column ``64 * i + j`` of every uint32 array below belongs to seed i and
-    ``k = 64 * block + j``.  A block never crosses a multiple of 2**32, so
-    only the low word of ``k`` varies within it.  SeedSequence's pool mixing
-    runs in the same order; the hashes one pool word sends to the other
-    three are independent, so they run as one row-wise call.
+    Column ``size * i + j`` of every uint32 array below belongs to seed i and
+    ``k = start + j``.  So aligned, a span never crosses a multiple of 2**32,
+    and only the low word of ``k`` varies within it.  SeedSequence's pool
+    mixing runs in the same order; the hashes one pool word sends to the
+    other three are independent, so they run as one row-wise call.
     """
     import numpy as np
 
-    block_words = _uint32_words(block << _BLOCK_BITS)
-    words = np.array([_uint32_words(seed) + block_words for seed in seeds], dtype=np.uint32).T
-    entropy = np.zeros((max(len(words), _POOL_SIZE), len(seeds), _BLOCK_SIZE), dtype=np.uint32)
+    start_words = _uint32_words(start)
+    words = np.array([_uint32_words(seed) + start_words for seed in seeds], dtype=np.uint32).T
+    entropy = np.zeros((max(len(words), _POOL_SIZE), len(seeds), size), dtype=np.uint32)
     entropy[: len(words)] = words[:, :, None]
-    entropy[len(words) - len(block_words)] += np.arange(_BLOCK_SIZE, dtype=np.uint32)  # the low word of k
+    entropy[len(words) - len(start_words)] += np.arange(size, dtype=np.uint32)  # the low word of k
     entropy = entropy.reshape(len(entropy), -1)
     extra = len(entropy) - _POOL_SIZE
     consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra) + 1)
@@ -418,9 +428,9 @@ def _seed_blocks(seeds: Sequence[int], block: int) -> np.ndarray:
     # generate_state(4, uint64): 8 uint32 words cycling through the pool,
     # paired into little-endian uint64 words.
     state = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1))
-    block_state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-    block_state.setflags(write=False)  # shared by every caller through the memo
-    return block_state.reshape(len(seeds), _BLOCK_SIZE, _POOL_SIZE)
+    span_state = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+    span_state.setflags(write=False)  # shared by every caller through the memo
+    return span_state.reshape(len(seeds), size, _POOL_SIZE)
 
 
 @functools.cache
@@ -522,7 +532,9 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
                 if -inf < trial.value < best:
                     winner, best = len(trials), trial.value
                 trials.append(trial)
-            success = winner is not None and sufficient_decrease(best, f_x, math.dist(trials[winner].point, x), forcing)
+            # No forcing is negative (steps.get_forcing) and f_x is finite,
+            # so a step can only win if best < f_x, which implies a winner.
+            success = best < f_x and sufficient_decrease(best, f_x, math.dist(trials[winner].point, x), forcing)
             outcomes.append(step_outcome((kind, tuple(trials), winner, success)))
             if success:
                 x_next, f_next, alpha_next = trials[winner].point, best, gamma * alpha

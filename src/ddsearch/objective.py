@@ -52,15 +52,23 @@ def grid_axis(lo: float, hi: float, grid_resolution: int) -> Iterator[float]:
     range, and each point is scaled back.  An end at least ``2**-1022 / s``
     in magnitude scales exactly, and rounding commutes with ``s``: each
     point is then the formula's value without overflow, and a point that
-    fits does not move.  A smaller end is rounded to a multiple of
-    ``2**-1074 / s``.  ``G - 1`` must not pass the float range.
+    fits does not move.  A smaller end would lose low bits to ``s``, but
+    beside the larger end it moves no point but its own, the point with
+    weight 0 on the larger end; that point is the formula's value unscaled,
+    which overflows only where both ends scale exactly.  ``G - 1`` must not
+    pass the float range.
     """
     intervals = grid_resolution - 1
-    scale = 1.0
-    if not 4.0 * intervals * max(abs(lo), abs(hi)) < math.inf:
-        scale = math.ldexp(1.0, -2 - intervals.bit_length())
+    if 4.0 * intervals * max(abs(lo), abs(hi)) < math.inf:
+        return (((intervals - i) * lo + i * hi) / intervals for i in range(grid_resolution))
+    scale = math.ldexp(1.0, -2 - intervals.bit_length())
+    small = 0 if abs(lo) <= abs(hi) else intervals
+    end = ((intervals - small) * lo + small * hi) / intervals
     lo, hi = lo * scale, hi * scale
-    return (((intervals - i) * lo + i * hi) / intervals / scale for i in range(grid_resolution))
+    return (
+        end if i == small and math.isfinite(end) else ((intervals - i) * lo + i * hi) / intervals / scale
+        for i in range(grid_resolution)
+    )
 
 
 #: Ascending coefficients of the quartic q used on the band [1, 2): value 1

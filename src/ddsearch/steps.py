@@ -174,5 +174,10 @@ _FORCING: dict[str, ForcingFunction] = {
 
 def get_forcing(name: str) -> ForcingFunction:
     """Look up a forcing function; both bundled choices are continuous,
-    nondecreasing on the nonnegative axis, and o(t) as t drops to 0."""
+    nondecreasing on the nonnegative axis, and o(t) as t drops to 0.
+
+    No forcing is negative at any distance, so only a trial value below the
+    incumbent's can give sufficient decrease: ``engine.iterate`` tests a
+    step's forcing only when its best value is below.
+    """
     return lookup(_FORCING, "forcing function", name)

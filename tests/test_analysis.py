@@ -23,7 +23,7 @@ from ddsearch.analysis import (
     trial_points,
     verify_counterexample_closed_form,
 )
-from ddsearch.engine import ObjectiveError
+from ddsearch.engine import IterationRecord, ObjectiveError
 from ddsearch.objective import ObjectiveSpec, counterexample_value
 
 from helpers import WEDGE, counterexample_config, peak_memory, revealing_config, wedge_value
@@ -110,6 +110,20 @@ def test_extract_refining_folds_a_stream_with_repeated_incumbents(vanilla_trace_
     assert doubled.refining_directions == report.refining_directions
     assert doubled.n_unsuccessful == 2 * report.n_unsuccessful
     assert doubled.f_tail == tuple(r.f_x for r in vanilla_trace_30.records if not r.success for _ in range(2))[-5:]
+
+
+@pytest.mark.parametrize("ratio,kept", [(0.5, True), (0.9, True), (0.95, False), (0.99, False)])
+def test_extract_refining_keeps_an_aitken_correction_within_ten_steps(ratio, kept):
+    # Unsuccessful incumbents 1, r, r**2: the Aitken correction of a
+    # geometric tail is r / (1 - r) last steps, 1 and 9 for the kept ratios
+    # and 19 and 99 for the others, whose last incumbent stands.
+    tail = [1.0, ratio, ratio * ratio]
+    records = [IterationRecord(k, (x,), 1.0, x, (), False, (x,), 0.5) for k, x in enumerate(tail)]
+    (refined,) = extract_refining(records, get_objective("abs")).refined_point
+    if kept:
+        assert abs(refined) <= 1e-12
+    else:
+        assert refined == tail[-1]
 
 
 def test_refining_directions_are_unit_vectors(vanilla_trace_30, counterexample_objective):

@@ -75,6 +75,55 @@ def test_sufficient_decrease_with_forcing():
     assert sufficient_decrease(0.95, 1.0, 0.2, lambda t: t * t)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(steps._FORCING)),
+    f_x=st.floats(allow_nan=False, allow_infinity=False),
+    below=st.floats(min_value=0.0, max_value=1e-3),
+    distance=st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2.225073858507201e-308),  # subnormal
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.just(math.inf),
+    ),
+)
+@example(name="quadratic", f_x=1.0, below=0.0, distance=5e-324)
+@example(name="zero", f_x=-0.0, below=0.0, distance=math.inf)
+def test_no_forcing_accepts_a_value_that_is_not_below_the_incumbent(name, f_x, below, distance):
+    # A forcing is never negative, so engine.iterate may skip the test on a
+    # step whose best value is not below f_x: it cannot change the verdict.
+    forcing = steps.get_forcing(name)
+    assert forcing(distance) >= 0.0
+    near = [f_x - below * abs(f_x), math.nextafter(f_x, -math.inf), f_x, math.nextafter(f_x, math.inf), math.inf]
+    for f_trial in near:
+        if sufficient_decrease(f_trial, f_x, distance, forcing):
+            assert f_trial < f_x, (f_trial, f_x, distance)
+
+
+def test_the_quadratic_forcing_margin_decides_a_trajectory():
+    # On f(x) = -c x from 0 with c = 6e-5, a poll step to x + alpha decreases
+    # f by c alpha, and the quadratic forcing asks for 1e-4 alpha**2: steps
+    # of 2 and 1 fail although their trials are below the incumbent, and
+    # steps of 0.5 succeed.  Forcing at half the distance would accept the
+    # step of 2; without forcing every step succeeds.
+    c = 6e-5
+    spec = ObjectiveSpec("slope", 1, lambda point: -c * point[0])
+    config = AlgoConfig(x0=(0.0,), alpha0=2.0, forcing="quadratic", max_iterations=5)
+    records = run(config, spec).records
+    assert [(r.alpha, r.success, r.x_next) for r in records] == [
+        (2.0, False, (0.0,)),
+        (1.0, False, (0.0,)),
+        (0.5, True, (0.5,)),
+        (0.5, True, (1.0,)),
+        (0.5, True, (1.5,)),
+    ]
+    for record in records[:2]:
+        poll = record.outcomes[-1]
+        assert poll.trials[poll.winner].value < record.f_x
+    unforced = run(dataclasses.replace(config, forcing="zero"), spec).records
+    assert [(r.alpha, r.success) for r in unforced] == [(2.0, True)] * 5
+
+
 _POLL_POINTS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
 
 
@@ -396,9 +445,12 @@ def _seed_sequence_state(seed, k):
     return np.random.PCG64(np.random.SeedSequence(entropy=(seed, k))).state
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**63 + 11, 2**64 - 1])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**63 + 11, 2**64 - 1, 2**70 + 1])
 def test_iteration_rng_state_at_block_edges(seed):
-    for k in (0, 63, 64, 65, 127, 128, 2**32 - 1, 2**32, 2**32 + 63, 2**32 + 64, 2**64 + 1):
+    # Both sides of every edge of the memo's spans, [0, 64), [64, 128),
+    # [128, 256), [256, 512), then blocks of 512, and of a multiple of 2**32.
+    edges = (0, 63, 64, 65, 127, 128, 255, 256, 511, 512, 1023, 1024)
+    for k in (*edges, 2**32 - 1, 2**32, 2**32 + 63, 2**32 + 64, 2**32 + 511, 2**32 + 512, 2**64 + 1):
         assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
 
 
@@ -443,13 +495,30 @@ def test_memo_holds_the_latest_block_of_a_bounded_number_of_seeds():
     for seed in range(1000):
         engine.iteration_seed_words(seed, 64 * (seed % 3) + 1)
     assert len(engine._memo) <= engine._MEMO_SEEDS
-    assert 0 not in engine._memo and engine._memo[998][0] == 2
-    # An evicted seed is hashed again, and a seed keeps its latest block only.
-    for seed, k in ((0, 5), (0, 70), (998, 130), (998, 0)):
+    assert 0 not in engine._memo and engine._memo[998][0] == 128
+    # An evicted seed is hashed again, and a seed keeps its latest span only.
+    for seed, k, start in ((0, 5, 0), (0, 70, 64), (998, 130, 128), (998, 0, 0), (998, 300, 256), (998, 1500, 1024)):
         reference = np.random.SeedSequence(entropy=(seed, k)).generate_state(4, np.uint64)
         assert engine.iteration_seed_words(seed, k).tolist() == reference.tolist(), (seed, k)
-        assert engine._memo[seed][0] == k // 64
+        assert engine._memo[seed][0] == start
     assert len(engine._memo) <= engine._MEMO_SEEDS
+
+
+def test_a_long_run_hashes_its_seed_stream_in_growing_spans(monkeypatch):
+    # With alpha_min = 0 the run lasts 4000 iterations, each drawing: 11
+    # passes, four spans of 64 to 256 iterations, then seven blocks of 512.
+    hashed = []
+    seed_blocks = engine._seed_blocks
+
+    def counting(seeds, start, size):
+        hashed.append((start, size))
+        return seed_blocks(seeds, start, size)
+
+    monkeypatch.setattr(engine, "_memo", {})
+    monkeypatch.setattr(engine, "_seed_blocks", counting)
+    trace = run(revealing_config(max_iterations=4000, alpha_min=0.0), get_objective("counterexample"))
+    assert len(trace.records) == 4000
+    assert hashed == [(0, 64), (64, 64), (128, 128), (256, 256)] + [(start, 512) for start in range(512, 4000, 512)]
 
 
 def test_ddsearch_and_the_commands_that_draw_nothing_start_without_numpy(tmp_path):

@@ -164,6 +164,24 @@ def test_quadratic_branch_on_nonpositive_samples():
         assert counterexample_value(x) == (x + 1.0) * (x + 1.0) - 2.0
 
 
+@pytest.mark.parametrize(
+    "lo,hi,expected",
+    [
+        (1e-320, 1.7e308, [1e-320, 8.5e307, 1.7e308]),
+        (1.7e308, -1e-320, [1.7e308, 8.5e307, -1e-320]),
+        (-5e-324, -1.7e308, [-5e-324, -8.5e307, -1.7e308]),
+        (-1.7e308, -1.6e308, [-1.7e308, -1.6499999999999999e308, -1.6e308]),
+    ],
+)
+def test_grid_axis_keeps_a_tiny_end_beside_a_huge_one(lo, hi, expected):
+    # The weighted sums pass the float range, so the ends are scaled by
+    # 2**-4, which rounds a subnormal end; its own point is still the
+    # formula's value.  Both ends of the last grid are huge.
+    points = list(objective.grid_axis(lo, hi, 3))
+    assert points == expected
+    assert [math.copysign(1.0, p) for p in points] == [math.copysign(1.0, p) for p in expected]
+
+
 def test_registry_counterexample_discontinuity():
     spec = get_objective("counterexample")
     assert spec.dimension == 1
