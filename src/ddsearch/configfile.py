@@ -87,7 +87,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigFileError(f"cannot parse {path}: {exc}") from exc
 
     sections = set(parser.sections())

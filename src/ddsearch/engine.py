@@ -7,15 +7,20 @@ to produce sufficient decrease wins the iteration and the remaining steps
 are skipped.  Disabling the revealing poll recovers the classic directional
 direct-search method.
 
-Every trial point of a step is evaluated, even after a decrease is found
-(complete, non-opportunistic polling), every evaluation is logged in the
+Every trial point of a step is logged, even after a decrease is found
+(complete, non-opportunistic polling), every evaluator call is logged in the
 trace, and update formulas avoid fused operations so that runs on dyadic
-data are bit-reproducible.
+data are bit-reproducible.  A trial at the incumbent, once the step rounds
+away against it (or is 0.0), carries the incumbent's record and is not
+evaluated again, unless the incumbent holds a zero: ``0.0 == -0.0``, yet
+the two may differ in value.  The evaluator is deterministic, and equal
+nonzero floats are one binary64, so that value is the one a call would give.
 
 ``value_at`` is the one statement of an objective's value at a point: the
-solver records it in a ``TrialPoint`` built by ``evaluate``, once per trial,
-and analyses that keep no record take the bare float.  ``evaluate`` adds only
-the domain oracle's verdict, so its value is ``value_at``'s by construction.
+solver records it in a ``TrialPoint`` built by ``evaluate``, once per trial
+it evaluates, and analyses that keep no record take the bare float.
+``evaluate`` adds only the domain oracle's verdict, so its value is
+``value_at``'s by construction.
 
 ``iterate`` is the one statement of an iteration: it yields each
 iteration's record as it completes, and ``run`` collects the records into a
@@ -468,10 +473,12 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     skips the remaining steps.  An iteration without a success keeps the
     incumbent and contracts to ``beta2*alpha``.  The loop stops after
     ``max_iterations`` iterations, as soon as the step size falls below
-    ``alpha_min``, or once an expansion overflows it to ``inf``.  Identical
-    configs (seed included) produce identical records.  The config and the
-    objective are checked, and the objective is evaluated at ``x0``, when
-    the first record is requested.
+    ``alpha_min``, or once an expansion overflows it to ``inf``.  Every
+    trial is evaluated except one equal to the incumbent ``x``, where ``x``
+    holds no zero: that trial is the incumbent's own ``TrialPoint``.
+    Identical configs (seed included) produce identical records.  The
+    config and the objective are checked, and the objective is evaluated
+    at ``x0``, when the first record is requested.
     """
     validate_config(config)
     if objective.dimension != len(config.x0):
@@ -499,6 +506,9 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
         raise InitializationError(f"objective value at x0 {x} is not finite")
     f_x = start.value
     alpha = float(config.alpha0)
+    # The incumbent's record: a trial at x takes it, unevaluated, where x
+    # holds no zero (0.0 == -0.0, and the two may differ in value).
+    incumbent = start
 
     k = 0
     while stop_reason(k, alpha, config) is None:
@@ -528,7 +538,7 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
             winner = None
             best = inf
             for point in points:
-                trial = evaluate_(objective, point)
+                trial = incumbent if point == x and 0.0 not in x else evaluate_(objective, point)
                 if -inf < trial.value < best:
                     winner, best = len(trials), trial.value
                 trials.append(trial)
@@ -537,7 +547,8 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
             success = best < f_x and sufficient_decrease(best, f_x, math.dist(trials[winner].point, x), forcing)
             outcomes.append(step_outcome((kind, tuple(trials), winner, success)))
             if success:
-                x_next, f_next, alpha_next = trials[winner].point, best, gamma * alpha
+                incumbent = trials[winner]
+                x_next, f_next, alpha_next = incumbent.point, best, gamma * alpha
                 break
         yield iteration_record((k, x, alpha, f_x, tuple(outcomes), success, x_next, alpha_next))
         x, f_x, alpha = x_next, f_next, alpha_next

@@ -115,10 +115,12 @@ class ObjectiveSpec:
     """An evaluatable extended-real objective with a domain membership oracle.
 
     ``evaluator`` and ``domain_oracle`` must be deterministic and
-    side-effect free: replay re-evaluates every trial, and the solver may
-    ask the oracle about a point more than once.  ``evaluator`` may return
-    ``math.inf`` to mark an extended-real value.  Points rejected by
-    ``domain_oracle`` are never evaluated by the solver.
+    side-effect free: replay re-evaluates the trials, the solver may ask
+    the oracle about a point more than once, and a trial at the incumbent
+    (where the incumbent holds no zero) takes the incumbent's value without
+    a call.  ``evaluator`` may return ``math.inf`` to mark an extended-real
+    value.  Points rejected by ``domain_oracle`` are never evaluated by the
+    solver.
     """
 
     name: str

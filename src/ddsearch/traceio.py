@@ -7,10 +7,10 @@ the JSON-extension token ``Infinity``.  Records are written by one direct
 encoder (``_encoded``) that gives the bytes ``json`` would give for the
 record's fields; the header and the trailer are written by ``json``.  The
 encoder writes each value's text once and reuses it: by identity for a
-value the engine hands on to the next record, and by equality for a nonzero
-float within a record, such as a poll trial at step 0.0, which is its
-incumbent.  Equal zeros are not reused, as ``0.0 == -0.0``, and a NaN
-equals nothing.
+value the engine hands on to the next record and for the incumbent's trial,
+which every trial at the incumbent is, such as a poll trial at step 0.0, and
+by equality for a nonzero step size that a record keeps.  Equal zeros are
+not reused, as ``0.0 == -0.0``, and a NaN equals nothing.
 
 The engine is the one definition of a valid trace: a trace is valid if and
 only if the engine, run from its header, writes exactly its lines.  Reading
@@ -56,27 +56,34 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
     The text of a value already written is reused, by identity where the
     engine hands the value on: a record's ``x``, ``alpha`` and ``f`` are the
     objects of the last record's ``x_next``, ``alpha_next`` and (without a
-    success) ``f``, and an unsuccessful ``x_next`` is its ``x``.  Within a
-    record, a trial point equal to ``x``, a trial value equal to ``f`` and
-    an ``alpha_next`` equal to ``alpha`` take their text by equality, since
-    equal nonzero floats have one shortest repr.  Zeros are excluded, as
-    ``0.0 == -0.0`` and the two are written apart; a NaN equals nothing, so
-    it is always written anew."""
-    last_x = last_x_text = last_f = last_f_text = last_alpha = last_alpha_text = None
+    success) ``f``, and an unsuccessful ``x_next`` is its ``x``.  So is the
+    text of the latest trial whose point is its record's ``x``: every trial
+    at the incumbent is the incumbent's own ``TrialPoint`` (``engine.iterate``),
+    written once while it stays the incumbent.  An ``alpha_next`` equal to
+    ``alpha`` takes its text by equality, since equal nonzero floats have one
+    shortest repr; zeros are excluded, as ``0.0 == -0.0`` and the two are
+    written apart, and a NaN equals nothing, so it is always written anew."""
+    last_x = last_x_text = last_f = last_f_text = last_alpha = last_alpha_text = held = held_text = None
     for record in records:
         k, x, alpha, f_x, outcomes, success, x_next, alpha_next = record
         x_text = last_x_text if x is last_x else "[" + ",".join(map(_float_repr, x)) + "]"
         f_text = last_f_text if f_x is last_f else _float_repr(f_x)
         alpha_text = last_alpha_text if alpha is last_alpha else _float_repr(alpha)
-        x_reusable = 0.0 not in x
         steps = []
         for kind, trials, winner, step_success in outcomes:
-            trial_texts = [
-                f'{{"point":{x_text if point == x and x_reusable else "[" + ",".join(map(_float_repr, point)) + "]"},'
-                f'"value":{f_text if value == f_x != 0.0 else _float_repr(value)},'
-                f'"in_domain":{"true" if in_domain else "false"}}}'
-                for point, value, in_domain in trials
-            ]
+            trial_texts = []
+            for trial in trials:
+                if trial is not held:
+                    point, value, in_domain = trial
+                    text = (
+                        f'{{"point":[{",".join(map(_float_repr, point))}],"value":{_float_repr(value)},'
+                        f'"in_domain":{"true" if in_domain else "false"}}}'
+                    )
+                    if point is x:
+                        held, held_text = trial, text
+                    trial_texts.append(text)
+                else:
+                    trial_texts.append(held_text)
             steps.append(
                 f'{{"step":"{kind}","trials":[{",".join(trial_texts)}],"winner":{"null" if winner is None else winner},'
                 f'"success":{"true" if step_success else "false"}}}'
@@ -129,7 +136,8 @@ def replay_trace(
     non-blank line at a time and yields each record once the engine,
     replaying the run, has written exactly that line; when exhausted it has
     checked the trailer and the end of the file.  Any difference raises
-    TraceFormatError naming the file and the first line that differs.
+    TraceFormatError naming the file and the first line that differs; so
+    does, unread, a path that exists but is not a regular file.
     ``objective`` overrides the registry lookup of the header's objective
     name.
 
@@ -141,6 +149,10 @@ def replay_trace(
     """
     lines = _file_lines(path)
     try:
+        # A directory or a device (/dev/zero) holds no trace, and a device
+        # may never end.
+        if Path(path).exists() and not Path(path).is_file():
+            raise TraceFormatError("not a regular file")
         number, head = next(lines, (None, None))
         if head is None:
             raise TraceFormatError("the trace is empty")

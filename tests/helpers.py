@@ -130,9 +130,13 @@ def random_config() -> st.SearchStrategy[tuple[AlgoConfig, str]]:
 
 def evaluation_count(trace: Trace) -> int:
     """Number of evaluator calls a run performs: one for the starting point
-    plus one per in-domain trial point."""
+    plus one per in-domain trial point, except a trial at its record's
+    incumbent ``x`` where ``x`` holds no zero, which takes the incumbent's
+    value unevaluated."""
     return 1 + sum(
-        sum(1 for t in o.trials if t.in_domain) for r in trace.records for o in r.outcomes
+        sum(1 for t in o.trials if t.in_domain and (t.point != r.x or 0.0 in r.x))
+        for r in trace.records
+        for o in r.outcomes
     )
 
 

@@ -66,6 +66,16 @@ def test_run_of_a_path_that_is_not_a_regular_file_exits_2(workdir, capsys, path)
     assert capsys.readouterr().err == f"error: config file is not a regular file: {path}\n"
 
 
+@pytest.mark.parametrize("command", [["run"], ["montecarlo", "--trials", "2", "--master-seed", "1"]])
+def test_a_config_that_is_not_utf8_exits_2(workdir, capsys, command):
+    path = workdir / "bad.cfg"
+    path.write_bytes((CONFIGS_DIR / "revealing.cfg").read_bytes() + b"# \xff\n")
+    assert main([command[0], "bad.cfg", *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot parse bad.cfg: ") and "utf-8" in captured.err
+
+
 def test_run_garbage_config_exits_2(workdir, capsys):
     (workdir / "junk.cfg").write_text("this is not an ini file\n")
     assert main(["run", "junk.cfg"]) == 2
@@ -267,6 +277,15 @@ def test_analyze_invalid_utf8_on_a_late_line_exits_2(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cannot read" in captured.err and "utf-8" in captured.err
+
+
+@pytest.mark.parametrize("path", ["/dev/zero", "."])
+def test_analyze_of_a_path_that_is_not_a_regular_file_exits_2(workdir, capsys, path):
+    # /dev/zero has no end of line nor of file, so reading it would not stop.
+    if not os.path.exists(path):
+        pytest.skip(f"{path} is absent")
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == f"error: trace file {path}: not a regular file\n"
 
 
 def test_analyze_trace_truncated_after_the_lemma_prefix_exits_2(workdir, capsys):

@@ -396,6 +396,30 @@ def test_every_evaluation_is_logged():
     assert counting.calls == evaluation_count(trace)
 
 
+def test_trials_at_the_incumbent_take_its_value_unevaluated():
+    # perfbench's long.cfg at benchmark seed 1: most of its iterations run
+    # at step 0.0, where every poll point is the incumbent.
+    counting = CountingObjective(get_objective("counterexample"))
+    trace = run(revealing_config(seed=577090037, max_iterations=4000, alpha_min=0.0), counting.spec)
+    pairs = [(r, t) for r in trace.records for o in r.outcomes for t in o.trials]
+    reused = [(r, t) for r, t in pairs if t.point == r.x and 0.0 not in r.x]
+    assert (counting.calls, len(pairs), len(reused)) == (4166, 13996, 9831)
+    assert counting.calls == evaluation_count(trace)
+    assert all(t.value == r.f_x and t.in_domain for r, t in reused)
+
+
+def test_a_trial_at_a_signed_zero_incumbent_is_evaluated():
+    # (0.0,) == (-0.0,), yet the two differ in value here: the step 5e-324
+    # contracts to 0.0, and from then on the poll point x + 0.0 is (0.0,).
+    counting = CountingObjective(ObjectiveSpec("sign", 1, lambda x: math.copysign(1.0, x[0])))
+    config = AlgoConfig(x0=(-0.0,), alpha0=5e-324, poll_directions="coordinate", max_iterations=3)
+    trace = run(config, counting.spec)
+    trials = [t for r in trace.records for o in r.outcomes for t in o.trials]
+    at_positive_zero = [t for t in trials if t.point == (0.0,) and math.copysign(1.0, t.point[0]) > 0]
+    assert at_positive_zero and all(t.value == 1.0 for t in at_positive_zero)
+    assert counting.calls == evaluation_count(trace) == 7
+
+
 def test_domain_oracle_blocks_evaluation():
     inner = get_objective("quadratic_1d")
     calls = []

@@ -125,10 +125,10 @@ _EDGE_RECORD = IterationRecord(
 )
 
 
-# The encoder reuses the text of a value it has written: by identity where
-# the engine hands a value on, and by equality for a nonzero float.  Each
-# record puts next to a written value an equal one of another object, type
-# or sign.  Record 0's alpha_next equals its alpha and its x_next is the
+# The encoder reuses the text of what it has written: by identity where the
+# engine hands a value or a trial on, and by equality for a nonzero step
+# size.  Each record puts next to a written value an equal one of another
+# object, type or sign.  Record 0's alpha_next equals its alpha and its x_next is the
 # winning trial's point.  Record 1's x is -0.0 after that x_next of 0.0, its
 # f is the winning trial's value object, its poll trial (0.0,) at (-0.0,)
 # has value -0.0 under f 0.0, and its x_next is 0.0 again.  Record 2's
@@ -137,9 +137,13 @@ _EDGE_RECORD = IterationRecord(
 # -0.0, and its step 0.0 goes to -0.0.  Record 4's trial point, trial value
 # and alpha_next are np.float64 values equal to its Python floats.  Records
 # 5 and 6 write an inf and a NaN f next to trial values of other objects.
-_ORIGIN, _NAN_POINT = (0.0,), (math.nan,)
+# Record 7 holds two trials whose point is its x object, with other values,
+# and record 8 repeats the first of them, now away from its x, beside a
+# trial of the same point and another value.
+_ORIGIN, _NAN_POINT, _AT = (0.0,), (math.nan,), (0.75,)
 _WON = StepOutcome(POLL, (TrialPoint(_ORIGIN, 0.0, True),), 0, True)
 _LOST = StepOutcome(POLL, (TrialPoint(_NAN_POINT, math.nan, True),), None, False)
+_AT_X = StepOutcome(POLL, (TrialPoint(_AT, 1.0, True), TrialPoint(_AT, 2.0, True)), None, False)
 
 
 def _polled(*trials):
@@ -162,6 +166,11 @@ _REUSE_RECORDS = (
     ),
     IterationRecord(
         6, (0.75,), 0.125, float("nan"), _polled(((0.75,), math.nan), ((0.75,), float("nan"))), False, (0.75,), 0.0625
+    ),
+    IterationRecord(7, _AT, 0.0625, 1.0, (_AT_X,), False, _AT, 0.03125),
+    IterationRecord(
+        8, (0.5,), 0.03125, 1.0, (_AT_X._replace(trials=(_AT_X.trials[0], TrialPoint(_AT, 3.0, True))),), False,
+        (0.5,), 0.015625,
     ),
 )
 
