@@ -18,7 +18,6 @@ import itertools
 import math
 import numbers
 import operator
-import sys
 import typing
 from collections import deque
 from collections.abc import Iterable, Sequence
@@ -217,103 +216,65 @@ def verify_counterexample_closed_form(records: Iterable[IterationRecord], q_max:
     return True
 
 
-# Coordinates in one difference block of covering_radius in n >= 2
-# dimensions (2 MB of float64).
-_COVERING_BLOCK = 1 << 18
-
-
 def covering_radius(
     points: list[Vector] | tuple[Vector, ...], center: Vector, radius: float, grid_resolution: int
 ) -> float:
     """Largest distance from a grid point of the ball around ``center`` to its
     nearest element of ``points``; +inf when ``points`` is empty.
 
-    The grid is the per-axis convex-combination lattice of
-    ``[center - radius, center + radius]`` (``objective.grid_axis``, also
-    where the formula's weighted sums would pass the float range)
-    intersected with the closed ball.  ``radius`` and ``center`` are taken
-    as binary64 floats.  ValueError unless ``grid_resolution`` is an
-    ``int`` >= 2, ``radius`` is finite and > 0, ``center`` holds at least
-    one finite number, ``points`` are NaN-free and of the dimension of
-    ``center``, and some grid point lies in the ball (rounding can leave
-    none, and in n-D a 2-point grid has only corners).
+    The grid is the product, over the axes, of the convex-combination grid
+    of ``[c - radius, c + radius]`` (``objective.grid_axis``, also where the
+    formula's weighted sums would pass the float range), and a grid point
+    ``g`` is in the ball if and only if ``math.dist(g, center) <= radius``.
+    ``radius`` and ``center`` are taken as binary64 floats.  ValueError
+    unless ``grid_resolution`` is an ``int`` >= 2, ``radius`` is finite and
+    > 0, ``center`` holds at least one finite number, ``points`` are
+    NaN-free and of the dimension of ``center``, and some grid point lies in
+    the ball (rounding can leave none, and in n-D a 2-point grid has only
+    corners).
 
-    In 1-D the sample coordinates are sorted once and each grid point ``g``
-    finds its nearest sample ``s`` by bisection, as ``abs(g - s)``: O((G + S)
-    log S) time and O(S) memory for G grid points and S samples, exact at
-    any radius.  In n-D offsets are taken in units of ``radius`` before they
-    are squared, so an extreme radius alone neither overflows nor underflows;
-    a grid point whose nearest squared distance in those units still does is
-    measured again by ``_nearest_rescaled``.
+    Every distance is ``math.dist``, which neither overflows nor underflows
+    at any scale and in 1-D is ``abs(g - s)``.  The samples are sorted by
+    their first coordinate once.  A grid point whose distance to the
+    previous grid point's nearest sample is at most the running maximum
+    cannot raise it and is skipped; any other bisects the first coordinates
+    and scans outward both ways while the first-coordinate gap, which never
+    exceeds ``math.dist``, is below its best distance.  Memory is O(S + nG)
+    for S samples and G points per axis.
     """
-    import numpy as np
-
     if type(grid_resolution) is not int or grid_resolution < 2:
         raise ValueError(f"grid_resolution must be an int >= 2, got {grid_resolution!r}")
     radius = _binary64("radius", radius)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
     n = len(center)
-    center_array = _finite_vector("center", center, max(n, 1))
+    middle = _finite_vector("center", center, max(n, 1))
     try:
-        samples = np.asarray(points, dtype=float).reshape(len(points), n)
-    except (TypeError, ValueError) as exc:
+        samples = sorted(map(_floats, points))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"points must be {n}-vectors of numbers") from exc
-    if np.isnan(samples).any():
+    if any(len(sample) != n for sample in samples):
+        raise ValueError(f"points must be {n}-vectors of numbers")
+    if any(map(math.isnan, itertools.chain.from_iterable(samples))):
         raise ValueError("points must not hold NaN")
-    if len(points) == 0:
+    if not samples:
         return math.inf
-    if n == 1:
-        # fl(g - s) is monotone in s, so the nearest sample to g is one of
-        # the two around its insertion point in the sorted coordinates.
-        coordinates = np.sort(samples[:, 0]).tolist()
-        c, last, found = float(center_array[0]), len(coordinates) - 1, -1.0
-        for g in grid_axis(c - radius, c + radius, grid_resolution):
-            if abs(g - c) <= radius:
-                j = bisect.bisect_left(coordinates, g)
-                nearest = min(abs(g - coordinates[min(j, last)]), abs(g - coordinates[max(j - 1, 0)]))
-                found = max(found, nearest)
-        if found < 0.0:
-            raise _empty_grid(center, radius, grid_resolution)
-        return float(found)
-    axes = [
-        np.fromiter(grid_axis(c - radius, c + radius, grid_resolution), float, grid_resolution)
-        for c in center_array.tolist()
-    ]
-    # Enumerate the grid a block of lattice points at a time, and chunk over
-    # samples, so that no block of grid coordinates or of differences holds
-    # more than _COVERING_BLOCK coordinates; a max of mins over chunks is exact.
-    columns = max(1, min(len(samples), _COVERING_BLOCK // n))
-    rows = max(1, _COVERING_BLOCK // (columns * n))
-    lattice_size = grid_resolution**n
-    found = -1.0
-    for row in range(0, lattice_size, rows):
-        index = np.unravel_index(np.arange(row, min(row + rows, lattice_size)), (grid_resolution,) * n)
-        mesh = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
-        part = mesh[np.linalg.norm((mesh - center_array) / radius, axis=1) <= 1.0]
-        if len(part) == 0:
+    firsts = [sample[0] for sample in samples]
+    dist, found, last = math.dist, -1.0, samples[0]
+    axes = [list(grid_axis(c - radius, c + radius, grid_resolution)) for c in middle]
+    for g in itertools.product(*axes):
+        if dist(g, middle) > radius or dist(g, last) <= found:
             continue
-        nearest = np.full(len(part), math.inf)
-        # A sample more than about 1e154 radii from a grid point overflows
-        # its square; the nearest one is taken, so only a grid point with no
-        # nearer sample reads inf.
-        with np.errstate(over="ignore"):
-            for column in range(0, len(samples), columns):
-                block = samples[column : column + columns]
-                # Squared distances summed coordinate by coordinate, in the order
-                # np.linalg.norm sums them; sqrt is monotone, so it is taken last.
-                squared = np.zeros((len(part), len(block)))
-                for i in range(n):
-                    difference = (part[:, i, None] - block[:, i]) / radius
-                    squared += difference * difference
-                nearest = np.minimum(nearest, squared.min(axis=1))
-        # Overflowed, or below the normal floats (a sample within about
-        # 1e-154 radii, or on the grid point): measured again.
-        normal = (nearest >= sys.float_info.min) & (nearest < math.inf)
-        if normal.any():
-            found = max(found, float(np.sqrt(nearest[normal].max())) * radius)
-        if not normal.all():
-            found = max(found, float(_nearest_rescaled(part[~normal], samples, columns).max()))
+        first, best = g[0], math.inf
+        j = bisect.bisect_left(firsts, first)
+        for side in (range(j, len(samples)), range(j - 1, -1, -1)):
+            for i in side:
+                if not abs(first - firsts[i]) < best:
+                    break
+                d = dist(g, samples[i])
+                if d < best:
+                    best, last = d, samples[i]
+        found = max(found, best)
     if found < 0.0:
         raise _empty_grid(center, radius, grid_resolution)
     return found
@@ -324,29 +285,6 @@ def _empty_grid(center: Vector, radius: float, grid_resolution: int) -> ValueErr
         f"the grid of {grid_resolution} points per axis has no point in the ball of radius "
         f"{radius!r} around {tuple(center)!r}"
     )
-
-
-def _nearest_rescaled(part: np.ndarray, samples: np.ndarray, columns: int) -> np.ndarray:
-    """The distance from each row of ``part`` to its nearest sample, at any
-    scale: offsets are taken in units of the row's Chebyshev distance to its
-    nearest sample, in which its nearest squared distance lies in [1, n].
-    ``columns`` samples at a time, as ``covering_radius`` chunks them."""
-    import numpy as np
-
-    chebyshev = np.full(len(part), math.inf)
-    with np.errstate(over="ignore"):
-        for column in range(0, len(samples), columns):
-            offsets = np.abs(part[:, None] - samples[None, column : column + columns])
-            chebyshev = np.minimum(chebyshev, offsets.max(axis=2).min(axis=1))
-        # A row with a sample on it reads 0, and one whose every offset
-        # overflows reads inf, as abs(g - s) does in 1-D.
-        scaled = (chebyshev > 0.0) & (chebyshev < math.inf)
-        unit = np.where(scaled, chebyshev, 1.0)[:, None, None]
-        squared = np.full(len(part), math.inf)
-        for column in range(0, len(samples), columns):
-            difference = (part[:, None] - samples[None, column : column + columns]) / unit
-            squared = np.minimum(squared, (difference * difference).sum(axis=2).min(axis=1))
-    return np.where(scaled, np.sqrt(squared) * chebyshev, chebyshev)
 
 
 def trial_points(trace: Trace, kinds: tuple[str, ...] | None = None, unsuccessful_only: bool = False) -> list[Vector]:
@@ -419,19 +357,25 @@ def _binary64(name: str, value: float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _finite_vector(name: str, values: Vector, dimension: int) -> np.ndarray:
-    """``values`` as a float array; ValueError naming the argument unless it
-    holds ``dimension`` finite numbers."""
-    import numpy as np
+def _floats(values: Vector) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; TypeError for a str or bytes, whose
+    characters ``float`` would take one by one."""
+    if isinstance(values, (str, bytes)):
+        raise TypeError(f"{values!r} is not a vector")
+    return tuple(map(float, values))
 
+
+def _finite_vector(name: str, values: Vector, dimension: int) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; ValueError naming the argument unless
+    it holds ``dimension`` finite numbers."""
     message = f"{name} must hold {dimension} finite numbers, got {values!r}"
     try:
-        array = np.asarray(values, dtype=float)
+        vector = _floats(values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(message) from exc
-    if array.shape != (dimension,) or not np.isfinite(array).all():
+    if len(vector) != dimension or not all(map(math.isfinite, vector)):
         raise ValueError(message)
-    return array
+    return vector
 
 
 def clarke_estimate(

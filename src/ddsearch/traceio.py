@@ -20,7 +20,12 @@ reformatted trace (other separators, ``2`` for ``2.0``) is rejected.
 
 ``replay_trace`` is the one reader: it reads the file one line at a time and
 yields each record once verified, so its memory does not grow with the
-trace.  ``read_trace`` collects its records into a ``Trace``.
+trace.  No read takes more of a line than the replay can match: the header
+is read up to ``HEADER_LIMIT`` = 2**20 characters, which hold an ``x0`` of
+about 40 000 coordinates, and a longer header is a TraceFormatError; a
+record line up to one character past the line the engine writes; and blank
+lines in chunks of that size.  ``read_trace`` collects its records into a
+``Trace``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Generator, Iterable, Iterator
 
 from . import engine
 from . import objective as objectives
@@ -37,6 +42,7 @@ from .objective import InputError, ObjectiveSpec
 
 FORMAT_NAME = "ddsearch-trace"
 FORMAT_VERSION = 1
+HEADER_LIMIT = 2**20
 
 
 class TraceFormatError(ValueError, InputError):
@@ -148,14 +154,17 @@ def replay_trace(
     such an error is one of the header.
     """
     lines = _file_lines(path)
+    next(lines)
     try:
         # A directory or a device (/dev/zero) holds no trace, and a device
         # may never end.
         if Path(path).exists() and not Path(path).is_file():
             raise TraceFormatError("not a regular file")
-        number, head = next(lines, (None, None))
+        number, head = lines.send(HEADER_LIMIT)
         if head is None:
             raise TraceFormatError("the trace is empty")
+        if len(head) > HEADER_LIMIT:
+            raise TraceFormatError(f"the header on line {number} is longer than {HEADER_LIMIT} characters")
         config, name = _read_header(head)
         try:
             if objective is None:
@@ -184,20 +193,43 @@ def read_trace(path: str | Path, objective: ObjectiveSpec | None = None) -> Trac
     return Trace(config, objective.name, tuple(records))
 
 
-def _file_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """The non-blank lines of a file, numbered as in the file, read one at a
-    time; an unreadable file or line is a TraceFormatError."""
+def _file_lines(path: str | Path) -> Generator[tuple[int | None, str | None], int, None]:
+    """The non-blank lines of a file, numbered as in the file.  Primed with
+    ``next``, each ``send(limit)`` reads at most ``limit + 1`` characters of
+    the next one and gives its number and text without the newline, so a
+    line longer than ``limit`` comes back cut but still longer than
+    ``limit``; (None, None) at the end of the file.  Blank lines are skipped
+    ``limit + 1`` characters at a time.  The file is opened at the first
+    ``send``; an unreadable file or line is a TraceFormatError."""
+    limit = yield None, None
+    number = 0
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, 1):
+            while True:
+                line = handle.readline(limit + 1)
+                if not line:
+                    limit = yield None, None
+                    continue
+                number += 1
+                while not line.strip() and not line.endswith("\n"):
+                    # Blank so far, and cut: read on through the line.  Past
+                    # its leading blanks it is longer than limit, and differs.
+                    more = handle.readline(limit + 1)
+                    line = line + more if more.strip() else more
+                    if not more:
+                        break
                 if line.strip():
-                    yield number, line.rstrip("\n")
+                    limit = yield number, line.rstrip("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read: {exc}") from exc
 
 
 def _replayed_records(
-    path: str | Path, lines: Iterator[tuple[int, str]], header_number: int, config: AlgoConfig, objective: ObjectiveSpec
+    path: str | Path,
+    lines: Generator[tuple[int | None, str | None], int, None],
+    header_number: int,
+    config: AlgoConfig,
+    objective: ObjectiveSpec,
 ) -> Iterator[IterationRecord]:
     count, alpha = 0, config.alpha0
     try:
@@ -235,10 +267,10 @@ def _read_header(line: str) -> tuple[AlgoConfig, str]:
         raise TraceFormatError(f"the header's config does not fit AlgoConfig: {exc}") from exc
 
 
-def _expect(lines: Iterator[tuple[int, str]], expected: str | None) -> None:
-    """Take the next file line; TraceFormatError unless it is ``expected``
-    (None: the end of the file)."""
-    number, line = next(lines, (None, None))
+def _expect(lines: Generator[tuple[int | None, str | None], int, None], expected: str | None) -> None:
+    """Take the next file line, read up to one character past ``expected``;
+    TraceFormatError unless it is ``expected`` (None: the end of the file)."""
+    number, line = lines.send(HEADER_LIMIT if expected is None else len(expected))
     if line == expected:
         return
     if number is None:

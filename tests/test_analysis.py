@@ -4,12 +4,16 @@ covering radii, the Clarke estimator, and the Monte Carlo escape harness."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddsearch import AlgoConfig, ConfigError, analysis, engine, get_objective, run, steps
@@ -24,7 +28,7 @@ from ddsearch.analysis import (
     verify_counterexample_closed_form,
 )
 from ddsearch.engine import IterationRecord, ObjectiveError
-from ddsearch.objective import ObjectiveSpec, counterexample_value
+from ddsearch.objective import ObjectiveSpec, counterexample_value, grid_axis
 
 from helpers import WEDGE, counterexample_config, peak_memory, revealing_config, wedge_value
 
@@ -298,6 +302,16 @@ def test_covering_radius_rejects_bad_arguments():
             covering_radius(*arguments)
 
 
+def test_text_is_not_a_vector():
+    # A str iterates over characters that float() takes one by one.
+    with pytest.raises(ValueError, match="^center "):
+        covering_radius([(0.0, 0.0)], "12", 1.0, 5)
+    with pytest.raises(ValueError, match="^points "):
+        covering_radius(["12"], (0.0, 0.0), 1.0, 5)
+    with pytest.raises(ValueError, match="^x "):
+        clarke_estimate(get_objective("abs"), "1", (1.0,), 1e-6, 1e-2, 10)
+
+
 def test_covering_radius_matches_sorted_gaps_in_one_dimension():
     # On [lo, hi] the exact radius is the larger end gap or half the largest
     # gap between neighbours; the grid sees it to within half a spacing.
@@ -424,13 +438,65 @@ def test_covering_radius_is_the_brute_force_radius_in_one_dimension(case):
     assert covering_radius([(s,) for s in samples], (center,), radius, resolution) == expected
 
 
-def test_covering_radius_does_not_depend_on_the_block_size(monkeypatch):
-    draw = random.Random(12)
-    points = [(draw.uniform(-2, 2), draw.uniform(-2, 2)) for _ in range(300)]
-    expected = covering_radius(points, (0.1, -0.2), 1.5, 21)
-    for block in (64, 4096, 1 << 24):
-        monkeypatch.setattr(analysis, "_COVERING_BLOCK", block)
-        assert covering_radius(points, (0.1, -0.2), 1.5, 21) == expected, block
+_SCATTERED = random.Random(12)
+# 300 samples over a 2-D ball and around it.
+_SCATTERED_CASE = ([(_SCATTERED.uniform(-2, 2), _SCATTERED.uniform(-2, 2)) for _ in range(300)], (0.1, -0.2), 1.5, 21)
+
+
+@st.composite
+def _covering(draw):
+    """A ball in 1 to 3 dimensions at a radius from 1e-300 to 1e300, and
+    samples: grid points, grid points with one coordinate moved by a
+    subnormal offset, points of the ball and around it, and points at any
+    magnitude, most of them far outside the ball.  Up to 201, 31 and 9 grid
+    points per axis and 600, 200 and 60 samples in 1, 2 and 3 dimensions."""
+    dimension = draw(st.integers(1, 3))
+    radius = 10.0 ** draw(st.floats(-300.0, 300.0))
+    center = tuple(radius * draw(st.floats(-3.0, 3.0)) for _ in range(dimension))
+    resolution = draw(st.integers(2, (201, 31, 9)[dimension - 1]))
+    axes = [list(grid_axis(c - radius, c + radius, resolution)) for c in center]
+    draw_sample = random.Random(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for _ in range(draw(st.integers(1, (600, 200, 60)[dimension - 1]))):
+        kind = draw_sample.randrange(4)
+        if kind < 2:
+            sample = [draw_sample.choice(axis) for axis in axes]
+            if kind == 1:
+                offset = math.ldexp(draw_sample.randrange(1, 2**52), -1074)
+                sample[draw_sample.randrange(dimension)] += draw_sample.choice((-offset, offset))
+        elif kind == 2:
+            sample = [c + radius * draw_sample.uniform(-1.5, 1.5) for c in center]
+        else:
+            sample = [draw_sample.choice((-1.0, 1.0)) * 10.0 ** draw_sample.uniform(-300.0, 300.0) for _ in center]
+        samples.append(tuple(sample))
+    return samples, center, radius, resolution
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@example(_SCATTERED_CASE)
+@given(_covering())
+def test_covering_radius_is_the_brute_force_radius_in_one_to_three_dimensions(case):
+    samples, center, radius, resolution = case
+    grid = itertools.product(*(grid_axis(c - radius, c + radius, resolution) for c in center))
+    in_ball = [g for g in grid if math.dist(g, center) <= radius]
+    if not in_ball:
+        with pytest.raises(ValueError, match="no point in the ball"):
+            covering_radius(samples, center, radius, resolution)
+        return
+    expected = max(min(math.dist(g, s) for s in samples) for g in in_ball)
+    assert covering_radius(samples, center, radius, resolution) == expected
+
+
+def test_covering_radius_loads_no_numpy():
+    # A fresh interpreter: numpy loads at the first Clarke estimate or draw.
+    code = (
+        "import sys; from ddsearch.analysis import covering_radius; "
+        "print(covering_radius([(0.5,)], (0.0,), 1.0, 5), covering_radius([(0.5, 0.0)], (0.0, 0.0), 1.0, 5), "
+        "'numpy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == ["1.5", "1.5", "False"]
 
 
 def test_covering_radius_memory_is_bounded():
@@ -442,17 +508,12 @@ def test_covering_radius_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
-def test_covering_radius_memory_is_bounded_in_three_dimensions(monkeypatch):
+def test_covering_radius_memory_is_bounded_in_three_dimensions():
     # The whole res^3 lattice at res 101 holds 1 030 301 x 3 coordinates; built
     # at once, with its in-ball test, it peaked near 90 MB.
     radius, peak = peak_memory(lambda: covering_radius([(0.0, 0.0, 0.0)], (0.0, 0.0, 0.0), 1.0, 101))
     assert radius == 1.0
     assert peak < 16 * 2**20
-    draw = random.Random(14)
-    points = [tuple(draw.uniform(-1, 1) for _ in range(3)) for _ in range(40)]
-    expected = covering_radius(points, (0.1, 0.0, -0.1), 1.0, 11)
-    monkeypatch.setattr(analysis, "_COVERING_BLOCK", 64)
-    assert covering_radius(points, (0.1, 0.0, -0.1), 1.0, 11) == expected
 
 
 def test_vanilla_run_starves_the_left_half_ball(vanilla_trace_52):

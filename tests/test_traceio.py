@@ -19,7 +19,7 @@ from ddsearch import AlgoConfig, get_objective, objective, read_trace, run, writ
 from ddsearch.cli import main
 from ddsearch.engine import MAX_REVEALING_COUNT, POLL, REVEALING_POLL, IterationRecord, StepOutcome, Trace, TrialPoint
 from ddsearch.objective import ObjectiveSpec
-from ddsearch.traceio import TraceFormatError, trace_lines
+from ddsearch.traceio import TraceFormatError, replay_trace, trace_lines
 
 from helpers import counterexample_config, peak_memory, random_config, revealing_config
 
@@ -429,6 +429,19 @@ def test_blank_lines_are_skipped_and_numbered(tmp_path, vanilla_trace_52):
         read_trace(path)
 
 
+def test_long_blank_lines_are_skipped_and_blanks_ahead_of_a_line_are_not(tmp_path, vanilla_trace_52):
+    # Each blank run is longer than the line after it, so it is read in chunks.
+    lines = list(trace_lines(vanilla_trace_52))
+    blank = " \t" * 2000
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(f"{blank}\n{line}\n" for line in lines) + blank)
+    assert read_trace(path) == vanilla_trace_52
+    lines[3] = blank + lines[3]
+    path.write_text("\n".join(lines))
+    with pytest.raises(TraceFormatError, match=r"line 4 differs"):
+        read_trace(path)
+
+
 def test_wide_x0_header_is_rejected_within_bounded_time_and_memory(tmp_path, monkeypatch, capsys, vanilla_trace_52):
     # A 2000-wide coordinate poll set would hold 4000 x 2000 floats; the
     # dimension check of the replay runs before any poll set is built.
@@ -442,6 +455,16 @@ def test_wide_x0_header_is_rejected_within_bounded_time_and_memory(tmp_path, mon
     assert time.perf_counter() - start < 1.0
     assert peak < 20 * 2**20
     _assert_rejected(path, "dimension", monkeypatch, capsys)
+
+
+def test_a_file_with_no_newline_is_rejected_within_bounded_memory(tmp_path):
+    # 64 MiB of NULs on one line: the header is read up to its limit only.
+    path = tmp_path / "no_newline.jsonl"
+    with open(path, "wb") as handle:
+        handle.truncate(64 * 2**20)
+    rejection, peak = peak_memory(lambda: pytest.raises(TraceFormatError, replay_trace, path))
+    rejection.match(r"the header on line 1 is longer than 1048576 characters")
+    assert peak < 8 * 2**20
 
 
 def test_header_at_the_revealing_count_cap_is_rejected_within_bounded_time_and_memory(
