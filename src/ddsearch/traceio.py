@@ -12,20 +12,20 @@ which every trial at the incumbent is, such as a poll trial at step 0.0, and
 by equality for a nonzero step size that a record keeps.  Equal zeros are
 not reused, as ``0.0 == -0.0``, and a NaN equals nothing.
 
-The engine is the one definition of a valid trace: a trace is valid if and
-only if the engine, run from its header, writes exactly its lines.  Reading
-parses the header only, replays the run, and compares each line the engine
-writes with the file's line, so no logged value is taken on trust and a
-reformatted trace (other separators, ``2`` for ``2.0``) is rejected.
+The engine is the one definition of a valid trace: a valid trace is exactly
+the bytes ``write_trace`` writes for the run its header names, each line
+ended by a line feed.  Reading parses the header only, replays the run, and
+compares each line the engine writes with the file's line, so no logged
+value is taken on trust, and a reformatted trace (other separators, ``2``
+for ``2.0``, another line ending, a blank line) is rejected.
 
 ``replay_trace`` is the one reader: it reads the file one line at a time and
 yields each record once verified, so its memory does not grow with the
 trace.  No read takes more of a line than the replay can match: the header
 is read up to ``HEADER_LIMIT`` = 2**20 characters, which hold an ``x0`` of
-about 40 000 coordinates, and a longer header is a TraceFormatError; a
-record line up to one character past the line the engine writes; and blank
-lines in chunks of that size.  ``read_trace`` collects its records into a
-``Trace``.
+about 40 000 coordinates, and a longer header is a TraceFormatError; every
+other line up to one character past the line the engine writes and its line
+feed.  ``read_trace`` collects its records into a ``Trace``.
 """
 
 from __future__ import annotations
@@ -139,11 +139,13 @@ def replay_trace(
     header, and an iterator of its records.
 
     The header is checked at the call.  The iterator reads the file one
-    non-blank line at a time and yields each record once the engine,
-    replaying the run, has written exactly that line; when exhausted it has
-    checked the trailer and the end of the file.  Any difference raises
-    TraceFormatError naming the file and the first line that differs; so
-    does, unread, a path that exists but is not a regular file.
+    line at a time and yields each record once the engine, replaying the
+    run, has written exactly that line and its line feed; when exhausted it
+    has checked the trailer and the end of the file, so a file that
+    replays is exactly the bytes ``write_trace`` writes.  Any difference
+    raises TraceFormatError naming the file and the first line that
+    differs, the header being line 1 and the record of iteration k line
+    k + 2; so does, unread, a path that exists but is not a regular file.
     ``objective`` overrides the registry lookup of the header's objective
     name.
 
@@ -160,11 +162,11 @@ def replay_trace(
         # may never end.
         if Path(path).exists() and not Path(path).is_file():
             raise TraceFormatError("not a regular file")
-        number, head = lines.send(HEADER_LIMIT)
-        if head is None:
+        head = lines.send(HEADER_LIMIT + 1)
+        if not head:
             raise TraceFormatError("the trace is empty")
-        if len(head) > HEADER_LIMIT:
-            raise TraceFormatError(f"the header on line {number} is longer than {HEADER_LIMIT} characters")
+        if len(head) > HEADER_LIMIT and not head.endswith("\n"):
+            raise TraceFormatError(f"the header on line 1 is longer than {HEADER_LIMIT} characters")
         config, name = _read_header(head)
         try:
             if objective is None:
@@ -175,74 +177,59 @@ def replay_trace(
             # would overflow the recursion of dataclasses.asdict.
             engine.validate_config(config)
         except (ValueError, LookupError) as exc:
-            raise TraceFormatError(f"the header on line {number} does not replay: {exc}") from exc
-        if head != _line(_header(config, objective.name)):
-            raise TraceFormatError(f"line {number} differs from the replayed run")
+            raise TraceFormatError(f"the header on line 1 does not replay: {exc}") from exc
+        if head != _line(_header(config, objective.name)) + "\n":
+            raise TraceFormatError("line 1 differs from the replayed run")
     except TraceFormatError as exc:
         raise TraceFormatError(f"trace file {path}: {exc}") from exc
-    return config, objective, _replayed_records(path, lines, number, config, objective)
+    return config, objective, _replayed_records(path, lines, config, objective)
 
 
 def read_trace(path: str | Path, objective: ObjectiveSpec | None = None) -> Trace:
     """Read a trace file: parse its header, replay the run it names, and
-    return the replayed trace if the engine writes exactly the file's
-    non-blank lines; else TraceFormatError naming the first line that
-    differs.  ``objective`` overrides the registry lookup of the header's
-    objective name."""
+    return the replayed trace if the file is exactly the bytes
+    ``write_trace`` writes for it; else TraceFormatError naming the first
+    line that differs.  ``objective`` overrides the registry lookup of the
+    header's objective name."""
     config, objective, records = replay_trace(path, objective)
     return Trace(config, objective.name, tuple(records))
 
 
-def _file_lines(path: str | Path) -> Generator[tuple[int | None, str | None], int, None]:
-    """The non-blank lines of a file, numbered as in the file.  Primed with
-    ``next``, each ``send(limit)`` reads at most ``limit + 1`` characters of
-    the next one and gives its number and text without the newline, so a
-    line longer than ``limit`` comes back cut but still longer than
-    ``limit``; (None, None) at the end of the file.  Blank lines are skipped
-    ``limit + 1`` characters at a time.  The file is opened at the first
-    ``send``; an unreadable file or line is a TraceFormatError."""
-    limit = yield None, None
-    number = 0
+def _file_lines(path: str | Path) -> Generator[str, int, None]:
+    """The lines of a file as they are on disk, each with its line feed: the
+    file is opened without newline translation, so a line ends at a line
+    feed only.  Primed with ``next``, each ``send(limit)`` reads at most
+    ``limit`` characters of the next line; "" at the end of the file.  The
+    file is opened at the first ``send``; an unreadable file or line is a
+    TraceFormatError."""
+    limit = yield ""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="\n") as handle:
             while True:
-                line = handle.readline(limit + 1)
-                if not line:
-                    limit = yield None, None
-                    continue
-                number += 1
-                while not line.strip() and not line.endswith("\n"):
-                    # Blank so far, and cut: read on through the line.  Past
-                    # its leading blanks it is longer than limit, and differs.
-                    more = handle.readline(limit + 1)
-                    line = line + more if more.strip() else more
-                    if not more:
-                        break
-                if line.strip():
-                    limit = yield number, line.rstrip("\n")
+                limit = yield handle.readline(limit)
     except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read: {exc}") from exc
 
 
 def _replayed_records(
     path: str | Path,
-    lines: Generator[tuple[int | None, str | None], int, None],
-    header_number: int,
+    lines: Generator[str, int, None],
     config: AlgoConfig,
     objective: ObjectiveSpec,
 ) -> Iterator[IterationRecord]:
     count, alpha = 0, config.alpha0
     try:
         for record, line in _encoded(engine.iterate(config, objective)):
-            _expect(lines, line)
+            _expect(lines, count + 2, line)
             yield record
             count, alpha = count + 1, record.alpha_next
-        _expect(lines, _line({"termination": engine.stop_reason(count, alpha, config)}))
-        _expect(lines, None)
+        _expect(lines, count + 2, _line({"termination": engine.stop_reason(count, alpha, config)}))
+        if lines.send(1):
+            raise TraceFormatError(f"line {count + 3} differs from the replayed run")
     except TraceFormatError as exc:
         raise TraceFormatError(f"trace file {path}: {exc}") from exc
     except (ValueError, LookupError, InitializationError, ObjectiveError) as exc:
-        raise TraceFormatError(f"trace file {path}: the header on line {header_number} does not replay: {exc}") from exc
+        raise TraceFormatError(f"trace file {path}: the header on line 1 does not replay: {exc}") from exc
 
 
 def _read_header(line: str) -> tuple[AlgoConfig, str]:
@@ -267,12 +254,12 @@ def _read_header(line: str) -> tuple[AlgoConfig, str]:
         raise TraceFormatError(f"the header's config does not fit AlgoConfig: {exc}") from exc
 
 
-def _expect(lines: Generator[tuple[int | None, str | None], int, None], expected: str | None) -> None:
-    """Take the next file line, read up to one character past ``expected``;
-    TraceFormatError unless it is ``expected`` (None: the end of the file)."""
-    number, line = lines.send(HEADER_LIMIT if expected is None else len(expected))
-    if line == expected:
+def _expect(lines: Generator[str, int, None], number: int, expected: str) -> None:
+    """Read file line ``number`` up to one character past ``expected`` and
+    its line feed; TraceFormatError unless it is exactly those."""
+    line = lines.send(len(expected) + 2)
+    if line == expected + "\n":
         return
-    if number is None:
+    if not line:
         raise TraceFormatError("truncated: the file ends before the replayed run does")
     raise TraceFormatError(f"line {number} differs from the replayed run")

@@ -418,28 +418,33 @@ def test_reformatted_trace_is_rejected(tmp_path, vanilla_trace_52):
         read_trace(path)
 
 
-def test_blank_lines_are_skipped_and_numbered(tmp_path, vanilla_trace_52):
-    lines = list(trace_lines(vanilla_trace_52))
-    path = tmp_path / "trace.jsonl"
-    path.write_text("\n" + "\n\n".join(lines) + "\n\n")
-    assert read_trace(path) == vanilla_trace_52
-    lines[5] = lines[5].replace('"k":4', '"k":5')
-    path.write_text("\n" + "\n\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match=r"line 12\b"):
-        read_trace(path)
+def _inserted(text, index, insert):
+    """``text`` with ``insert`` put ahead of its line ``index`` (from 0)."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:index] + [insert] + lines[index:])
 
 
-def test_long_blank_lines_are_skipped_and_blanks_ahead_of_a_line_are_not(tmp_path, vanilla_trace_52):
-    # Each blank run is longer than the line after it, so it is read in chunks.
-    lines = list(trace_lines(vanilla_trace_52))
-    blank = " \t" * 2000
+# Each edit changes the bytes of the 52-iteration trace in a way a lenient
+# line reader would forgive: file line 1 is the header, line k + 2 the record
+# of iteration k, line 54 the trailer.
+LINE_EDITS = {
+    "CRLF line endings": (lambda text: text.replace("\n", "\r\n"), r"line 1\b"),
+    "CR line endings": (lambda text: text.replace("\n", "\r"), "the header is not valid JSON"),
+    "a blank line 6": (lambda text: _inserted(text, 5, "\n"), r"line 6\b"),
+    "a blank line after the trailer": (lambda text: text + "\n", r"line 55\b"),
+    "no final newline": (lambda text: text[:-1], r"line 54\b"),
+    # More blanks than the read of line 4 takes.
+    "blanks ahead of a record": (lambda text: _inserted(text, 3, " \t" * 2000), r"line 4\b"),
+}
+
+
+@pytest.mark.parametrize("name", list(LINE_EDITS))
+def test_a_trace_is_exactly_the_bytes_write_trace_writes(tmp_path, monkeypatch, capsys, vanilla_trace_52, name):
+    edit, message = LINE_EDITS[name]
     path = tmp_path / "trace.jsonl"
-    path.write_text("".join(f"{blank}\n{line}\n" for line in lines) + blank)
-    assert read_trace(path) == vanilla_trace_52
-    lines[3] = blank + lines[3]
-    path.write_text("\n".join(lines))
-    with pytest.raises(TraceFormatError, match=r"line 4 differs"):
-        read_trace(path)
+    write_trace(vanilla_trace_52, path)
+    path.write_bytes(edit(path.read_bytes().decode()).encode())
+    _assert_rejected(path, message, monkeypatch, capsys)
 
 
 def test_wide_x0_header_is_rejected_within_bounded_time_and_memory(tmp_path, monkeypatch, capsys, vanilla_trace_52):
@@ -464,6 +469,20 @@ def test_a_file_with_no_newline_is_rejected_within_bounded_memory(tmp_path):
         handle.truncate(64 * 2**20)
     rejection, peak = peak_memory(lambda: pytest.raises(TraceFormatError, replay_trace, path))
     rejection.match(r"the header on line 1 is longer than 1048576 characters")
+    assert peak < 8 * 2**20
+
+
+def test_a_record_line_with_no_newline_is_rejected_within_bounded_memory(tmp_path, vanilla_trace_52):
+    # A valid header and first record, then 64 MiB of spaces on line 3: the
+    # line is read up to one character past the record the engine writes.
+    header, first = list(trace_lines(vanilla_trace_52))[:2]
+    path = tmp_path / "no_newline.jsonl"
+    with open(path, "wb") as handle:
+        handle.write(f"{header}\n{first}\n".encode())
+        for _ in range(64):
+            handle.write(b" " * 2**20)
+    rejection, peak = peak_memory(lambda: pytest.raises(TraceFormatError, read_trace, path))
+    rejection.match(r"line 3 differs")
     assert peak < 8 * 2**20
 
 
