@@ -28,20 +28,16 @@ from ddsearch.analysis import (
 from ddsearch.cli import main
 from ddsearch.configfile import load_experiment_config
 
-from helpers import CONFIGS_DIR, CountingObjective, evaluation_count, exact_band_quartic, random_config, revealing_config
-
-# sha256 of the traces that ``ddsearch run`` writes for the bundled configs
-# (the reference hashes in ROADMAP.md).
-GOLDEN_TRACE_SHA256 = {
-    "counterexample_trace.jsonl": "d71b019ec01a60acceeb81e113021e8029c655b89f56ddeb4c3b1b190ff1a36a",
-    "revealing_trace.jsonl": "d37f814d725741a2f55949297248b62a2c7afcbb5bcaf5bf5ca6c90eb3a89a00",
-}
-
-#: Covering-radius acceptance threshold for criterion 6.  Frozen from a
-#: pre-build pilot over 100 master seeds (R=2, m=4, 128 iterations): the
-#: observed maximum was 0.060 and the 99th percentile 0.045, so 0.25 holds
-#: with a 4x margin at well over 99% empirical confidence.
-DENSITY_THRESHOLD = 0.25
+from helpers import (
+    CONFIGS_DIR,
+    DENSITY_THRESHOLD,
+    PINS,
+    CountingObjective,
+    evaluation_count,
+    exact_band_quartic,
+    random_config,
+    revealing_config,
+)
 
 
 def report(criterion: int, message: str) -> None:
@@ -167,8 +163,9 @@ def test_criterion_8_determinism(tmp_path, monkeypatch, capsys):
         assert main(["run", name]) == 0
     second = {p.name: p.read_bytes() for p in tmp_path.glob("*.jsonl")}
     assert first == second
+    # tests/pins.json holds the bundled traces' digests, which ROADMAP.md lists.
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in first.items()}
-    assert digests == GOLDEN_TRACE_SHA256
+    assert digests == PINS["bundled_trace"]
     capsys.readouterr()
     assert main(["montecarlo", "revealing.cfg", "--trials", "20", "--master-seed", "7"]) == 0
     mc_first = capsys.readouterr().out

@@ -495,6 +495,31 @@ def test_sample_unknown_objective_exits_2(workdir, capsys):
     assert main(["sample", "mystery", "0", "1", "10", "bad.csv"]) == 2
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        ("analyze empty.jsonl", "the trace is empty"),
+        ("analyze version_2.jsonl", "unsupported trace version 2"),
+        ("run empty_x0.cfg", "field [algorithm] x0: empty vector"),
+        ("run extra_section.cfg", "unknown section [extra]"),
+        ("run no_output.cfg", "missing section [output]"),
+        ("montecarlo revealing.cfg --trials 0 --master-seed 7", "n_trials must be >= 1, got 0"),
+    ],
+)
+def test_each_input_error_exits_2_with_its_message(workdir, capsys, argv, message):
+    (workdir / "empty.jsonl").write_text("")
+    (workdir / "version_2.jsonl").write_text('{"format":"ddsearch-trace","version":2}\n')
+    write_config(workdir / "empty_x0.cfg", x0=",")
+    bundled = (CONFIGS_DIR / "counterexample.cfg").read_text()
+    (workdir / "extra_section.cfg").write_text(bundled + "[extra]\n")
+    (workdir / "no_output.cfg").write_text(bundled.split("[output]")[0])
+    shutil.copy(CONFIGS_DIR / "revealing.cfg", workdir)
+    assert main(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # What a fresh process loads
 

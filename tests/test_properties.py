@@ -8,7 +8,7 @@ import runpy
 from ddsearch import run
 from ddsearch.analysis import covering_radius, trial_points
 
-from helpers import CALIBRATION_SCRIPT, revealing_config
+from helpers import CALIBRATION_SCRIPT, DENSITY_THRESHOLD, revealing_config
 
 
 def test_covering_radius_of_revealing_points_is_non_increasing(counterexample_objective):
@@ -24,8 +24,8 @@ def test_covering_radius_of_revealing_points_is_non_increasing(counterexample_ob
 
 
 def test_revealing_points_cover_the_ball_across_seeds():
-    # The pilot behind the frozen 0.25 threshold: the covering radius of the
-    # accumulated revealing points should drop below 0.25 in at least 99 of
+    # The pilot behind the frozen threshold: the covering radius of the
+    # accumulated revealing points should drop below it in at least 99 of
     # 100 seeded runs (the pilot saw a maximum of ~0.06).
     radii = runpy.run_path(str(CALIBRATION_SCRIPT))["pilot"](100)
-    assert (radii < 0.25).sum() >= 99
+    assert (radii < DENSITY_THRESHOLD).sum() >= 99
