@@ -227,6 +227,9 @@ def test_closed_form_holds_until_the_step_underflows(counterexample_objective):
     records = run(counterexample_config(max_iterations=2146), counterexample_objective).records
     assert verify_counterexample_closed_form(records, 1071)
     assert not verify_counterexample_closed_form(records, 1072)
+    # At an odd k nothing but the check of x sees a moved incumbent.
+    moved = (records[0], records[1]._replace(x=(0.625,)), *records[2:52])
+    assert verify_counterexample_closed_form(moved, 0) is False
 
 
 def test_closed_form_rejects_short_trace(vanilla_trace_52):

@@ -55,11 +55,6 @@ def test_run_bundled_counterexample_config(workdir, capsys):
     assert trace.records[6].alpha == 1 / 32
 
 
-def test_run_missing_config_exits_2(workdir, capsys):
-    assert main(["run", "absent.cfg"]) == 2
-    assert "absent.cfg" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("path", [os.devnull, "."])
 def test_run_of_a_path_that_is_not_a_regular_file_exits_2(workdir, capsys, path):
     assert main(["run", path]) == 2
@@ -74,42 +69,6 @@ def test_a_config_that_is_not_utf8_exits_2(workdir, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: cannot parse bad.cfg: ") and "utf-8" in captured.err
-
-
-def test_run_garbage_config_exits_2(workdir, capsys):
-    (workdir / "junk.cfg").write_text("this is not an ini file\n")
-    assert main(["run", "junk.cfg"]) == 2
-
-
-def test_run_invalid_beta_ordering_names_field(workdir, capsys):
-    config = write_config(workdir / "bad.cfg", beta1="0.9", beta2="0.5")
-    assert main(["run", str(config)]) == 2
-    assert "beta1" in capsys.readouterr().err
-
-
-def test_run_unknown_key_is_rejected(workdir, capsys):
-    config = write_config(workdir / "bad.cfg", gamm=2)
-    assert main(["run", str(config)]) == 2
-    assert "gamm" in capsys.readouterr().err
-
-
-def test_run_missing_field_is_rejected(workdir, capsys):
-    config = write_config(workdir / "bad.cfg")
-    config.write_text(config.read_text().replace("alpha0 = 0.25\n", ""))
-    assert main(["run", str(config)]) == 2
-    assert "alpha0" in capsys.readouterr().err
-
-
-def test_run_unknown_objective_exits_2(workdir, capsys):
-    config = write_config(workdir / "bad.cfg", name="mystery")
-    assert main(["run", str(config)]) == 2
-    assert "mystery" in capsys.readouterr().err
-
-
-def test_run_non_decimal_number_exits_2(workdir, capsys):
-    config = write_config(workdir / "bad.cfg", alpha0="0x1p-2")
-    assert main(["run", str(config)]) == 2
-    assert "alpha0" in capsys.readouterr().err
 
 
 def test_run_empty_trace_path_exits_2_before_the_solver_starts(workdir, capsys, monkeypatch):
@@ -207,11 +166,6 @@ def test_analyze_invalid_numeric_flags_exit_2(workdir, capsys, flags, named):
     captured = capsys.readouterr()
     assert "gap:" not in captured.out
     assert named in captured.err
-
-
-def test_analyze_corrupt_trace_exits_2(workdir, capsys):
-    (workdir / "junk.jsonl").write_text("not a trace\n")
-    assert main(["analyze", "junk.jsonl"]) == 2
 
 
 def test_analyze_lemma_failure_exits_1(workdir, capsys):
@@ -384,26 +338,6 @@ def test_montecarlo_exit_code_counts_escapes_only(workdir, capsys):
     assert lines[:2] == ["escaped: 200/200", "converged: 199/200"]
 
 
-def test_montecarlo_without_revealing_exits_2(workdir, capsys):
-    write_config(workdir / "c.cfg")
-    assert main(["montecarlo", str(workdir / "c.cfg"), "--trials", "3", "--master-seed", "1"]) == 2
-    assert "revealing" in capsys.readouterr().err
-
-
-def test_montecarlo_other_objective_exits_2(workdir, capsys):
-    # The escape test and the minimizer belong to the dyadic objective.
-    write_config(workdir / "q.cfg", name="quadratic_1d", search_schedule="none", revealing_radius=2.0)
-    assert main(["montecarlo", str(workdir / "q.cfg"), "--trials", "5", "--master-seed", "1"]) == 2
-    assert "counterexample" in capsys.readouterr().err
-
-
-def test_montecarlo_negative_master_seed_exits_2(workdir, capsys):
-    config = workdir / "revealing.cfg"
-    config.write_text((CONFIGS_DIR / "revealing.cfg").read_text())
-    assert main(["montecarlo", str(config), "--trials", "5", "--master-seed", "-1"]) == 2
-    assert "master_seed" in capsys.readouterr().err
-
-
 def test_montecarlo_incomplete_escape_exits_1(workdir, capsys):
     # A single-iteration budget leaves most trials no room to escape.
     write_config(workdir / "short.cfg", "revealing.cfg", max_iterations=1)
@@ -491,29 +425,53 @@ def test_sample_accepts_negative_bounds(workdir, x_min, separator):
     assert (workdir / "f.csv").read_text().splitlines()[1].startswith(f"{float(x_min)!r},")
 
 
-def test_sample_unknown_objective_exits_2(workdir, capsys):
-    assert main(["sample", "mystery", "0", "1", "10", "bad.csv"]) == 2
+# Configs that differ from counterexample.cfg in the rows given.
+_BAD_CONFIGS = {
+    "betas.cfg": dict(beta1="0.9", beta2="0.5"),
+    "gamm.cfg": dict(gamm=2),
+    "mystery.cfg": dict(name="mystery"),
+    "hex.cfg": dict(alpha0="0x1p-2"),
+    "empty_x0.cfg": dict(x0=","),
+    "quadratic.cfg": dict(name="quadratic_1d", search_schedule="none", revealing_radius=2.0),
+}
 
 
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        ("analyze empty.jsonl", "the trace is empty"),
-        ("analyze version_2.jsonl", "unsupported trace version 2"),
+        ("run absent.cfg", "config file not found: absent.cfg"),
+        ("run junk.cfg", "cannot parse junk.cfg"),
+        ("run betas.cfg", "beta1, beta2 must satisfy"),
+        ("run gamm.cfg", "unknown field [algorithm] gamm"),
+        ("run no_alpha0.cfg", "missing field [algorithm] alpha0"),
+        ("run mystery.cfg", "unknown objective 'mystery'"),
+        ("run hex.cfg", "field [algorithm] alpha0: '0x1p-2' is not a decimal number"),
         ("run empty_x0.cfg", "field [algorithm] x0: empty vector"),
         ("run extra_section.cfg", "unknown section [extra]"),
         ("run no_output.cfg", "missing section [output]"),
+        ("analyze junk.jsonl", "the header is not valid JSON"),
+        ("analyze empty.jsonl", "the trace is empty"),
+        ("analyze version_2.jsonl", "unsupported trace version 2"),
+        ("montecarlo counterexample.cfg --trials 3 --master-seed 1", "requires a config with the revealing poll"),
+        ("montecarlo quadratic.cfg --trials 5 --master-seed 1", "requires the counterexample objective"),
+        ("montecarlo revealing.cfg --trials 5 --master-seed -1", "master_seed must be >= 0, got -1"),
         ("montecarlo revealing.cfg --trials 0 --master-seed 7", "n_trials must be >= 1, got 0"),
+        ("sample mystery 0 1 10 bad.csv", "unknown objective 'mystery'"),
     ],
 )
 def test_each_input_error_exits_2_with_its_message(workdir, capsys, argv, message):
+    (workdir / "junk.cfg").write_text("this is not an ini file\n")
+    (workdir / "junk.jsonl").write_text("not a trace\n")
     (workdir / "empty.jsonl").write_text("")
     (workdir / "version_2.jsonl").write_text('{"format":"ddsearch-trace","version":2}\n')
-    write_config(workdir / "empty_x0.cfg", x0=",")
+    for name, rows in _BAD_CONFIGS.items():
+        write_config(workdir / name, **rows)
     bundled = (CONFIGS_DIR / "counterexample.cfg").read_text()
+    (workdir / "no_alpha0.cfg").write_text(bundled.replace("alpha0 = 0.25\n", ""))
     (workdir / "extra_section.cfg").write_text(bundled + "[extra]\n")
     (workdir / "no_output.cfg").write_text(bundled.split("[output]")[0])
-    shutil.copy(CONFIGS_DIR / "revealing.cfg", workdir)
+    for name in ("counterexample.cfg", "revealing.cfg"):
+        shutil.copy(CONFIGS_DIR / name, workdir)
     assert main(argv.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

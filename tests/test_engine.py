@@ -1,5 +1,14 @@
-"""Engine tests: acceptance rule, candidate selection, config validation,
-and the full loop on the dyadic trap instance."""
+"""Engine tests: the acceptance rule, config validation, the record types,
+the seed stream, and what a comparison with the reference method misses.
+
+Every record of criterion 9's 1000 runs and of the 300 n-D runs here is
+compared, leaf by leaf by ``repr``, with ``tests/reference.py``, a textbook
+dDSM that shares no code with the library.  That comparison checks
+candidate selection, the step-size update, the step order, the stop at
+``alpha_min`` and each iteration's draw.  The tests here keep what no
+drawn run reaches or a record cannot show: values of -inf and NaN, a
+signed-zero incumbent, the ``alpha_overflow`` stop, the evaluator calls a
+run saves, and its errors."""
 
 from __future__ import annotations
 
@@ -61,6 +70,8 @@ from helpers import (
     revealing_config,
     wedge_value,
 )
+from reference import iterate as reference_iterate
+from reference import leaves
 
 
 def test_sufficient_decrease_simple():
@@ -100,30 +111,6 @@ def test_no_forcing_accepts_a_value_that_is_not_below_the_incumbent(name, f_x, b
             assert f_trial < f_x, (f_trial, f_x, distance)
 
 
-def test_the_quadratic_forcing_margin_decides_a_trajectory():
-    # On f(x) = -c x from 0 with c = 6e-5, a poll step to x + alpha decreases
-    # f by c alpha, and the quadratic forcing asks for 1e-4 alpha**2: steps
-    # of 2 and 1 fail although their trials are below the incumbent, and
-    # steps of 0.5 succeed.  Forcing at half the distance would accept the
-    # step of 2; without forcing every step succeeds.
-    c = 6e-5
-    spec = ObjectiveSpec("slope", 1, lambda point: -c * point[0])
-    config = AlgoConfig(x0=(0.0,), alpha0=2.0, forcing="quadratic", max_iterations=5)
-    records = run(config, spec).records
-    assert [(r.alpha, r.success, r.x_next) for r in records] == [
-        (2.0, False, (0.0,)),
-        (1.0, False, (0.0,)),
-        (0.5, True, (0.5,)),
-        (0.5, True, (1.0,)),
-        (0.5, True, (1.5,)),
-    ]
-    for record in records[:2]:
-        poll = record.outcomes[-1]
-        assert poll.trials[poll.winner].value < record.f_x
-    unforced = run(dataclasses.replace(config, forcing="zero"), spec).records
-    assert [(r.alpha, r.success) for r in unforced] == [(2.0, True)] * 5
-
-
 _POLL_POINTS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
 
 
@@ -140,16 +127,6 @@ def _poll_outcome(values, rejected=()):
     return record.outcomes[-1]
 
 
-def test_winner_is_the_least_value():
-    outcome = _poll_outcome([3.0, 1.0, 2.0, 5.0])
-    assert (outcome.winner, outcome.success) == (1, True)
-
-
-def test_winner_ties_break_by_generation_order():
-    assert _poll_outcome([3.0, 1.0, 1.0, 5.0]).winner == 1
-    assert _poll_outcome([12.0, 11.0, 11.0, 11.0]).winner == 1
-
-
 def test_winner_ignores_out_of_domain_and_non_finite_values():
     none_eligible = _poll_outcome([1.0, 1.0, 1.0, 1.0], rejected=range(4))
     assert (none_eligible.winner, none_eligible.success) == (None, False)
@@ -160,20 +137,6 @@ def test_winner_ignores_out_of_domain_and_non_finite_values():
     # A step without trial points has no winner either.
     search = run(counterexample_config(max_iterations=1), get_objective("counterexample")).records[0].outcomes[0]
     assert (search.kind, search.trials, search.winner, search.success) == (SEARCH, (), None, False)
-
-
-def test_run_step_size_follows_the_deterministic_update(counterexample_objective):
-    # From x0 = 5/4 with alpha0 = 1/2, iteration 4 succeeds and 5 fails, both at alpha = 1/4.
-    steps = [
-        (r.alpha, r.success, r.alpha_next)
-        for r in run(counterexample_config(alpha0=0.5, max_iterations=6), counterexample_objective).records
-    ]
-    assert steps[5] == (0.25, False, 0.125)
-    assert steps[4] == (0.25, True, 0.25)
-    grow = run(counterexample_config(alpha0=0.5, gamma=2.0, max_iterations=2), counterexample_objective).records[1]
-    assert (grow.alpha, grow.success, grow.alpha_next) == (1.0, True, 2.0)
-    shrink = run(counterexample_config(beta1=0.25, beta2=0.25, max_iterations=1), counterexample_objective).records[0]
-    assert (shrink.alpha, shrink.success, shrink.alpha_next) == (0.25, False, 0.0625)
 
 
 @pytest.mark.parametrize(
@@ -252,9 +215,41 @@ def test_iterate_yields_the_records_of_run_one_at_a_time(counterexample_objectiv
     assert tuple(first_five) == run(revealing_config(max_iterations=5), counterexample_objective).records
 
 
-def test_run_is_deterministic(counterexample_objective):
-    config = revealing_config(seed=77, max_iterations=60)
-    assert run(config, counterexample_objective) == run(config, counterexample_objective)
+def _bowl(point):
+    """A bowl with a step down across the hyperplane x_1 = 0."""
+    return sum(v * v for v in point) - (1.0 if point[0] < 0.0 else 0.0)
+
+
+@st.composite
+def _n_dimensional_run(draw):
+    """A 2- to 4-D run of coordinate polls: ``WEDGE`` from a feasible start
+    of finite value, or ``_bowl`` from anywhere."""
+    n = draw(st.integers(2, 4))
+    if n == 2 and draw(st.booleans()):
+        spec, x0 = WEDGE, (draw(st.floats(-1.0, 0.0)), draw(st.floats(-0.05, 0.05)))
+    else:
+        spec, x0 = ObjectiveSpec("bowl", n, _bowl), tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n))
+    config = AlgoConfig(
+        x0=x0,
+        alpha0=draw(st.floats(1e-3, 2.0)),
+        beta1=0.05,
+        beta2=draw(st.floats(0.05, 0.95)),
+        gamma=draw(st.floats(1.0, 2.0)),
+        revealing_radius=draw(st.none() | st.floats(0.01, 3.0)),
+        revealing_count=draw(st.integers(1, 4)),
+        forcing=draw(st.sampled_from(["zero", "quadratic"])),
+        seed=draw(st.integers(0, 2**70)),
+        max_iterations=draw(st.integers(0, 24)),
+        alpha_min=draw(st.sampled_from([0.0, 1e-3])),
+    )
+    return config, spec
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(drawn=_n_dimensional_run())
+def test_n_dimensional_runs_are_the_reference_method(drawn):
+    config, spec = drawn
+    assert leaves(run(config, spec).records) == leaves(tuple(reference_iterate(config, spec)))
 
 
 def test_records_are_immutable_hashable_values(counterexample_objective):
@@ -330,33 +325,6 @@ def test_run_rejects_infeasible_start():
         run(counterexample_config(x0=(-1.0,), search_schedule="none"), spec)
 
 
-def test_skip_semantics_on_counterexample(vanilla_trace_52):
-    for record in vanilla_trace_52.records:
-        kinds = [o.kind for o in record.outcomes]
-        if record.k % 2 == 0:
-            assert kinds == [SEARCH, POLL]
-            assert record.outcomes[0].trials == ()
-            assert not record.success
-        else:
-            assert kinds == [SEARCH]
-            assert record.success
-
-
-def test_revealing_step_runs_between_search_and_poll(counterexample_objective):
-    trace = run(revealing_config(max_iterations=6, seed=3), counterexample_objective)
-    even_records = [r for r in trace.records if r.k % 2 == 0]
-    assert even_records, "expected at least one even iteration"
-    kinds = [o.kind for o in even_records[0].outcomes]
-    assert kinds[0] == SEARCH and kinds[1] == REVEALING_POLL
-
-
-def test_alpha_min_termination(counterexample_objective):
-    trace = run(counterexample_config(max_iterations=500, alpha_min=1e-9), counterexample_objective)
-    assert trace.termination == TERMINATED_ALPHA_MIN
-    assert all(r.alpha >= 1e-9 for r in trace.records)
-    assert trace.records[-1].alpha_next < 1e-9
-
-
 def test_vanilla_trap_spins_at_step_zero_up_to_max_iterations(counterexample_objective):
     # alpha_min = 0 never stops the run: from k = 2145 on the step is 0.0,
     # every trial is the incumbent, and each record repeats, apart from k,
@@ -387,13 +355,6 @@ def test_trace_termination_is_derived_from_the_records(counterexample_objective,
     # A prefix that does not end the run reports no termination.
     for k in range(len(trace.records)):
         assert dataclasses.replace(trace, records=trace.records[:k]).termination is None
-
-
-def test_every_evaluation_is_logged():
-    counting = CountingObjective(get_objective("quadratic_1d"))
-    config = revealing_config(x0=(0.5,), alpha0=0.5, max_iterations=40, seed=11)
-    trace = run(config, counting.spec)
-    assert counting.calls == evaluation_count(trace)
 
 
 def test_trials_at_the_incumbent_take_its_value_unevaluated():
@@ -436,21 +397,6 @@ def test_domain_oracle_blocks_evaluation():
     assert all(p[0] >= 0.0 for p in calls)
     # The incumbent never moves to an infeasible point.
     assert all(r.x_next[0] >= 0.0 for r in trace.records)
-
-
-def test_revealing_draws_depend_only_on_seed_and_iteration(counterexample_objective):
-    with_search = run(revealing_config(seed=5, max_iterations=1), counterexample_objective)
-    without_search = run(
-        revealing_config(seed=5, max_iterations=1, search_schedule="none"), counterexample_objective
-    )
-    pick = lambda trace: [
-        o for o in trace.records[0].outcomes if o.kind == REVEALING_POLL
-    ][0]
-    assert pick(with_search).trials == pick(without_search).trials
-
-
-def test_iteration_rng_is_reproducible():
-    assert iteration_rng(99, 3).random(4).tolist() == iteration_rng(99, 3).random(4).tolist()
 
 
 def test_iteration_rng_matches_seed_sequence_of_the_pair():

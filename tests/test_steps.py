@@ -19,6 +19,8 @@ from ddsearch.steps import (
     zero_forcing,
 )
 
+from reference import leaves, uniform_ball
+
 
 def test_counterexample_search_even_iterations_empty():
     assert counterexample_search(0, (1.25,), 0.25) == []
@@ -94,30 +96,12 @@ def test_sample_ball_scale_equivariance():
         assert s == tuple(2.5 * c for c in u)
 
 
-def _general_ball_formula(rng, dimension, radius, count):
-    """The n-dimensional sampler, kept here as the reference for the 1-D branch."""
-    gauss = rng.standard_normal((count, dimension))
-    norms = np.sqrt(np.sum(gauss * gauss, axis=1))
-    degenerate = norms == 0.0
-    while degenerate.any():
-        gauss[degenerate] = rng.standard_normal((int(degenerate.sum()), dimension))
-        norms = np.sqrt(np.sum(gauss * gauss, axis=1))
-        degenerate = norms == 0.0
-    radial = rng.random(count) ** (1.0 / dimension)
-    points = radius * (gauss / norms[:, None] * radial[:, None])
-    return [tuple(float(v) for v in row) for row in points]
-
-
-def _same_floats(a, b):
-    return [[repr(c) for c in p] for p in a] == [[repr(c) for c in p] for p in b]
-
-
 @pytest.mark.parametrize("radius", [2.0, 0.3, 1e-300])
 @pytest.mark.parametrize("count", [1, 4])
 def test_sample_ball_one_dimensional_is_the_general_formula(radius, count):
     for seed in range(2000):
         fast, general = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _same_floats(sample_ball_uniform(fast, 1, radius, count), _general_ball_formula(general, 1, radius, count))
+        assert leaves(sample_ball_uniform(fast, 1, radius, count)) == leaves(uniform_ball(general, 1, radius, count))
         # Both consumed the same draws.
         assert fast.bit_generator.state == general.bit_generator.state
 
@@ -153,8 +137,8 @@ def test_sample_ball_one_dimensional_redraws_and_signed_zeros():
     uniforms = [0.5, 0.0, 0.25, 0.0]
     scripted = _ScriptedGenerator(normals, uniforms)
     fast = sample_ball_uniform(scripted, 1, 2.0, 4)
-    general = _general_ball_formula(_ScriptedGenerator(normals, uniforms), 1, 2.0, 4)
-    assert _same_floats(fast, general)
+    general = uniform_ball(_ScriptedGenerator(normals, uniforms), 1, 2.0, 4)
+    assert leaves(fast) == leaves(general)
     assert [repr(p[0]) for p in fast] == ["-1.0", "-0.0", "0.5", "0.0"]
     assert scripted.exhausted()
 
@@ -172,8 +156,8 @@ def test_sample_ball_one_dimensional_single_draw_redraws_and_signed_zeros(normal
     # batched formula, redraws included.
     scripted = _ScriptedGenerator(normals, uniforms)
     fast = sample_ball_uniform(scripted, 1, 2.0, 1)
-    general = _general_ball_formula(_ScriptedGenerator(normals, uniforms), 1, 2.0, 1)
-    assert _same_floats(fast, general)
+    general = uniform_ball(_ScriptedGenerator(normals, uniforms), 1, 2.0, 1)
+    assert leaves(fast) == leaves(general)
     assert [repr(p[0]) for p in fast] == [expected]
     assert scripted.exhausted()
 
