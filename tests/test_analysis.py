@@ -1,5 +1,15 @@
 """Analysis tests: refining-subsequence extraction, closed-form verification,
-covering radii, the Clarke estimator, and the Monte Carlo escape harness."""
+covering radii, the Clarke estimator, and the Monte Carlo escape harness.
+
+Two kernels rest on an oracle.  Each covering radius of 150 drawn balls in
+1 to 3 dimensions must equal the brute-force max over in-ball grid points
+of the min over samples of ``math.dist``, at radii from 1e-300 to 1e300,
+with grid points, subnormal offsets and far samples among the samples.  The
+Clarke estimator must evaluate the points of the scalar stream
+(``_van_der_corput``) in order, and its ``float.hex`` pins at n = 1, 4095,
+4096, 4097 and 9000 cross the block edges.  The other tests of the two hold
+what no oracle draws: rejections, float32 arguments, the ends of the float
+range, the block cache and memory."""
 
 from __future__ import annotations
 
@@ -230,6 +240,9 @@ def test_closed_form_holds_until_the_step_underflows(counterexample_objective):
     # At an odd k nothing but the check of x sees a moved incumbent.
     moved = (records[0], records[1]._replace(x=(0.625,)), *records[2:52])
     assert verify_counterexample_closed_form(moved, 0) is False
+    # An even record without its poll departs; it has no poll trials to read.
+    unpolled = (records[0]._replace(outcomes=()), *records[1:52])
+    assert verify_counterexample_closed_form(unpolled, 0) is False
 
 
 def test_closed_form_rejects_short_trace(vanilla_trace_52):
@@ -269,22 +282,8 @@ def test_closed_form_verification_pulls_no_record_past_its_prefix(vanilla_trace_
 # covering_radius
 
 
-def test_covering_radius_single_center_point():
-    assert covering_radius([(0.0,)], (0.0,), 1.0, 201) == 1.0
-
-
-def test_covering_radius_of_grid_is_zero():
-    n = 101
-    grid = [(((n - 1 - i) * -1.0 + i * 1.0) / (n - 1),) for i in range(n)]
-    assert covering_radius(grid, (0.0,), 1.0, n) == 0.0
-
-
 def test_covering_radius_empty_points():
     assert covering_radius([], (0.0,), 2.0, 11) == math.inf
-
-
-def test_covering_radius_two_dimensional():
-    assert covering_radius([(0.0, 0.0)], (0.0, 0.0), 1.0, 21) == 1.0
 
 
 def test_covering_radius_rejects_bad_arguments():
@@ -313,43 +312,6 @@ def test_text_is_not_a_vector():
         covering_radius(["12"], (0.0, 0.0), 1.0, 5)
     with pytest.raises(ValueError, match="^x "):
         clarke_estimate(get_objective("abs"), "1", (1.0,), 1e-6, 1e-2, 10)
-
-
-def test_covering_radius_matches_sorted_gaps_in_one_dimension():
-    # On [lo, hi] the exact radius is the larger end gap or half the largest
-    # gap between neighbours; the grid sees it to within half a spacing.
-    draw = random.Random(11)
-    center, radius, resolution = 0.25, 2.0, 201
-    lo, hi = center - radius, center + radius
-    spacing = 2 * radius / (resolution - 1)
-    for count in (1, 2, 17, 600, 3000):
-        points = sorted(draw.uniform(lo, hi) for _ in range(count))
-        gaps = [(b - a) / 2 for a, b in zip(points, points[1:])]
-        exact = max(points[0] - lo, hi - points[-1], *gaps)
-        found = covering_radius([(p,) for p in points], (center,), radius, resolution)
-        assert exact - spacing / 2 - 1e-12 <= found <= exact + 1e-12, count
-
-
-@pytest.mark.parametrize("radius", [1e200, 1e-170])
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_covering_radius_at_extreme_radii(dimension, radius):
-    # The square of the radius overflows at 1e200 and underflows at 1e-170.
-    origin = (0.0,) * dimension
-    assert covering_radius([origin], origin, radius, 3) == radius
-
-
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_covering_radius_of_a_sample_far_outside_the_ball(dimension):
-    # 1e600 radii away: in units of the radius its offset overflows.
-    origin = (0.0,) * dimension
-    assert covering_radius([(1e300,) + origin[1:]], origin, 1e-300, 3) == 1e300
-
-
-def test_covering_radius_of_samples_next_to_the_grid_in_two_dimensions():
-    # In units of the radius the square of 1e-200 underflows to 0.
-    grid_points = [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
-    assert covering_radius([(1e-200, 0.0), *grid_points], (0.0, 0.0), 1.0, 3) == 1e-200
-    assert covering_radius([(0.0, 0.0), *grid_points], (0.0, 0.0), 1.0, 3) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -400,45 +362,6 @@ def test_covering_radius_grid_past_the_float_range_is_its_formula_at_a_smaller_s
     assert covering_radius([(g,) for g in axis(center)], (center,), radius, resolution) == 0.0
     lattice = [(g, h) for g in axis(center) for h in axis(0.0)]
     assert covering_radius(lattice, (center, 0.0), radius, resolution) == 0.0
-
-
-@st.composite
-def _one_dimensional_covering(draw):
-    """A 1-D ball at a radius from 1e-300 to 1e300, its grid, and 1 to 3000
-    samples: grid points, grid points moved by a subnormal offset, and
-    points of the ball and around it."""
-    radius = 10.0 ** draw(st.floats(-300.0, 300.0))
-    center = radius * draw(st.floats(-3.0, 3.0))
-    resolution = draw(st.integers(2, 201))
-    lo, hi = center - radius, center + radius
-    grid = [((resolution - 1 - i) * lo + i * hi) / (resolution - 1) for i in range(resolution)]
-    draw_sample = random.Random(draw(st.integers(0, 2**32 - 1)))
-    samples = []
-    for _ in range(draw(st.integers(1, 3000))):
-        kind = draw_sample.randrange(3)
-        if kind == 0:
-            samples.append(draw_sample.choice(grid))
-        elif kind == 1:
-            offset = math.ldexp(draw_sample.randrange(1, 2**52), -1074)
-            samples.append(draw_sample.choice(grid) + draw_sample.choice((-offset, offset)))
-        else:
-            samples.append(center + radius * draw_sample.uniform(-1.5, 1.5))
-    in_ball = [g for g in grid if abs(g - center) <= radius]
-    return samples, center, radius, resolution, in_ball
-
-
-@settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@given(_one_dimensional_covering())
-def test_covering_radius_is_the_brute_force_radius_in_one_dimension(case):
-    samples, center, radius, resolution, in_ball = case
-    if not in_ball:
-        # Rounding can leave even c +- r out of the ball.
-        with pytest.raises(ValueError, match="no point in the ball"):
-            covering_radius([(s,) for s in samples], (center,), radius, resolution)
-        return
-    distances = np.abs(np.array(in_ball)[:, None] - np.array(samples)[None, :])
-    expected = float(distances.min(axis=1).max())
-    assert covering_radius([(s,) for s in samples], (center,), radius, resolution) == expected
 
 
 _SCATTERED = random.Random(12)
@@ -544,13 +467,6 @@ def test_clarke_smooth_quadratic_matches_classical_derivative():
     assert abs(down + 2.0) <= 0.05
 
 
-def test_clarke_estimate_monotone_in_sample_count():
-    spec = get_objective("neg_abs")
-    counts = (10, 25, 50, 100, 200, 4095, 4096, 4097, 9000)
-    estimates = [clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, n) for n in counts]
-    assert all(b >= a for a, b in zip(estimates, estimates[1:]))
-
-
 def test_clarke_estimate_rejects_bad_window():
     spec = get_objective("neg_abs")
     with pytest.raises(ValueError):
@@ -651,13 +567,6 @@ def test_clarke_estimate_reports_the_first_failing_point():
     with pytest.raises(ObjectiveError) as failure:
         clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1.0, 20000)
     assert failure.value.point == (-1.0 + 2.0**-14,)
-
-
-def test_clarke_estimate_does_not_depend_on_the_block_size(monkeypatch):
-    expected = [clarke_estimate(WEDGE, (0.0, 0.0), d, 1e-6, 0.1, 300) for d in ((0.6, 0.8), (-0.6, -0.8))]
-    for block in (1, 7, 64):
-        monkeypatch.setattr(analysis, "_CLARKE_BLOCK", block)
-        assert [clarke_estimate(WEDGE, (0.0, 0.0), d, 1e-6, 0.1, 300) for d in ((0.6, 0.8), (-0.6, -0.8))] == expected
 
 
 def _van_der_corput(index, base):

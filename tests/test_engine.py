@@ -27,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ddsearch
 from ddsearch import (
     AlgoConfig,
     ConfigError,
@@ -275,6 +276,9 @@ def test_records_are_exactly_the_record_classes(counterexample_objective):
     rejected = evaluate(ObjectiveSpec("nowhere", 1, abs, lambda point: False), (2.0,))
     assert rejected == ((2.0,), math.inf, False)
     assert {kind for kind, _, _, _ in outcomes} == {SEARCH, REVEALING_POLL, POLL}
+    # dir() of the package lists every public name, these classes among
+    # them, whether its submodule is loaded yet or not.
+    assert set(ddsearch.__all__) <= set(dir(ddsearch))
     for cls, values in (
         (IterationRecord, records),
         (StepOutcome, outcomes),
