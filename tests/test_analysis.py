@@ -7,9 +7,7 @@ of the min over samples of ``math.dist``, at radii from 1e-300 to 1e300,
 with grid points, subnormal offsets and far samples among the samples.  The
 Clarke estimator must evaluate the points of the scalar stream
 (``_van_der_corput``) in order, and its ``float.hex`` pins at n = 1, 4095,
-4096, 4097 and 9000 cross the block edges.  The other tests of the two hold
-what no oracle draws: rejections, float32 arguments, the ends of the float
-range, the block cache and memory."""
+4096, 4097 and 9000 cross the block edges."""
 
 from __future__ import annotations
 
@@ -282,8 +280,22 @@ def test_closed_form_verification_pulls_no_record_past_its_prefix(vanilla_trace_
 # covering_radius
 
 
+def test_covering_radius_single_center_point():
+    assert covering_radius([(0.0,)], (0.0,), 1.0, 201) == 1.0
+
+
+def test_covering_radius_of_grid_is_zero():
+    n = 101
+    grid = [(((n - 1 - i) * -1.0 + i * 1.0) / (n - 1),) for i in range(n)]
+    assert covering_radius(grid, (0.0,), 1.0, n) == 0.0
+
+
 def test_covering_radius_empty_points():
     assert covering_radius([], (0.0,), 2.0, 11) == math.inf
+
+
+def test_covering_radius_two_dimensional():
+    assert covering_radius([(0.0, 0.0)], (0.0, 0.0), 1.0, 21) == 1.0
 
 
 def test_covering_radius_rejects_bad_arguments():
@@ -312,6 +324,43 @@ def test_text_is_not_a_vector():
         covering_radius(["12"], (0.0, 0.0), 1.0, 5)
     with pytest.raises(ValueError, match="^x "):
         clarke_estimate(get_objective("abs"), "1", (1.0,), 1e-6, 1e-2, 10)
+
+
+def test_covering_radius_matches_sorted_gaps_in_one_dimension():
+    # On [lo, hi] the exact radius is the larger end gap or half the largest
+    # gap between neighbours; the grid sees it to within half a spacing.
+    draw = random.Random(11)
+    center, radius, resolution = 0.25, 2.0, 201
+    lo, hi = center - radius, center + radius
+    spacing = 2 * radius / (resolution - 1)
+    for count in (1, 2, 17, 600, 3000):
+        points = sorted(draw.uniform(lo, hi) for _ in range(count))
+        gaps = [(b - a) / 2 for a, b in zip(points, points[1:])]
+        exact = max(points[0] - lo, hi - points[-1], *gaps)
+        found = covering_radius([(p,) for p in points], (center,), radius, resolution)
+        assert exact - spacing / 2 - 1e-12 <= found <= exact + 1e-12, count
+
+
+@pytest.mark.parametrize("radius", [1e200, 1e-170])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_covering_radius_at_extreme_radii(dimension, radius):
+    # The square of the radius overflows at 1e200 and underflows at 1e-170.
+    origin = (0.0,) * dimension
+    assert covering_radius([origin], origin, radius, 3) == radius
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_covering_radius_of_a_sample_far_outside_the_ball(dimension):
+    # 1e600 radii away: in units of the radius its offset overflows.
+    origin = (0.0,) * dimension
+    assert covering_radius([(1e300,) + origin[1:]], origin, 1e-300, 3) == 1e300
+
+
+def test_covering_radius_of_samples_next_to_the_grid_in_two_dimensions():
+    # In units of the radius the square of 1e-200 underflows to 0.
+    grid_points = [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+    assert covering_radius([(1e-200, 0.0), *grid_points], (0.0, 0.0), 1.0, 3) == 1e-200
+    assert covering_radius([(0.0, 0.0), *grid_points], (0.0, 0.0), 1.0, 3) == 0.0
 
 
 @pytest.mark.parametrize(

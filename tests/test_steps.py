@@ -1,11 +1,4 @@
-"""Schedules, direction sets, the uniform ball sampler, and forcing functions.
-
-The sampler's oracle is ``reference.uniform_ball``, the general
-normal-and-radius formula.  Criterion 9's runs and the n-D runs of
-``test_engine`` compare the engine's draws with it, and the 1-D closed form
-is compared with it here, draw for draw.  The other sampler tests hold what
-the oracle does not draw: uniformity, the redraw of a zero normal, signed
-zeros and rejections."""
+"""Schedules, direction sets, the uniform ball sampler, and forcing functions."""
 
 from __future__ import annotations
 
@@ -69,6 +62,20 @@ def test_bundled_direction_sets_positively_span(name, dimension):
     assert not directions.sum(axis=0).any()
 
 
+def test_sample_ball_range_and_determinism():
+    draws = sample_ball_uniform(iteration_rng(123, 0), 1, 2.0, 4)
+    assert len(draws) == 4
+    assert all(-2.0 <= p[0] <= 2.0 for p in draws)
+    again = sample_ball_uniform(iteration_rng(123, 0), 1, 2.0, 4)
+    assert draws == again
+
+
+def test_sample_ball_norms_within_radius_3d():
+    draws = sample_ball_uniform(iteration_rng(5, 0), 3, 1.0, 1000)
+    norms = np.linalg.norm(np.array(draws), axis=1)
+    assert norms.max() <= 1.0
+
+
 def test_sample_ball_one_dimensional_is_uniform():
     # Kolmogorov-Smirnov distance against the uniform CDF on [-2, 2]; the
     # 0.01 bound is far above the 1.36/sqrt(n) ~ 0.0043 critical value at
@@ -80,6 +87,13 @@ def test_sample_ball_one_dimensional_is_uniform():
     grid = np.arange(n, dtype=float)
     distance = max(np.max(cdf - grid / n), np.max((grid + 1.0) / n - cdf))
     assert distance <= 0.01
+
+
+def test_sample_ball_scale_equivariance():
+    unit = sample_ball_uniform(iteration_rng(9, 4), 2, 1.0, 32)
+    scaled = sample_ball_uniform(iteration_rng(9, 4), 2, 2.5, 32)
+    for u, s in zip(unit, scaled):
+        assert s == tuple(2.5 * c for c in u)
 
 
 @pytest.mark.parametrize("radius", [2.0, 0.3, 1e-300])
