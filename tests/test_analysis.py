@@ -638,24 +638,27 @@ def test_radical_inverses_equal_the_scalar_recurrence(base):
 
 
 def test_clarke_estimate_evaluates_the_scalar_stream_in_order():
-    x, direction, h_min, h_max, n = (0.0, 0.0), (0.6, 0.8), 1e-6, 0.1, 4097
-    log_ratio = math.log(h_max / h_min)
-    expected = []
-    for i in range(1, n + 1):
-        offset = 2.0 * _van_der_corput(i, 2) - 1.0
-        t = h_min * math.exp(_van_der_corput(i, 3) * log_ratio)
-        y = tuple(xj + h_max * offset * dj for xj, dj in zip(x, direction))
-        expected += [y, tuple(yj + t * dj for yj, dj in zip(y, direction))]
-    evaluated = []
+    x, direction, h_min, n = (0.0, 0.0), (0.6, 0.8), 1e-6, 4097
+    # At h_max = 0.07, 3586 of the 4097 steps differ between log(h_max / h_min)
+    # and log(h_max) - log(h_min); at 0.1 none do.
+    for h_max in (0.1, 0.07):
+        log_ratio = math.log(h_max / h_min)
+        expected = []
+        for i in range(1, n + 1):
+            offset = 2.0 * _van_der_corput(i, 2) - 1.0
+            t = h_min * math.exp(_van_der_corput(i, 3) * log_ratio)
+            y = tuple(xj + h_max * offset * dj for xj, dj in zip(x, direction))
+            expected += [y, tuple(yj + t * dj for yj, dj in zip(y, direction))]
+        evaluated = []
 
-    def recording_wedge(point):
-        evaluated.append(point)
-        return wedge_value(point)
+        def recording_wedge(point):
+            evaluated.append(point)
+            return wedge_value(point)
 
-    # No domain oracle, so that every point of the stream reaches the evaluator.
-    clarke_estimate(ObjectiveSpec("wedge_2d", 2, recording_wedge), x, direction, h_min, h_max, n)
-    assert len(evaluated) == 2 * n
-    assert [tuple(map(float.hex, p)) for p in evaluated] == [tuple(map(float.hex, p)) for p in expected]
+        # No domain oracle, so that every point of the stream reaches the evaluator.
+        clarke_estimate(ObjectiveSpec("wedge_2d", 2, recording_wedge), x, direction, h_min, h_max, n)
+        assert len(evaluated) == 2 * n
+        assert [tuple(map(float.hex, p)) for p in evaluated] == [tuple(map(float.hex, p)) for p in expected]
 
 
 def test_clarke_estimate_memory_does_not_grow_with_the_sample_count():

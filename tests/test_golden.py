@@ -88,7 +88,8 @@ GOLDEN = {
         TERMINATED_MAX_ITERATIONS,
     ),
     # perfbench's long.cfg at benchmark seed 1: 2 912 of its 4 000
-    # iterations run at step 0.0.  CI checks this pin too.
+    # iterations run at step 0.0.  CI's benchmark golden checks run it too,
+    # and require its zero gap.
     "revealing_step_zero": (
         dataclasses.replace(
             load_experiment_config(CONFIGS_DIR / "revealing.cfg").algo,
@@ -166,7 +167,7 @@ def test_golden_pilot_radii(seeds):
 
 
 # PINS["calibration_stdout"]: arguments -> sha256 of the calibration script's
-# stdout.  CI checks "--seeds 5".
+# stdout, run as its command line.
 @pytest.mark.parametrize("arguments", list(PINS["calibration_stdout"]))
 def test_golden_calibration_stdout(arguments, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(CALIBRATION_SCRIPT), *arguments.split()])

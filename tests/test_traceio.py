@@ -1,10 +1,13 @@
-"""Trace persistence: write -> read must be the identity on the data model,
-and reading must reject, with TraceFormatError only, any trace that differs
-from the run its header replays into."""
+"""Trace persistence.  The reader's one rule, that a file is accepted exactly
+when it is the bytes ``write_trace`` writes for the run its header names, has
+one oracle here, ``test_reader_raises_only_trace_format_error``, and criterion
+9 round-trips 1000 drawn runs.  The other tests check the encoder's bytes and
+what the oracle does not draw: header edits, line ends and bounded reads."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -22,32 +25,6 @@ from ddsearch.objective import ObjectiveSpec
 from ddsearch.traceio import TraceFormatError, replay_trace, trace_lines
 
 from helpers import counterexample_config, peak_memory, random_config, revealing_config
-
-
-def test_round_trip_identity_on_vanilla_trace(tmp_path, vanilla_trace_52):
-    path = tmp_path / "trace.jsonl"
-    write_trace(vanilla_trace_52, path)
-    assert read_trace(path) == vanilla_trace_52
-
-
-def test_round_trip_identity_on_revealing_trace(tmp_path, counterexample_objective):
-    for seed in (13, 2**63 - 1):
-        trace = run(revealing_config(seed=seed), counterexample_objective)
-        path = tmp_path / "trace.jsonl"
-        write_trace(trace, path)
-        assert read_trace(path) == trace
-
-
-@pytest.mark.parametrize(
-    "overrides", [dict(max_iterations=40), dict(max_iterations=500, alpha_min=1e-9)], ids=["max_iterations", "alpha_min"]
-)
-def test_read_trace_of_a_written_run_is_the_run(tmp_path, counterexample_objective, overrides):
-    trace = run(counterexample_config(**overrides), counterexample_objective)
-    path = tmp_path / "trace.jsonl"
-    write_trace(trace, path)
-    recovered = read_trace(path)
-    assert recovered == trace
-    assert recovered.termination == trace.termination is not None
 
 
 def test_a_cut_trace_is_written_without_a_termination_and_does_not_replay(tmp_path, vanilla_trace_52):
@@ -139,8 +116,10 @@ _EDGE_RECORD = IterationRecord(
 # 5 and 6 write an inf and a NaN f next to trial values of other objects.
 # Record 7 holds two trials whose point is its x object, with other values,
 # and record 8 repeats the first of them, now away from its x, beside a
-# trial of the same point and another value.
-_ORIGIN, _NAN_POINT, _AT = (0.0,), (math.nan,), (0.75,)
+# trial of the same point and another value.  Record 9 fails with f 0.0, and
+# record 10 has f -0.0 and the alpha object of record 9, whose alpha_next
+# differs.
+_ORIGIN, _NAN_POINT, _AT, _ALPHA = (0.0,), (math.nan,), (0.75,), 0.375
 _WON = StepOutcome(POLL, (TrialPoint(_ORIGIN, 0.0, True),), 0, True)
 _LOST = StepOutcome(POLL, (TrialPoint(_NAN_POINT, math.nan, True),), None, False)
 _AT_X = StepOutcome(POLL, (TrialPoint(_AT, 1.0, True), TrialPoint(_AT, 2.0, True)), None, False)
@@ -172,6 +151,8 @@ _REUSE_RECORDS = (
         8, (0.5,), 0.03125, 1.0, (_AT_X._replace(trials=(_AT_X.trials[0], TrialPoint(_AT, 3.0, True))),), False,
         (0.5,), 0.015625,
     ),
+    IterationRecord(9, (0.5,), _ALPHA, 0.0, _polled(((0.25,), 1.0)), False, (0.5,), 0.1875),
+    IterationRecord(10, (0.5,), _ALPHA, -0.0, _polled(((0.25,), 1.0)), False, (0.5,), 0.1875),
 )
 
 
@@ -289,28 +270,12 @@ def _write_parsed(path, parsed):
 
 # Each corruption edits the parsed lines of the 52-iteration trace: line 0 is
 # the header, line 1 + k the record of iteration k, line 53 the trailer; in
-# the file, parsed line i is line i + 1.  Even iterations fail after search
-# and poll; odd ones succeed through their search step.
+# the file, parsed line i is line i + 1.  An edit of one record line is the
+# fuzz oracle's (test_reader_raises_only_trace_format_error); the two kept
+# here are a line that analyze reaches after nearly every record, and the
+# trailer.  Each header edit reaches a rejection of its own.
 CORRUPTIONS = {
-    "x": (lambda t: t[11].update(x=[0.05]), r"line 12\b"),
     "f on an unsuccessful record": (lambda t: t[51].update(f=0.5), r"line 52\b"),
-    "alpha": (lambda t: t[11].update(alpha=0.5), r"line 12\b"),
-    "alpha_next one ulp off": (lambda t: t[11].update(alpha_next=2**-8 * (1 + 2**-52)), r"line 12\b"),
-    "k": (lambda t: t[11].update(k=11), r"line 12\b"),
-    "record success": (lambda t: t[11].update(success=True), r"line 12\b"),
-    "step winner": (lambda t: t[11]["outcomes"][1].update(winner=1), r"line 12\b"),
-    "step success": (lambda t: t[12]["outcomes"][0].update(success=False), r"line 13\b"),
-    "finite out-of-domain value": (
-        lambda t: t[11]["outcomes"][1]["trials"][0].update(in_domain=False),
-        r"line 12\b",
-    ),
-    "swapped steps": (lambda t: t[11]["outcomes"].reverse(), r"line 12\b"),
-    "extra step after a success": (
-        lambda t: t[12]["outcomes"].append({**t[12]["outcomes"][0], "step": "poll"}),
-        r"line 13\b",
-    ),
-    "extra step": (lambda t: t[11]["outcomes"].append(t[11]["outcomes"][1]), r"line 12\b"),
-    "missing step": (lambda t: t[11]["outcomes"].pop(), r"line 12\b"),
     "termination": (lambda t: t[53].update(termination="alpha_min"), r"line 54\b"),
     "header beta2 = 7": (lambda t: t[0]["config"].update(beta2=7.0), "beta2"),
     'header alpha0 = "abc"': (lambda t: t[0]["config"].update(alpha0="abc"), "alpha0"),
@@ -320,8 +285,8 @@ CORRUPTIONS = {
     # engine writes then names it.
     "header without seed": (lambda t: t[0]["config"].pop("seed"), r"line 1\b"),
     "header without x0": (lambda t: t[0]["config"].pop("x0"), "x0"),
-    # A point that was never evaluated, logged with the value of the real one.
-    "trial point moved": (lambda t: t[3]["outcomes"][1]["trials"][0].update(point=[0.75]), r"line 4\b"),
+    "header x0 = []": (lambda t: t[0]["config"].update(x0=[]), "x0 must have at least one component"),
+    "header config null": (lambda t: t[0].update(config=None), "lacks an objective name or a config object"),
     # The replay stops at the trailer, one iteration past the last record.
     "max_iterations = 10**12 over 5 records": (
         lambda t: (t[0]["config"].update(max_iterations=10**12), t.__delitem__(slice(6, 53))),
@@ -339,51 +304,11 @@ CORRUPTIONS = {
 def test_inconsistent_trace_is_rejected(tmp_path, monkeypatch, capsys, vanilla_trace_52, name):
     corrupt, message = CORRUPTIONS[name]
     parsed = [json.loads(line) for line in trace_lines(vanilla_trace_52)]
-    assert len(parsed) == 54 and parsed[11]["alpha_next"] == 2**-8
+    assert len(parsed) == 54
     corrupt(parsed)
     path = tmp_path / "trace.jsonl"
     _write_parsed(path, parsed)
     _assert_rejected(path, message, monkeypatch, capsys)
-
-
-# Each edit keeps the value and changes only its JSON type, on the parsed
-# lines of the 52-iteration trace: parsed line 2 is the record of iteration 1
-# (a search success, file line 3), parsed line 3 the record of iteration 2
-# (search and poll fail, file line 4).
-WRONG_TYPES = {
-    'k "2"': lambda t: t[3].update(k="2"),
-    "k 2.0": lambda t: t[3].update(k=2.0),
-    "k true": lambda t: t[2].update(k=True),
-    'alpha "0.125"': lambda t: t[3].update(alpha="0.125"),
-    'x ["0.625"]': lambda t: t[3].update(x=["0.625"]),
-    "x a number": lambda t: t[3].update(x=0.625),
-    'f "0.47265625"': lambda t: t[3].update(f="0.47265625"),
-    'x_next [true]': lambda t: t[2].update(x_next=[True]),
-    'alpha_next "0.0625"': lambda t: t[3].update(alpha_next="0.0625"),
-    'record success "abc"': lambda t: t[2].update(success="abc"),
-    "record success 0": lambda t: t[3].update(success=0),
-    "step success 0": lambda t: t[3]["outcomes"][1].update(success=0),
-    "winner false": lambda t: t[3]["outcomes"][1].update(winner=False),
-    "winner 0.0": lambda t: t[3]["outcomes"][1].update(winner=0.0),
-    "in_domain 0.5": lambda t: t[3]["outcomes"][1]["trials"][0].update(in_domain=0.5),
-    "in_domain 1": lambda t: t[3]["outcomes"][1]["trials"][0].update(in_domain=1),
-    'value "0.5"': lambda t: t[3]["outcomes"][1]["trials"][0].update(value="0.5"),
-    'point ["0.5"]': lambda t: t[3]["outcomes"][1]["trials"][0].update(point=["0.5"]),
-}
-
-
-@pytest.mark.parametrize("name", list(WRONG_TYPES))
-def test_wrong_typed_value_is_rejected(tmp_path, monkeypatch, capsys, vanilla_trace_52, name):
-    parsed = [json.loads(line) for line in trace_lines(vanilla_trace_52)]
-    assert parsed[2]["success"] and not parsed[3]["success"]
-    assert parsed[3]["outcomes"][1]["trials"][0] == {"point": [0.5], "value": 0.5, "in_domain": True}
-    original = [json.dumps(data) for data in parsed]
-    WRONG_TYPES[name](parsed)
-    # Compared as JSON text, because a type edit such as 2 -> 2.0 keeps the values ==.
-    edited = next(i for i, data in enumerate(parsed) if json.dumps(data) != original[i])
-    path = tmp_path / "trace.jsonl"
-    _write_parsed(path, parsed)
-    _assert_rejected(path, rf"line {edited + 1}\b", monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("depth,message", [(600, "seed"), (100_000, "not valid JSON")])
@@ -546,20 +471,19 @@ _JSON_VALUES = st.sampled_from(_EDGE_VALUES) | st.recursive(
 
 
 @pytest.fixture(scope="module")
-def small_trace_lines(counterexample_objective) -> list[str]:
-    trace = run(revealing_config(seed=3, max_iterations=6), counterexample_objective)
-    return list(trace_lines(trace))
+def small_trace(counterexample_objective) -> Trace:
+    return run(revealing_config(seed=3, max_iterations=6), counterexample_objective)
 
 
-@settings(
-    max_examples=300,
-    deadline=None,
-    database=None,
-    derandomize=True,
-)
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
-def test_reader_raises_only_trace_format_error(tmp_path_factory, small_trace_lines, data):
-    lines = list(small_trace_lines)
+def test_reader_raises_only_trace_format_error(tmp_path_factory, small_trace, data):
+    # An edit that keeps the header keeps the run, so the file is accepted
+    # only unchanged; else the error names the first line that differs from
+    # the run's, or the truncation where the file is a prefix of them.  An
+    # accepted file is the bytes written for what was read.
+    original = list(trace_lines(small_trace))
+    lines = list(original)
     index = data.draw(st.integers(0, len(lines) - 1), label="line")
     action = data.draw(st.sampled_from(["replace", "drop", "duplicate"]), label="action")
     if action == "drop":
@@ -581,6 +505,12 @@ def test_reader_raises_only_trace_format_error(tmp_path_factory, small_trace_lin
     path = tmp_path_factory.mktemp("fuzz") / "trace.jsonl"
     path.write_text("\n".join(lines) + "\n")
     try:
-        read_trace(path)
-    except TraceFormatError:
-        pass
+        read = read_trace(path)
+    except TraceFormatError as exc:
+        assert lines != original
+        if lines[0] == original[0]:
+            first = next(i for i, pair in enumerate(itertools.zip_longest(lines, original)) if pair[0] != pair[1])
+            assert ("truncated" if first == len(lines) else f": line {first + 1} differs") in str(exc)
+    else:
+        assert list(trace_lines(read)) == lines
+        assert lines[0] != original[0] or read == small_trace
