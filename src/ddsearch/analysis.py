@@ -109,10 +109,12 @@ def extract_refining(records: Iterable[IterationRecord], objective: ObjectiveSpe
     ``point - x`` of the poll step's trials at those iterations, in order of
     first appearance: at most 2n for the ``coordinate`` set.  Search and
     revealing-poll trials do not count, since their offsets do not shrink
-    with the step size.  ``objective`` gives the fresh evaluation at the
-    refined point.  The pass keeps a count, the last five unsuccessful
-    incumbent values, the last three distinct unsuccessful incumbents and
-    the directions, so ``records`` may be a stream such as
+    with the step size, nor does a poll trial equal to its incumbent, which
+    has no direction; it is skipped before any arithmetic, and on a run
+    stuck at step size 0.0 it is every poll trial.  ``objective`` gives the
+    fresh evaluation at the refined point.  The pass keeps a count, the last
+    five unsuccessful incumbent values, the last three distinct unsuccessful
+    incumbents and the directions, so ``records`` may be a stream such as
     ``traceio.replay_trace`` yields.
     """
     n_unsuccessful = 0
@@ -134,7 +136,14 @@ def extract_refining(records: Iterable[IterationRecord], objective: ObjectiveSpe
             if outcome.kind != engine.POLL:
                 continue
             for trial in outcome.trials:
-                v = tuple(map(operator.sub, trial.point, x))
+                point = trial.point
+                # Equal to x (== holds for equal infinities and for a NaN
+                # that is x's own object), a point's offset holds zeros and
+                # NaNs only, whose scale below is 0.0 or NaN: it would be
+                # dropped there.
+                if point == x:
+                    continue
+                v = tuple(map(operator.sub, point, x))
                 # Scaled to largest |coordinate| 1 first, v . v neither
                 # overflows nor underflows, so a poll offset along +-e_i
                 # normalizes to exactly +-e_i.

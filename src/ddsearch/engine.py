@@ -51,7 +51,7 @@ import operator
 import reprlib
 import sys
 import typing
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from . import steps
@@ -322,7 +322,10 @@ def iteration_rng(seed: int, k: int) -> np.random.Generator:
     the search or poll configuration cannot shift them.  The stream is the
     one ``PCG64(SeedSequence((seed, k)))`` gives.
     """
-    return _generator_from_row()(iteration_seed_words(seed, k))
+    row = iteration_seed_words(seed, k)
+    if _RowSeedSequence is None:
+        _bind_generator()
+    return _Generator(_PCG64(_RowSeedSequence(row)))
 
 
 def iteration_seed_words(seed: int, k: int) -> np.ndarray:
@@ -438,13 +441,18 @@ def _seed_blocks(seeds: Sequence[int], start: int, size: int) -> np.ndarray:
     return span_state.reshape(len(seeds), size, _POOL_SIZE)
 
 
-@functools.cache
-def _generator_from_row() -> Callable[[np.ndarray], np.random.Generator]:
-    """The function ``row -> Generator(PCG64(RowSeedSequence(row)))``, where
-    RowSeedSequence is a SeedSequence stand-in that hands PCG64 one
+# numpy.random's Generator and PCG64, and RowSeedSequence, the constructors
+# of a draw's generator; bound at the first draw (``_bind_generator``), so
+# numpy is imported then and not with ddsearch.
+_Generator = _PCG64 = _RowSeedSequence = None
+
+
+def _bind_generator() -> None:
+    """Bind the constructors of ``Generator(PCG64(RowSeedSequence(row)))``,
+    where RowSeedSequence is a SeedSequence stand-in that hands PCG64 one
     precomputed row of ``_seed_blocks``, the answer to the
-    ``generate_state(4, np.uint64)`` call PCG64 makes.  Built on the first
-    draw, so numpy is imported then and not with ddsearch."""
+    ``generate_state(4, np.uint64)`` call PCG64 makes."""
+    global _Generator, _PCG64, _RowSeedSequence
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -455,7 +463,7 @@ def _generator_from_row() -> Callable[[np.ndarray], np.random.Generator]:
         def generate_state(self, n_words: int, dtype: object = None) -> np.ndarray:
             return self.row
 
-    return lambda row: Generator(PCG64(RowSeedSequence(row)))
+    _Generator, _PCG64, _RowSeedSequence = Generator, PCG64, RowSeedSequence
 
 
 def _uint32_words(n: int) -> list[int]:

@@ -2,15 +2,17 @@
 
 Layout: a header object carrying the config and objective name, one object
 per iteration record, and a trailer carrying the termination reason.  Floats
-are serialized as Python's shortest round-trip decimals, and +inf survives as
-the JSON-extension token ``Infinity``.  Records are written by one direct
-encoder (``_encoded``) that gives the bytes ``json`` would give for the
-record's fields; the header and the trailer are written by ``json``.  The
-encoder writes each value's text once and reuses it: by identity for a
-value the engine hands on to the next record and for the incumbent's trial,
-which every trial at the incumbent is, such as a poll trial at step 0.0, and
-by equality for a nonzero step size that a record keeps.  Equal zeros are
-not reused, as ``0.0 == -0.0``, and a NaN equals nothing.
+are serialized as Python's shortest round-trip decimals, and the non-finite
+values as the JSON-extension tokens ``Infinity``, ``-Infinity`` and ``NaN``.
+Records are written by one direct encoder (``_encoded``) that gives the
+bytes ``json`` would give for the record's fields; the header and the
+trailer are written by ``json``.  The encoder writes each value's text once,
+mapping the tokens on that text as it is made, and reuses it: by identity
+for a value the engine hands on to the next record and for the incumbent's
+trial, which every trial at the incumbent is, such as a poll trial at step
+0.0, and by equality for a nonzero step size that a record keeps.  Equal
+zeros are not reused, as ``0.0 == -0.0``, and a NaN equals nothing.
+``write_trace`` hands every line to the file in one ``writelines`` call.
 
 The engine is the one definition of a valid trace: a valid trace is exactly
 the bytes ``write_trace`` writes for the run its header names, each line
@@ -54,10 +56,28 @@ _line = json.JSONEncoder(separators=(",", ":")).encode
 _float_repr = float.__repr__
 
 
+# float.__repr__ writes inf, -inf and nan for json's Infinity, -Infinity and
+# NaN, and the repr of a finite float holds no "n"; so a number text is
+# mapped only where it holds one.
+def _number_text(value: float) -> str:
+    """``value`` as ``json`` writes it."""
+    text = _float_repr(value)
+    return text if "n" not in text else text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
+def _vector_text(vector: Iterable[float]) -> str:
+    """``vector`` as ``json`` writes it, an array of its coordinates."""
+    text = "[" + ",".join(map(_float_repr, vector)) + "]"
+    return text if "n" not in text else text.replace("inf", "Infinity").replace("nan", "NaN")
+
+
 def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationRecord, str]]:
     """Each record with its trace line: the bytes ``json`` writes for its
     fields with compact separators.  Every coordinate, value and step size
-    is a float (``np.float64`` included) and is written by ``float.__repr__``.
+    is a float (``np.float64`` included) and is written by ``float.__repr__``,
+    with ``json``'s tokens for the non-finite values mapped on each value's
+    text as it is written (``_number_text``, ``_vector_text``); a reused text
+    is already mapped, so a finished line is not scanned again.
 
     The text of a value already written is reused, by identity where the
     engine hands the value on: a record's ``x``, ``alpha`` and ``f`` are the
@@ -72,9 +92,9 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
     last_x = last_x_text = last_f = last_f_text = last_alpha = last_alpha_text = held = held_text = None
     for record in records:
         k, x, alpha, f_x, outcomes, success, x_next, alpha_next = record
-        x_text = last_x_text if x is last_x else "[" + ",".join(map(_float_repr, x)) + "]"
-        f_text = last_f_text if f_x is last_f else _float_repr(f_x)
-        alpha_text = last_alpha_text if alpha is last_alpha else _float_repr(alpha)
+        x_text = last_x_text if x is last_x else _vector_text(x)
+        f_text = last_f_text if f_x is last_f else _number_text(f_x)
+        alpha_text = last_alpha_text if alpha is last_alpha else _number_text(alpha)
         steps = []
         for kind, trials, winner, step_success in outcomes:
             trial_texts = []
@@ -82,7 +102,7 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
                 if trial is not held:
                     point, value, in_domain = trial
                     text = (
-                        f'{{"point":[{",".join(map(_float_repr, point))}],"value":{_float_repr(value)},'
+                        f'{{"point":{_vector_text(point)},"value":{_number_text(value)},'
                         f'"in_domain":{"true" if in_domain else "false"}}}'
                     )
                     if point is x:
@@ -95,18 +115,13 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
                 f'"success":{"true" if step_success else "false"}}}'
             )
         last_x, last_f, last_f_text, last_alpha = x_next, f_x, f_text, alpha_next
-        last_x_text = x_text if x_next is x else "[" + ",".join(map(_float_repr, x_next)) + "]"
-        last_alpha_text = alpha_text if alpha_next == alpha != 0.0 else _float_repr(alpha_next)
-        line = (
+        last_x_text = x_text if x_next is x else _vector_text(x_next)
+        last_alpha_text = alpha_text if alpha_next == alpha != 0.0 else _number_text(alpha_next)
+        yield record, (
             f'{{"k":{k},"x":{x_text},"alpha":{alpha_text},"f":{f_text},'
             f'"outcomes":[{",".join(steps)}],"success":{"true" if success else "false"},'
             f'"x_next":{last_x_text},"alpha_next":{last_alpha_text}}}'
         )
-        # float.__repr__ writes inf, -inf, nan for json's Infinity, -Infinity, NaN; no
-        # key, literal or step name holds "inf" or "nan", so one replace maps them all.
-        if "inf" in line or "nan" in line:
-            line = line.replace("inf", "Infinity").replace("nan", "NaN")
-        yield record, line
 
 
 def _header(config: AlgoConfig, objective_name: str) -> dict[str, Any]:
@@ -127,9 +142,7 @@ def trace_lines(trace: Trace) -> Iterator[str]:
 
 def write_trace(trace: Trace, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for line in trace_lines(trace):
-            handle.write(line)
-            handle.write("\n")
+        handle.writelines(line + "\n" for line in trace_lines(trace))
 
 
 def replay_trace(

@@ -187,6 +187,37 @@ def test_refining_directions_skip_offsets_from_an_infinite_incumbent():
     assert report.refining_directions == ()
 
 
+def test_refining_directions_skip_poll_trials_at_the_incumbent():
+    # Hand-built failures whose poll trials sit at the incumbent: a 2-D
+    # point equal to x but another object, (-0.0,) at (0.0,), x's own NaN
+    # point, and a NaN point that is not x's; next to them, offsets that
+    # normalize.  The successful record's trials do not count.  The last
+    # three incumbents, whose limit is evaluated, are 1-D.
+    nan_point = (math.nan,)
+
+    def failed(k, x, *points, success=False):
+        trials = tuple(engine.TrialPoint(point, 0.0, True) for point in points)
+        outcome = engine.StepOutcome(engine.POLL, trials, None, success)
+        return IterationRecord(k, x, 0.5, 1.0, (outcome,), success, x, 0.25)
+
+    records = [
+        failed(0, (1.0, 2.0), (1.0, 2.0), (4.0, 6.0), (1.0, 6.0)),
+        failed(1, (0.0,), (-0.0,), (0.5,), (-0.25,)),
+        failed(2, nan_point, nan_point, (math.nan,), (0.5,)),
+        failed(3, (0.5,), (math.nan,), (0.5,)),
+        failed(4, (0.0, 0.0), (0.0, -3.0), success=True),
+    ]
+    expected = {}
+    for record in records[:-1]:
+        for trial in record.outcomes[0].trials:
+            offset = [p - c for p, c in zip(trial.point, record.x)]
+            norm = math.hypot(*offset)
+            if 0.0 < norm < math.inf:
+                expected[tuple(c / norm for c in offset)] = None
+    report = extract_refining(records, get_objective("abs"))
+    assert report.refining_directions == tuple(expected) == ((0.6, 0.8), (0.0, 1.0), (1.0,), (-1.0,))
+
+
 def _sphere_3d_run(max_iterations: int) -> tuple[tuple[engine.IterationRecord, ...], ObjectiveSpec]:
     """The records of a 3-D revealing run on x1^2 + x2^2 + x3^2, with
     coordinate polls and eight radius-1 revealing offsets per iteration, and

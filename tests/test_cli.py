@@ -431,6 +431,7 @@ _BAD_CONFIGS = {
     "gamm.cfg": dict(gamm=2),
     "mystery.cfg": dict(name="mystery"),
     "hex.cfg": dict(alpha0="0x1p-2"),
+    "half_seed.cfg": dict(seed="1.5"),
     "empty_x0.cfg": dict(x0=","),
     "quadratic.cfg": dict(name="quadratic_1d", search_schedule="none", revealing_radius=2.0),
 }
@@ -446,6 +447,7 @@ _BAD_CONFIGS = {
         ("run no_alpha0.cfg", "missing field [algorithm] alpha0"),
         ("run mystery.cfg", "unknown objective 'mystery'"),
         ("run hex.cfg", "field [algorithm] alpha0: '0x1p-2' is not a decimal number"),
+        ("run half_seed.cfg", "field [algorithm] seed: '1.5' is not a decimal integer"),
         ("run empty_x0.cfg", "field [algorithm] x0: empty vector"),
         ("run extra_section.cfg", "unknown section [extra]"),
         ("run no_output.cfg", "missing section [output]"),

@@ -100,6 +100,13 @@ _EDGE_RECORD = IterationRecord(
     x_next=(np.float64(0.1), -0.0),
     alpha_next=1e-7,
 )
+# After it, a record whose x, f, alpha, x_next and alpha_next are each
+# non-finite and none the object of a value written before, so each is
+# written anew.
+_EDGE_NEXT = IterationRecord(
+    k=8, x=(math.inf, -0.0), alpha=math.nan, f_x=-math.inf, outcomes=(), success=False,
+    x_next=(math.nan, -math.inf), alpha_next=math.inf,
+)
 
 
 # The encoder reuses the text of what it has written: by identity where the
@@ -173,7 +180,7 @@ def _bowl(point):
             '"alpha":1.0,',
         ),
         (
-            lambda: Trace(counterexample_config(), "counterexample", (_EDGE_RECORD,)),
+            lambda: Trace(counterexample_config(), "counterexample", (_EDGE_RECORD, _EDGE_NEXT)),
             '"x":[0.1,-0.0],"alpha":5e-324,"f":1e+16,',
         ),
         (
