@@ -10,9 +10,11 @@ fails under the tracer.  Besides the standard library it uses only the
 suite's runner, pytest.
 
 The tests in ``SKIPPED`` are deselected by name: they run the package in a
-child process, which the tracer does not see.  The tracer hooks the frames
-of src/ddsearch only, so the ``tracemalloc`` bounds and the time bounds of
-the suite hold under it, and those tests run.
+child process, which the tracer does not see.  Each starts it through
+``_fresh_python`` in tests/test_cli.py, the suite's one launcher of a child
+process.  The tracer hooks the frames of src/ddsearch only, so the
+``tracemalloc`` bounds and the time bounds of the suite hold under it, and
+those tests run.
 
 Usage: python scripts/reach.py [extra pytest arguments]
 """
@@ -27,8 +29,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ddsearch"
 
-#: Fragments of the names of the tests that run the package in a child process.
-SKIPPED = ("fresh_process", "loads_no_numpy", "start_without_numpy")
+#: Fragment of the names of the tests that run the package in a child process.
+SKIPPED = ("fresh_process",)
 
 _TYPE_CHECKING = "imported for type checkers only"
 _REDRAW = "an n-D standard normal vector is zero with probability 0, and no test scripts n-D draws"

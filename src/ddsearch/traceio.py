@@ -7,12 +7,10 @@ values as the JSON-extension tokens ``Infinity``, ``-Infinity`` and ``NaN``.
 Records are written by one direct encoder (``_encoded``) that gives the
 bytes ``json`` would give for the record's fields; the header and the
 trailer are written by ``json``.  The encoder writes each value's text once,
-mapping the tokens on that text as it is made, and reuses it: by identity
+mapping the tokens on that text as it is made, and reuses it by identity:
 for a value the engine hands on to the next record and for the incumbent's
 trial, which every trial at the incumbent is, such as a poll trial at step
-0.0, and by equality for a nonzero step size that a record keeps.  Equal
-zeros are not reused, as ``0.0 == -0.0``, and a NaN equals nothing.
-``write_trace`` hands every line to the file in one ``writelines`` call.
+0.0.  ``write_trace`` hands every line to the file in one ``writelines`` call.
 
 The engine is the one definition of a valid trace: a valid trace is exactly
 the bytes ``write_trace`` writes for the run its header names, each line
@@ -85,10 +83,7 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
     success) ``f``, and an unsuccessful ``x_next`` is its ``x``.  So is the
     text of the latest trial whose point is its record's ``x``: every trial
     at the incumbent is the incumbent's own ``TrialPoint`` (``engine.iterate``),
-    written once while it stays the incumbent.  An ``alpha_next`` equal to
-    ``alpha`` takes its text by equality, since equal nonzero floats have one
-    shortest repr; zeros are excluded, as ``0.0 == -0.0`` and the two are
-    written apart, and a NaN equals nothing, so it is always written anew."""
+    written once while it stays the incumbent."""
     last_x = last_x_text = last_f = last_f_text = last_alpha = last_alpha_text = held = held_text = None
     for record in records:
         k, x, alpha, f_x, outcomes, success, x_next, alpha_next = record
@@ -116,7 +111,7 @@ def _encoded(records: Iterable[IterationRecord]) -> Iterator[tuple[IterationReco
             )
         last_x, last_f, last_f_text, last_alpha = x_next, f_x, f_text, alpha_next
         last_x_text = x_text if x_next is x else _vector_text(x_next)
-        last_alpha_text = alpha_text if alpha_next == alpha != 0.0 else _number_text(alpha_next)
+        last_alpha_text = _number_text(alpha_next)
         yield record, (
             f'{{"k":{k},"x":{x_text},"alpha":{alpha_text},"f":{f_text},'
             f'"outcomes":[{",".join(steps)}],"success":{"true" if success else "false"},'

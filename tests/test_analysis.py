@@ -2,9 +2,10 @@
 covering radii, the Clarke estimator, and the Monte Carlo escape harness.
 
 Two kernels rest on an oracle.  Each covering radius of 150 drawn balls in
-1 to 3 dimensions must equal the brute-force max over in-ball grid points
-of the min over samples of ``math.dist``, at radii from 1e-300 to 1e300,
-with grid points, subnormal offsets and far samples among the samples.  The
+1 to 3 dimensions, and of 19 listed ones, must equal the brute-force max
+over in-ball grid points of the min over samples of ``math.dist``, at radii
+from 1e-300 to 1e300, with grid points, subnormal offsets and far samples
+among the samples.  The
 Clarke estimator must evaluate the points of the scalar stream
 (``_van_der_corput``) in order, and its ``float.hex`` pins at n = 1, 4095,
 4096, 4097 and 9000 cross the block edges."""
@@ -14,10 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -29,7 +27,6 @@ from ddsearch.analysis import (
     AnalysisError,
     clarke_estimate,
     covering_radius,
-    derive_trial_seed,
     extract_refining,
     monte_carlo_escape,
     trial_points,
@@ -311,22 +308,8 @@ def test_closed_form_verification_pulls_no_record_past_its_prefix(vanilla_trace_
 # covering_radius
 
 
-def test_covering_radius_single_center_point():
-    assert covering_radius([(0.0,)], (0.0,), 1.0, 201) == 1.0
-
-
-def test_covering_radius_of_grid_is_zero():
-    n = 101
-    grid = [(((n - 1 - i) * -1.0 + i * 1.0) / (n - 1),) for i in range(n)]
-    assert covering_radius(grid, (0.0,), 1.0, n) == 0.0
-
-
 def test_covering_radius_empty_points():
     assert covering_radius([], (0.0,), 2.0, 11) == math.inf
-
-
-def test_covering_radius_two_dimensional():
-    assert covering_radius([(0.0, 0.0)], (0.0, 0.0), 1.0, 21) == 1.0
 
 
 def test_covering_radius_rejects_bad_arguments():
@@ -355,43 +338,6 @@ def test_text_is_not_a_vector():
         covering_radius(["12"], (0.0, 0.0), 1.0, 5)
     with pytest.raises(ValueError, match="^x "):
         clarke_estimate(get_objective("abs"), "1", (1.0,), 1e-6, 1e-2, 10)
-
-
-def test_covering_radius_matches_sorted_gaps_in_one_dimension():
-    # On [lo, hi] the exact radius is the larger end gap or half the largest
-    # gap between neighbours; the grid sees it to within half a spacing.
-    draw = random.Random(11)
-    center, radius, resolution = 0.25, 2.0, 201
-    lo, hi = center - radius, center + radius
-    spacing = 2 * radius / (resolution - 1)
-    for count in (1, 2, 17, 600, 3000):
-        points = sorted(draw.uniform(lo, hi) for _ in range(count))
-        gaps = [(b - a) / 2 for a, b in zip(points, points[1:])]
-        exact = max(points[0] - lo, hi - points[-1], *gaps)
-        found = covering_radius([(p,) for p in points], (center,), radius, resolution)
-        assert exact - spacing / 2 - 1e-12 <= found <= exact + 1e-12, count
-
-
-@pytest.mark.parametrize("radius", [1e200, 1e-170])
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_covering_radius_at_extreme_radii(dimension, radius):
-    # The square of the radius overflows at 1e200 and underflows at 1e-170.
-    origin = (0.0,) * dimension
-    assert covering_radius([origin], origin, radius, 3) == radius
-
-
-@pytest.mark.parametrize("dimension", [1, 2])
-def test_covering_radius_of_a_sample_far_outside_the_ball(dimension):
-    # 1e600 radii away: in units of the radius its offset overflows.
-    origin = (0.0,) * dimension
-    assert covering_radius([(1e300,) + origin[1:]], origin, 1e-300, 3) == 1e300
-
-
-def test_covering_radius_of_samples_next_to_the_grid_in_two_dimensions():
-    # In units of the radius the square of 1e-200 underflows to 0.
-    grid_points = [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
-    assert covering_radius([(1e-200, 0.0), *grid_points], (0.0, 0.0), 1.0, 3) == 1e-200
-    assert covering_radius([(0.0, 0.0), *grid_points], (0.0, 0.0), 1.0, 3) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -444,9 +390,30 @@ def test_covering_radius_grid_past_the_float_range_is_its_formula_at_a_smaller_s
     assert covering_radius(lattice, (center, 0.0), radius, resolution) == 0.0
 
 
-_SCATTERED = random.Random(12)
-# 300 samples over a 2-D ball and around it.
-_SCATTERED_CASE = ([(_SCATTERED.uniform(-2, 2), _SCATTERED.uniform(-2, 2)) for _ in range(300)], (0.1, -0.2), 1.5, 21)
+_SCATTERED, _UNIFORM = random.Random(12), random.Random(11)
+_AXIS_POINTS = [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+# (samples, center, radius, grid resolution), each an @example of the oracle.
+_COVERING_EXAMPLES = [
+    # 300 samples over a 2-D ball and around it.
+    ([(_SCATTERED.uniform(-2, 2), _SCATTERED.uniform(-2, 2)) for _ in range(300)], (0.1, -0.2), 1.5, 21),
+    # One sample, at the center or off it, in one and two dimensions.
+    ([(0.0,)], (0.0,), 1.0, 201),
+    ([(0.0, 0.0)], (0.0, 0.0), 1.0, 21),
+    ([(0.5,)], (0.0,), 1.0, 5),
+    ([(0.5, 0.0)], (0.0, 0.0), 1.0, 5),
+    # A sample on every grid point.
+    ([(((100 - i) * -1.0 + i * 1.0) / 100,) for i in range(101)], (0.0,), 1.0, 101),
+    # 1 to 3000 uniform samples of the ball.
+    *[([(_UNIFORM.uniform(-1.75, 2.25),) for _ in range(n)], (0.25,), 2.0, 201) for n in (1, 2, 17, 600, 3000)],
+    # The square of the radius overflows at 1e200 and underflows at 1e-170.
+    *[([origin], origin, radius, 3) for origin in ((0.0,), (0.0, 0.0)) for radius in (1e200, 1e-170)],
+    # 1e600 radii away: in units of the radius its offset overflows.
+    ([(1e300,)], (0.0,), 1e-300, 3),
+    ([(1e300, 0.0)], (0.0, 0.0), 1e-300, 3),
+    # In units of the radius the square of 1e-200 underflows to 0.
+    ([(1e-200, 0.0), *_AXIS_POINTS], (0.0, 0.0), 1.0, 3),
+    ([(0.0, 0.0), *_AXIS_POINTS], (0.0, 0.0), 1.0, 3),
+]
 
 
 @st.composite
@@ -479,7 +446,6 @@ def _covering(draw):
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-@example(_SCATTERED_CASE)
 @given(_covering())
 def test_covering_radius_is_the_brute_force_radius_in_one_to_three_dimensions(case):
     samples, center, radius, resolution = case
@@ -493,16 +459,8 @@ def test_covering_radius_is_the_brute_force_radius_in_one_to_three_dimensions(ca
     assert covering_radius(samples, center, radius, resolution) == expected
 
 
-def test_covering_radius_loads_no_numpy():
-    # A fresh interpreter: numpy loads at the first Clarke estimate or draw.
-    code = (
-        "import sys; from ddsearch.analysis import covering_radius; "
-        "print(covering_radius([(0.5,)], (0.0,), 1.0, 5), covering_radius([(0.5, 0.0)], (0.0, 0.0), 1.0, 5), "
-        "'numpy' in sys.modules)"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.split() == ["1.5", "1.5", "False"]
+for _case in _COVERING_EXAMPLES:
+    example(_case)(test_covering_radius_is_the_brute_force_radius_in_one_to_three_dimensions)
 
 
 def test_covering_radius_memory_is_bounded():
@@ -748,22 +706,3 @@ def test_incumbents_never_increase(counterexample_objective):
     records = run(revealing_config(seed=21), counterexample_objective).records
     assert all(r.f_next <= r.f_x for r in records)
     assert all(b.f_x == a.f_next for a, b in zip(records, records[1:]))
-
-
-def test_derive_trial_seed_is_stable_and_spread():
-    assert derive_trial_seed(7, 0) == derive_trial_seed(7, 0)
-    seeds = {derive_trial_seed(7, i) for i in range(100)}
-    assert len(seeds) == 100
-
-
-def test_derive_trial_seed_is_word_0_of_the_seed_sequence_of_the_pair():
-    draw = random.Random(28)
-    masters = [0, 7, 12345, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**100 + 3]
-    masters += [draw.randrange(2**64) for _ in range(20)]
-    trials = list(range(200)) + [2**32 - 1, 2**32, 2**40 + 7]
-    for master in masters:
-        for trial in trials:
-            reference = np.random.SeedSequence(entropy=(master, trial)).generate_state(1, dtype=np.uint64)
-            assert derive_trial_seed(master, trial) == int(reference[0]), (master, trial)
-    with pytest.raises(ValueError):
-        derive_trial_seed(-1, 0)

@@ -491,23 +491,44 @@ def _fresh_python(workdir: Path, code: str, *args: str) -> subprocess.CompletedP
     return subprocess.run([sys.executable, "-c", code, *args], cwd=workdir, capture_output=True, text=True, env=env)
 
 
-_LAZY_MODULES = ("ddsearch.analysis", "ddsearch.traceio", "json")
+_LAZY_MODULES = ("ddsearch.analysis", "ddsearch.traceio", "json", "numpy")
 
 
 @pytest.mark.parametrize(
     ("statement", "loaded"),
     [
         # The set-up probe of perfbench/run.py.
-        ("import ddsearch.cli, ddsearch.configfile as c; c.load_experiment_config(sys.argv[1]); status = 0", []),
+        (
+            "import ddsearch.cli, ddsearch.configfile as c; c.load_experiment_config('counterexample.cfg'); status = 0",
+            [],
+        ),
         ("import ddsearch.cli as cli; status = cli.main(['sample', 'counterexample', '-2', '2', '5', 's.csv'])", []),
-        ("import ddsearch.cli as cli; status = cli.main(['run', sys.argv[1]])", ["ddsearch.traceio", "json"]),
+        ("import ddsearch.cli as cli; status = cli.main(['run', 'counterexample.cfg'])", ["ddsearch.traceio", "json"]),
+        # Every command on the trap, whose config has no revealing poll, draws nothing.
+        (
+            "import ddsearch.cli as cli; status = cli.main(['run', 'counterexample.cfg']) "
+            "or cli.main(['analyze', 'counterexample_trace.jsonl', '--verify-lemma', '25']) "
+            "or cli.main(['sample', 'counterexample', '-2', '2', '4001', 'f.csv'])",
+            ["ddsearch.analysis", "ddsearch.traceio", "json"],
+        ),
+        # numpy loads at a run's first draw.
+        (
+            "import ddsearch.cli as cli; status = cli.main(['run', 'revealing.cfg'])",
+            ["ddsearch.traceio", "json", "numpy"],
+        ),
+        (
+            "from ddsearch.analysis import covering_radius; "
+            "covering_radius([(0.5,)], (0.0,), 1.0, 5); covering_radius([(0.5, 0.0)], (0.0, 0.0), 1.0, 5); status = 0",
+            ["ddsearch.analysis"],
+        ),
     ],
-    ids=["set-up probe", "sample", "run"],
+    ids=["set-up probe", "sample", "run", "trap", "run with draws", "covering radius"],
 )
-def test_a_fresh_process_loads_analysis_and_traceio_only_for_the_commands_that_use_them(workdir, statement, loaded):
-    shutil.copy(CONFIGS_DIR / "counterexample.cfg", workdir)
+def test_a_fresh_process_loads_only_what_its_command_runs(workdir, statement, loaded):
+    for name in ("counterexample.cfg", "revealing.cfg"):
+        shutil.copy(CONFIGS_DIR / name, workdir)
     code = f"import sys\n{statement}\nprint(status, [name for name in {_LAZY_MODULES!r} if name in sys.modules])"
-    result = _fresh_python(workdir, code, "counterexample.cfg")
+    result = _fresh_python(workdir, code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"0 {loaded}"
 

@@ -15,12 +15,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
-import os
 import pickle
 import random
-import shutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -41,6 +37,7 @@ from ddsearch import (
     steps,
     write_trace,
 )
+from ddsearch.analysis import derive_trial_seed
 from ddsearch.engine import (
     MAX_REVEALING_COUNT,
     POLL,
@@ -63,7 +60,6 @@ from ddsearch.objective import ObjectiveSpec, UnknownNameError
 from ddsearch.steps import zero_forcing
 
 from helpers import (
-    CONFIGS_DIR,
     WEDGE,
     CountingObjective,
     counterexample_config,
@@ -403,66 +399,64 @@ def test_domain_oracle_blocks_evaluation():
     assert all(r.x_next[0] >= 0.0 for r in trace.records)
 
 
-def test_iteration_rng_matches_seed_sequence_of_the_pair():
+def _seed_stream_pairs():
+    """The (seed, k) pairs the seed stream is checked at: both sides of every
+    edge of the memo's spans, [0, 64), [64, 128), [128, 256), [256, 512),
+    then blocks of 512, and of a multiple of 2**32; seeds of up to 7 words,
+    whose entropy with k has up to 10 words, so SeedSequence's mixing of the
+    words beyond its 4-word pool runs too; the first 64 iterations of seeds
+    of 1, 2, 3 and 5 words; Monte Carlo trials of 28 master seeds; and two
+    iterations of one seed."""
     draw = random.Random(3)
     seeds = [0, 2**32 - 1, 2**32, 2**64 - 1] + [draw.randrange(2**64) for _ in range(20)]
-    iterations = [0, 1, 2**32 + 5] + [draw.randrange(10**6) for _ in range(5)]
-    for seed in seeds:
-        for k in iterations:
-            reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, k))))
-            assert iteration_rng(seed, k).random(4).tolist() == reference.random(4).tolist(), (seed, k)
-    with pytest.raises(ValueError):
-        iteration_rng(-1, 0)
-
-
-def _seed_sequence_state(seed, k):
-    return np.random.PCG64(np.random.SeedSequence(entropy=(seed, k))).state
-
-
-@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**63 + 11, 2**64 - 1, 2**70 + 1])
-def test_iteration_rng_state_at_block_edges(seed):
-    # Both sides of every edge of the memo's spans, [0, 64), [64, 128),
-    # [128, 256), [256, 512), then blocks of 512, and of a multiple of 2**32.
+    pairs = {(seed, k) for seed in seeds for k in [0, 1, 2**32 + 5] + [draw.randrange(10**6) for _ in range(5)]}
     edges = (0, 63, 64, 65, 127, 128, 255, 256, 511, 512, 1023, 1024)
-    for k in (*edges, 2**32 - 1, 2**32, 2**32 + 63, 2**32 + 64, 2**32 + 511, 2**32 + 512, 2**64 + 1):
-        assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
+    edges += (2**32 - 1, 2**32, 2**32 + 63, 2**32 + 64, 2**32 + 511, 2**32 + 512, 2**64 + 1)
+    pairs |= {(seed, k) for seed in (0, 7, 2**32 - 1, 2**63 + 11, 2**64 - 1, 2**70 + 1) for k in edges}
+    for words in (1, 2, 3, 4, 7):
+        draw = random.Random(words)
+        seeds = [2 ** (32 * words) - 1, 2 ** (32 * (words - 1))] + [draw.randrange(2 ** (32 * words)) for _ in range(3)]
+        pairs |= {(seed, k) for seed in seeds for k in (0, 5, 64 * 3 + 17, 2**32 + 9, 2**64 + 1, 2**80 + 2**40 + 63)}
+    pairs |= {(seed, k) for seed in (3, 2**40 + 1, 99) for k in range(0, 200, 7)}
+    pairs |= {(seed, k) for seed in (5, 2**40 + 3, 2**70 + 1, 2**150 + 7) for k in range(65)}
+    draw = random.Random(28)
+    masters = [0, 7, 12345, 2**31 - 1, 2**32, 2**63 + 5, 2**64 - 1, 2**100 + 3]
+    masters += [draw.randrange(2**64) for _ in range(20)]
+    pairs |= {(master, trial) for master in masters for trial in [*range(200), 2**32 - 1, 2**32, 2**40 + 7]}
+    return pairs | {(1, 0), (1, 1)}
 
 
-@pytest.mark.parametrize("words", [1, 2, 3, 4, 7])
-def test_iteration_rng_state_for_long_seeds(words):
-    # With k, the entropy has up to 10 words, so SeedSequence's mixing of
-    # the words beyond its 4-word pool runs too.
-    draw = random.Random(words)
-    seeds = [2 ** (32 * words) - 1, 2 ** (32 * (words - 1))] + [draw.randrange(2 ** (32 * words)) for _ in range(3)]
-    for seed in seeds:
-        for k in (0, 5, 64 * 3 + 17, 2**32 + 9, 2**64 + 1, 2**80 + 2**40 + 63):
-            assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
-
-
-def test_iteration_rng_does_not_depend_on_access_order():
-    pairs = [(seed, k) for seed in (3, 2**40 + 1, 99) for k in range(0, 200, 7)]
-    expected = {pair: _seed_sequence_state(*pair) for pair in pairs}
-    orders = [sorted(pairs, reverse=True), sorted(pairs, key=lambda pair: (pair[1], pair[0]))]
-    for order in orders:
+def test_the_seed_stream_is_the_seed_sequence_of_the_pair_in_any_access_order():
+    # Iteration k of seed s draws from PCG64(SeedSequence((s, k))), and Monte
+    # Carlo trial k of master seed s runs with word 0 of that state as seed.
+    pairs = _seed_stream_pairs()
+    expected = {}
+    for pair in pairs:
+        sequence = np.random.SeedSequence(entropy=pair)
+        expected[pair] = sequence.generate_state(4, np.uint64).tolist(), np.random.PCG64(sequence).state
+    for order in (sorted(pairs, reverse=True), sorted(pairs, key=lambda pair: (pair[1], pair[0]))):
         for seed, k in order:
-            assert iteration_rng(seed, k).bit_generator.state == expected[seed, k], (seed, k)
+            words, state = expected[seed, k]
+            assert engine.iteration_seed_words(seed, k).tolist() == words, (seed, k)
+            assert iteration_rng(seed, k).bit_generator.state == state, (seed, k)
+            assert derive_trial_seed(seed, k) == words[0], (seed, k)
+    for seed, k in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            iteration_rng(seed, k)
+        with pytest.raises(ValueError):
+            derive_trial_seed(seed, k)
 
 
 def test_hash_seed_blocks_fills_the_memo_with_the_seed_sequence_states_of_every_seed(monkeypatch):
     # One fill mixes seeds of 1, 2, 3 and 5 words, so each word count takes
-    # its own pass; reading iterations 0..63 then hashes nothing more.
+    # its own pass; reading iterations 0..63 then hashes nothing more.  The
+    # seed stream's table checks the states read.
     seeds = [5, 2**40 + 3, 2**70 + 1, 2**150 + 7]
     engine.hash_seed_blocks(seeds, 0)
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "_seed_blocks", lambda seeds, block: pytest.fail(f"hashed {seeds} block {block} again"))
-        for seed in seeds:
-            for k in range(64):
-                reference = np.random.SeedSequence(entropy=(seed, k)).generate_state(4, np.uint64)
-                assert engine.iteration_seed_words(seed, k).tolist() == reference.tolist(), (seed, k)
-                assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
+    monkeypatch.setattr(engine, "_seed_blocks", lambda seeds, start, size: pytest.fail(f"hashed {seeds} again"))
     for seed in seeds:
-        for k in (0, 63, 64):
-            assert iteration_rng(seed, k).bit_generator.state == _seed_sequence_state(seed, k), (seed, k)
+        for k in range(64):
+            iteration_rng(seed, k)
 
 
 def test_memo_holds_the_latest_block_of_a_bounded_number_of_seeds():
@@ -493,27 +487,6 @@ def test_a_long_run_hashes_its_seed_stream_in_growing_spans(monkeypatch):
     trace = run(revealing_config(max_iterations=4000, alpha_min=0.0), get_objective("counterexample"))
     assert len(trace.records) == 4000
     assert hashed == [(0, 64), (64, 64), (128, 128), (256, 256)] + [(start, 512) for start in range(512, 4000, 512)]
-
-
-def test_ddsearch_and_the_commands_that_draw_nothing_start_without_numpy(tmp_path):
-    # numpy loads at a run's first draw or an analysis kernel's first call,
-    # never with ddsearch: a fresh interpreter imports it, then runs,
-    # analyzes and samples the trap, whose config has no revealing poll.
-    shutil.copy(CONFIGS_DIR / "counterexample.cfg", tmp_path)
-    commands = [
-        "run counterexample.cfg",
-        "analyze counterexample_trace.jsonl --verify-lemma 25",
-        "sample counterexample -2 2 4001 f.csv",
-    ]
-    code = (
-        "import sys, ddsearch, ddsearch.cli as cli; "
-        "codes = [cli.main(argv.split()) for argv in sys.argv[1:]]; "
-        "print(codes, 'numpy' in sys.modules)"
-    )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    argv = [sys.executable, "-c", code, *commands]
-    result = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
 def test_evaluator_failure_raises_objective_error():

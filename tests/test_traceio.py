@@ -109,23 +109,22 @@ _EDGE_NEXT = IterationRecord(
 )
 
 
-# The encoder reuses the text of what it has written: by identity where the
-# engine hands a value or a trial on, and by equality for a nonzero step
-# size.  Each record puts next to a written value an equal one of another
-# object, type or sign.  Record 0's alpha_next equals its alpha and its x_next is the
-# winning trial's point.  Record 1's x is -0.0 after that x_next of 0.0, its
-# f is the winning trial's value object, its poll trial (0.0,) at (-0.0,)
-# has value -0.0 under f 0.0, and its x_next is 0.0 again.  Record 2's
-# x_next is its x and holds NaN, as do its f and trial value.  Record 3 is
-# the n-D form, with a zero coordinate in x and a trial value 0.0 under f
-# -0.0, and its step 0.0 goes to -0.0.  Record 4's trial point, trial value
-# and alpha_next are np.float64 values equal to its Python floats.  Records
-# 5 and 6 write an inf and a NaN f next to trial values of other objects.
-# Record 7 holds two trials whose point is its x object, with other values,
-# and record 8 repeats the first of them, now away from its x, beside a
-# trial of the same point and another value.  Record 9 fails with f 0.0, and
-# record 10 has f -0.0 and the alpha object of record 9, whose alpha_next
-# differs.
+# The encoder reuses the text of what it has written by identity, where the
+# engine hands a value or a trial on.  Each record puts next to a written
+# value an equal one of another object, type or sign.  Record 0's alpha_next
+# equals its alpha and its x_next is the winning trial's point.  Record 1's
+# x is -0.0 after that x_next of 0.0, its f is the winning trial's value
+# object, its poll trial (0.0,) at (-0.0,) has value -0.0 under f 0.0, and
+# its x_next is 0.0 again.  Record 2's x_next is its x and holds NaN, as do
+# its f and trial value.  Record 3 is the n-D form, with a zero coordinate
+# in x and a trial value 0.0 under f -0.0, and its step 0.0 goes to -0.0.
+# Record 4's trial point, trial value and alpha_next are np.float64 values
+# equal to its Python floats.  Records 5 and 6 write an inf and a NaN f next
+# to trial values of other objects.  Record 7 holds two trials whose point
+# is its x object, with other values, and record 8 repeats the first of
+# them, now away from its x, beside a trial of the same point and another
+# value.  Record 9 fails with f 0.0, and record 10 has f -0.0 and the alpha
+# object of record 9, whose alpha_next differs.
 _ORIGIN, _NAN_POINT, _AT, _ALPHA = (0.0,), (math.nan,), (0.75,), 0.375
 _WON = StepOutcome(POLL, (TrialPoint(_ORIGIN, 0.0, True),), 0, True)
 _LOST = StepOutcome(POLL, (TrialPoint(_NAN_POINT, math.nan, True),), None, False)
