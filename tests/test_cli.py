@@ -524,7 +524,7 @@ _LAZY_MODULES = ("ddsearch.analysis", "ddsearch.traceio", "json", "numpy")
     ],
     ids=["set-up probe", "sample", "run", "trap", "run with draws", "covering radius"],
 )
-def test_a_fresh_process_loads_only_what_its_command_runs(workdir, statement, loaded):
+def test_a_fresh_process_loads_analysis_and_traceio_only_for_the_commands_that_use_them(workdir, statement, loaded):
     for name in ("counterexample.cfg", "revealing.cfg"):
         shutil.copy(CONFIGS_DIR / name, workdir)
     code = f"import sys\n{statement}\nprint(status, [name for name in {_LAZY_MODULES!r} if name in sys.modules])"
