@@ -43,12 +43,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     experiment = load_experiment_config(args.config)
     objective = get_objective(experiment.objective_name)
-    trace = engine.run(experiment.algo, objective)
-    traceio.write_trace(trace, experiment.trace_path)
-    print(
-        f"wrote {experiment.trace_path}: {len(trace.records)} iterations, "
-        f"termination={trace.termination}"
-    )
+    path = experiment.trace_path
+    # Opened before the run, so that a path that cannot be written fails
+    # before any work; no partial or stale trace is left behind.
+    open(path, "wb").close()
+    try:
+        trace = engine.run(experiment.algo, objective)
+        traceio.write_trace(trace, path)
+    except BaseException:
+        os.remove(path)
+        raise
+    print(f"wrote {path}: {len(trace.records)} iterations, termination={trace.termination}")
     return EXIT_OK
 
 

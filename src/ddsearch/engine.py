@@ -270,14 +270,6 @@ class Trace:
         return self.records[-1].x_next
 
 
-def sufficient_decrease(
-    f_trial: float, f_incumbent: float, distance: float, forcing: steps.ForcingFunction
-) -> bool:
-    """Acceptance test: the trial value is finite and strictly below the
-    incumbent value minus the forcing term at the step distance."""
-    return math.isfinite(f_trial) and f_trial < f_incumbent - forcing(distance)
-
-
 def value_at(objective: ObjectiveSpec, point: Vector) -> float:
     """The value rule: +inf where the domain oracle rejects ``point``, which
     is then not evaluated, else ``float(evaluator(point))``.
@@ -476,10 +468,11 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
     it is complete.
 
     Steps run in the order search, revealing poll, poll.  A step succeeds
-    if its best eligible trial gives sufficient decrease; the first success
-    moves the incumbent there, sets the step size to ``gamma*alpha`` and
-    skips the remaining steps.  An iteration without a success keeps the
-    incumbent and contracts to ``beta2*alpha``.  The loop stops after
+    if its best eligible trial, of value ``best`` at distance ``d`` from
+    ``x``, gives sufficient decrease, ``best < f_x - forcing(d)``; the
+    first success moves the incumbent there, sets the step size to
+    ``gamma*alpha`` and skips the remaining steps.  An iteration without a
+    success keeps the incumbent and contracts to ``beta2*alpha``.  The loop stops after
     ``max_iterations`` iterations, as soon as the step size falls below
     ``alpha_min``, or once an expansion overflows it to ``inf``.  Every
     trial is evaluated except one equal to the incumbent ``x``, where ``x``
@@ -552,7 +545,7 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
                 trials.append(trial)
             # No forcing is negative (steps.get_forcing) and f_x is finite,
             # so a step can only win if best < f_x, which implies a winner.
-            success = best < f_x and sufficient_decrease(best, f_x, math.dist(trials[winner].point, x), forcing)
+            success = best < f_x and best < f_x - forcing(math.dist(trials[winner].point, x))
             outcomes.append(step_outcome((kind, tuple(trials), winner, success)))
             if success:
                 incumbent = trials[winner]

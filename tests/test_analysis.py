@@ -1,11 +1,15 @@
 """Analysis tests: refining-subsequence extraction, closed-form verification,
 covering radii, the Clarke estimator, and the Monte Carlo escape harness.
 
-Two kernels rest on an oracle.  Each covering radius of 150 drawn balls in
-1 to 3 dimensions, and of 19 listed ones, must equal the brute-force max
-over in-ball grid points of the min over samples of ``math.dist``, at radii
-from 1e-300 to 1e300, with grid points, subnormal offsets and far samples
-among the samples.  The
+The acceptance gate holds the headline cases: the trap's exact refinement
+report (criterion 2), its starved left half-ball (criterion 3), the density
+of revealing points (criterion 6) and the Clarke estimates of ``-|x|`` and
+the smooth branch (criterion 7).  Two kernels rest on an oracle.  Each
+covering radius of 150 drawn balls in 1 to 3 dimensions, and of 19 listed
+ones, must equal the brute-force max over in-ball grid points of the min
+over samples of ``math.dist``, at radii from 1e-300 to 1e300, with grid
+points, subnormal offsets and far samples among the samples; the oracle
+writes its grid by the formula, not by ``objective.grid_axis``.  The
 Clarke estimator must evaluate the points of the scalar stream
 (``_van_der_corput``) in order, and its ``float.hex`` pins at n = 1, 4095,
 4096, 4097 and 9000 cross the block edges."""
@@ -29,32 +33,16 @@ from ddsearch.analysis import (
     covering_radius,
     extract_refining,
     monte_carlo_escape,
-    trial_points,
     verify_counterexample_closed_form,
 )
 from ddsearch.engine import IterationRecord, ObjectiveError
-from ddsearch.objective import ObjectiveSpec, counterexample_value, grid_axis
+from ddsearch.objective import ObjectiveSpec, counterexample_value
 
 from helpers import WEDGE, counterexample_config, peak_memory, revealing_config, wedge_value
 
 
 # --------------------------------------------------------------------------
 # extract_refining
-
-
-def test_extract_refining_counterexample_30(vanilla_trace_30, counterexample_objective):
-    report = extract_refining(vanilla_trace_30.records, counterexample_objective)
-    assert [r.k for r in vanilla_trace_30.records if not r.success] == list(range(0, 30, 2))
-    assert report.n_unsuccessful == 15
-    # The incumbents contract geometrically, so the limit estimate collapses
-    # to the true refined point 0 while the raw tail incumbent is 5/4*2^-14.
-    assert abs(report.refined_point[0] - 1.25 * 2.0**-14) <= 1e-4
-    assert report.refined_point == (0.0,)
-    assert report.refining_directions == ((-1.0,), (1.0,))
-    assert report.f_limit == 2.0**-14 * (121 / 128)
-    assert report.alpha_tail == 0.25 * 2.0**-14
-    assert report.f_refined == -1.0
-    assert abs(report.gap - 1.0) <= 1e-3
 
 
 def test_extract_refining_quadratic_gap_is_zero():
@@ -98,16 +86,6 @@ def test_extract_refining_requires_an_unsuccessful_iteration():
     assert all(r.success for r in trace.records)
     with pytest.raises(AnalysisError, match="unsuccessful"):
         extract_refining(trace.records, spec)
-
-
-def test_extract_refining_f_tail_follows_the_incumbents(vanilla_trace_30, counterexample_objective):
-    report = extract_refining(vanilla_trace_30.records, counterexample_objective)
-    values = [r.f_x for r in vanilla_trace_30.records if not r.success]
-    assert len(values) == 15
-    for q, value in enumerate(values):
-        assert value == 2.0**-q * (121 / 128)
-    assert report.f_tail == tuple(values[-5:])
-    assert report.f_limit == values[-1]
 
 
 def test_extract_refining_folds_a_stream_with_repeated_incumbents(vanilla_trace_30, counterexample_objective):
@@ -271,20 +249,19 @@ def test_closed_form_holds_until_the_step_underflows(counterexample_objective):
     assert verify_counterexample_closed_form(unpolled, 0) is False
 
 
-def test_closed_form_rejects_short_trace(vanilla_trace_52):
-    with pytest.raises(AnalysisError, match="iterations"):
-        verify_counterexample_closed_form(vanilla_trace_52.records, 26)
-
-
-def test_closed_form_rejects_a_q_beyond_the_index_range(vanilla_trace_52):
-    # 2 * q_max + 2 is past sys.maxsize, which itertools.islice refuses.
-    with pytest.raises(AnalysisError, match="52 iterations"):
-        verify_counterexample_closed_form(vanilla_trace_52.records, 2**70)
-
-
-def test_closed_form_rejects_negative_q(vanilla_trace_52):
-    with pytest.raises(AnalysisError):
-        verify_counterexample_closed_form(vanilla_trace_52.records, -1)
+@pytest.mark.parametrize(
+    "q_max, message",
+    [
+        (26, "52 iterations, need 54"),
+        # 2 * q_max + 2 is past sys.maxsize, which itertools.islice refuses.
+        (2**70, "52 iterations, need 2361183241434822606850"),
+        (-1, "q_max must be >= 0, got -1"),
+    ],
+    ids=["short trace", "past the index range", "negative"],
+)
+def test_closed_form_rejects_a_q_max_it_cannot_check(vanilla_trace_52, q_max, message):
+    with pytest.raises(AnalysisError, match=message):
+        verify_counterexample_closed_form(vanilla_trace_52.records, q_max)
 
 
 def test_closed_form_check_stops_at_the_first_departing_record(counterexample_objective):
@@ -416,6 +393,14 @@ _COVERING_EXAMPLES = [
 ]
 
 
+def _axis(lo, hi, resolution):
+    """The grid of [lo, hi] by its convex-combination formula, not by
+    ``objective.grid_axis``, so that the oracle does not agree with a wrong
+    grid.  No ball drawn or listed here is far enough out for the weighted
+    sums to overflow; the grid of such a ball has tests of its own."""
+    return [((resolution - 1 - i) * lo + i * hi) / (resolution - 1) for i in range(resolution)]
+
+
 @st.composite
 def _covering(draw):
     """A ball in 1 to 3 dimensions at a radius from 1e-300 to 1e300, and
@@ -427,7 +412,7 @@ def _covering(draw):
     radius = 10.0 ** draw(st.floats(-300.0, 300.0))
     center = tuple(radius * draw(st.floats(-3.0, 3.0)) for _ in range(dimension))
     resolution = draw(st.integers(2, (201, 31, 9)[dimension - 1]))
-    axes = [list(grid_axis(c - radius, c + radius, resolution)) for c in center]
+    axes = [_axis(c - radius, c + radius, resolution) for c in center]
     draw_sample = random.Random(draw(st.integers(0, 2**32 - 1)))
     samples = []
     for _ in range(draw(st.integers(1, (600, 200, 60)[dimension - 1]))):
@@ -449,7 +434,7 @@ def _covering(draw):
 @given(_covering())
 def test_covering_radius_is_the_brute_force_radius_in_one_to_three_dimensions(case):
     samples, center, radius, resolution = case
-    grid = itertools.product(*(grid_axis(c - radius, c + radius, resolution) for c in center))
+    grid = itertools.product(*(_axis(c - radius, c + radius, resolution) for c in center))
     in_ball = [g for g in grid if math.dist(g, center) <= radius]
     if not in_ball:
         with pytest.raises(ValueError, match="no point in the ball"):
@@ -480,37 +465,8 @@ def test_covering_radius_memory_is_bounded_in_three_dimensions():
     assert peak < 16 * 2**20
 
 
-def test_vanilla_run_starves_the_left_half_ball(vanilla_trace_52):
-    points = trial_points(vanilla_trace_52)
-    assert points and all(p[0] > 0.0 for p in points)
-    assert covering_radius(points, (0.0,), 2.0, 201) >= 1.0
-
-
 # --------------------------------------------------------------------------
 # clarke_estimate
-
-
-def test_clarke_neg_abs_is_plus_one_in_both_directions():
-    spec = get_objective("neg_abs")
-    for direction in ((1.0,), (-1.0,)):
-        estimate = clarke_estimate(spec, (0.0,), direction, 1e-6, 1e-2, 200)
-        assert abs(estimate - 1.0) <= 0.05
-
-
-def test_clarke_smooth_quadratic_matches_classical_derivative():
-    spec = get_objective("quadratic_1d")
-    up = clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, 200)
-    down = clarke_estimate(spec, (0.0,), (-1.0,), 1e-6, 1e-2, 200)
-    assert abs(up - 2.0) <= 0.05
-    assert abs(down + 2.0) <= 0.05
-
-
-def test_clarke_estimate_rejects_bad_window():
-    spec = get_objective("neg_abs")
-    with pytest.raises(ValueError):
-        clarke_estimate(spec, (0.0,), (1.0,), 1e-2, 1e-6, 10)
-    with pytest.raises(ValueError):
-        clarke_estimate(spec, (0.0,), (1.0,), 1e-6, 1e-2, 0)
 
 
 @pytest.mark.parametrize(
@@ -531,6 +487,8 @@ def test_clarke_estimate_rejects_bad_window():
         ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, 2**63)),
         ("^h_min must be a real number, got '1e-6'$", ((0.0,), (1.0,), "1e-6", 1e-2, 10)),
         ("^h_max must be a real number, got None$", ((0.0,), (1.0,), 1e-6, None, 10)),
+        ("^need 0 < h_min < h_max", ((0.0,), (1.0,), 1e-2, 1e-6, 10)),
+        ("^n_samples ", ((0.0,), (1.0,), 1e-6, 1e-2, 0)),
     ],
 )
 def test_clarke_estimate_rejects_bad_input(message, arguments):
@@ -669,12 +627,6 @@ def test_monte_carlo_requires_revealing_poll(counterexample_objective):
         monte_carlo_escape(counterexample_config(), counterexample_objective, 3, 0)
 
 
-def test_monte_carlo_is_deterministic(counterexample_objective):
-    first = monte_carlo_escape(revealing_config(), counterexample_objective, 5, 7)
-    second = monte_carlo_escape(revealing_config(), counterexample_objective, 5, 7)
-    assert first == second
-
-
 def test_monte_carlo_counts_are_consistent(counterexample_objective):
     # The second config starts in the nonpositive region and runs no
     # iteration, so its trials escape at x_0.
@@ -694,15 +646,3 @@ def test_monte_carlo_memory_does_not_grow_with_the_trials(counterexample_objecti
     peaks = [peak_memory(lambda: monte_carlo_escape(config, counterexample_objective, n, 7))[1] for n in (600, 4600)]
     # A tuple of every first escape raised the peak by about 20 KB here.
     assert peaks[1] < peaks[0] + 8 * 2**10, peaks
-
-
-def test_vanilla_run_never_escapes(vanilla_trace_52):
-    records = vanilla_trace_52.records
-    assert min(r.f_x for r in records) > 0.0
-    assert records[-1].f_next > 0.0
-
-
-def test_incumbents_never_increase(counterexample_objective):
-    records = run(revealing_config(seed=21), counterexample_objective).records
-    assert all(r.f_next <= r.f_x for r in records)
-    assert all(b.f_x == a.f_next for a, b in zip(records, records[1:]))

@@ -1,14 +1,15 @@
-"""Engine tests: the acceptance rule, config validation, the record types,
-the seed stream, and what a comparison with the reference method misses.
+"""Engine tests: config validation, the record types, the seed stream, and
+what a comparison with the reference method misses.
 
 Every record of criterion 9's 1000 runs and of the 300 n-D runs here is
 compared, leaf by leaf by ``repr``, with ``tests/reference.py``, a textbook
 dDSM that shares no code with the library.  That comparison checks
-candidate selection, the step-size update, the step order, the stop at
-``alpha_min`` and each iteration's draw.  The tests here keep what no
-drawn run reaches or a record cannot show: values of -inf and NaN, a
-signed-zero incumbent, the ``alpha_overflow`` stop, the evaluator calls a
-run saves, and its errors."""
+candidate selection, the acceptance rule under each forcing function, the
+search schedules, the poll sets and their order, the step-size update, the
+step order, the stop at ``alpha_min`` and each iteration's draw.  The
+tests here keep what no drawn run reaches or a record cannot show: values
+of -inf and NaN, a signed-zero incumbent, the ``alpha_overflow`` stop, the
+evaluator calls a run saves, and its errors."""
 
 from __future__ import annotations
 
@@ -52,12 +53,10 @@ from ddsearch.engine import (
     evaluate,
     iterate,
     iteration_rng,
-    sufficient_decrease,
     validate_config,
     value_at,
 )
 from ddsearch.objective import ObjectiveSpec, UnknownNameError
-from ddsearch.steps import zero_forcing
 
 from helpers import (
     WEDGE,
@@ -69,43 +68,6 @@ from helpers import (
 )
 from reference import iterate as reference_iterate
 from reference import leaves
-
-
-def test_sufficient_decrease_simple():
-    assert sufficient_decrease(0.9, 1.0, 0.5, zero_forcing)
-    assert not sufficient_decrease(1.0, 1.0, 0.5, zero_forcing), "strict inequality required"
-    assert not sufficient_decrease(math.inf, 1.0, 0.5, zero_forcing)
-
-
-def test_sufficient_decrease_with_forcing():
-    # 0.99 >= 1.0 - 0.2**2, so the quadratic forcing rejects the step.
-    assert not sufficient_decrease(0.99, 1.0, 0.2, lambda t: t * t)
-    assert sufficient_decrease(0.95, 1.0, 0.2, lambda t: t * t)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    name=st.sampled_from(sorted(steps._FORCING)),
-    f_x=st.floats(allow_nan=False, allow_infinity=False),
-    below=st.floats(min_value=0.0, max_value=1e-3),
-    distance=st.one_of(
-        st.just(0.0),
-        st.floats(min_value=5e-324, max_value=2.225073858507201e-308),  # subnormal
-        st.floats(min_value=0.0, allow_infinity=False),
-        st.just(math.inf),
-    ),
-)
-@example(name="quadratic", f_x=1.0, below=0.0, distance=5e-324)
-@example(name="zero", f_x=-0.0, below=0.0, distance=math.inf)
-def test_no_forcing_accepts_a_value_that_is_not_below_the_incumbent(name, f_x, below, distance):
-    # A forcing is never negative, so engine.iterate may skip the test on a
-    # step whose best value is not below f_x: it cannot change the verdict.
-    forcing = steps.get_forcing(name)
-    assert forcing(distance) >= 0.0
-    near = [f_x - below * abs(f_x), math.nextafter(f_x, -math.inf), f_x, math.nextafter(f_x, math.inf), math.inf]
-    for f_trial in near:
-        if sufficient_decrease(f_trial, f_x, distance, forcing):
-            assert f_trial < f_x, (f_trial, f_x, distance)
 
 
 _POLL_POINTS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
@@ -242,8 +204,21 @@ def _n_dimensional_run(draw):
     return config, spec
 
 
+def _at_the_forcing_bound(point):
+    """1, except 1 - 1e-4 at (1, 0): from the origin at step 1, the poll
+    trial there misses sufficient decrease under the quadratic forcing,
+    ``best < f_x - 1e-4 * d * d``, by nothing."""
+    return 1.0 - 1e-4 if point == (1.0, 0.0) else 1.0
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(drawn=_n_dimensional_run())
+@example(
+    drawn=(
+        AlgoConfig(x0=(0.0, 0.0), alpha0=1.0, poll_directions="coordinate", forcing="quadratic", max_iterations=1),
+        ObjectiveSpec("forcing_bound", 2, _at_the_forcing_bound),
+    )
+)
 def test_n_dimensional_runs_are_the_reference_method(drawn):
     config, spec = drawn
     assert leaves(run(config, spec).records) == leaves(tuple(reference_iterate(config, spec)))
@@ -289,14 +264,16 @@ def test_records_are_exactly_the_record_classes(counterexample_objective):
 
 
 def test_f_next_is_the_winners_value_on_success_else_f_x(counterexample_objective):
-    records = run(revealing_config(seed=77, max_iterations=60), counterexample_objective).records
-    assert {record.success for record in records} == {True, False}
-    for record, following in zip(records, records[1:]):
-        assert record.f_next == following.f_x
-        if record.success:
-            assert record.f_next == counterexample_objective.evaluator(record.x_next) < record.f_x
-        else:
-            assert record.f_next == record.f_x
+    # Together these say that the incumbent value never increases along a run.
+    for overrides in (dict(seed=77, max_iterations=60), dict(seed=21)):
+        records = run(revealing_config(**overrides), counterexample_objective).records
+        assert {record.success for record in records} == {True, False}
+        assert [record.f_next for record in records[:-1]] == [record.f_x for record in records[1:]]
+        for record in records:
+            if record.success:
+                assert record.f_next == counterexample_objective.evaluator(record.x_next) < record.f_x
+            else:
+                assert record.f_next == record.f_x
 
 
 def test_run_dimension_mismatch():
