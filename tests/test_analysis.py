@@ -33,6 +33,7 @@ from ddsearch.analysis import (
     covering_radius,
     extract_refining,
     monte_carlo_escape,
+    trial_points,
     verify_counterexample_closed_form,
 )
 from ddsearch.engine import IterationRecord, ObjectiveError
@@ -43,6 +44,21 @@ from helpers import WEDGE, counterexample_config, peak_memory, revealing_config,
 
 # --------------------------------------------------------------------------
 # extract_refining
+
+
+def test_extract_refining_counterexample_30(vanilla_trace_30, counterexample_objective):
+    report = extract_refining(vanilla_trace_30.records, counterexample_objective)
+    assert [r.k for r in vanilla_trace_30.records if not r.success] == list(range(0, 30, 2))
+    assert report.n_unsuccessful == 15
+    # The incumbents contract geometrically, so the limit estimate collapses
+    # to the true refined point 0 while the raw tail incumbent is 5/4*2^-14.
+    assert abs(report.refined_point[0] - 1.25 * 2.0**-14) <= 1e-4
+    assert report.refined_point == (0.0,)
+    assert report.refining_directions == ((-1.0,), (1.0,))
+    assert report.f_limit == 2.0**-14 * (121 / 128)
+    assert report.alpha_tail == 0.25 * 2.0**-14
+    assert report.f_refined == -1.0
+    assert abs(report.gap - 1.0) <= 1e-3
 
 
 def test_extract_refining_quadratic_gap_is_zero():
@@ -86,6 +102,16 @@ def test_extract_refining_requires_an_unsuccessful_iteration():
     assert all(r.success for r in trace.records)
     with pytest.raises(AnalysisError, match="unsuccessful"):
         extract_refining(trace.records, spec)
+
+
+def test_extract_refining_f_tail_follows_the_incumbents(vanilla_trace_30, counterexample_objective):
+    report = extract_refining(vanilla_trace_30.records, counterexample_objective)
+    values = [r.f_x for r in vanilla_trace_30.records if not r.success]
+    assert len(values) == 15
+    for q, value in enumerate(values):
+        assert value == 2.0**-q * (121 / 128)
+    assert report.f_tail == tuple(values[-5:])
+    assert report.f_limit == values[-1]
 
 
 def test_extract_refining_folds_a_stream_with_repeated_incumbents(vanilla_trace_30, counterexample_objective):
@@ -465,6 +491,12 @@ def test_covering_radius_memory_is_bounded_in_three_dimensions():
     assert peak < 16 * 2**20
 
 
+def test_vanilla_run_starves_the_left_half_ball(vanilla_trace_52):
+    points = trial_points(vanilla_trace_52)
+    assert points and all(p[0] > 0.0 for p in points)
+    assert covering_radius(points, (0.0,), 2.0, 201) >= 1.0
+
+
 # --------------------------------------------------------------------------
 # clarke_estimate
 
@@ -646,3 +678,15 @@ def test_monte_carlo_memory_does_not_grow_with_the_trials(counterexample_objecti
     peaks = [peak_memory(lambda: monte_carlo_escape(config, counterexample_objective, n, 7))[1] for n in (600, 4600)]
     # A tuple of every first escape raised the peak by about 20 KB here.
     assert peaks[1] < peaks[0] + 8 * 2**10, peaks
+
+
+def test_vanilla_run_never_escapes(vanilla_trace_52):
+    records = vanilla_trace_52.records
+    assert min(r.f_x for r in records) > 0.0
+    assert records[-1].f_next > 0.0
+
+
+def test_incumbents_never_increase(counterexample_objective):
+    records = run(revealing_config(seed=21), counterexample_objective).records
+    assert all(r.f_next <= r.f_x for r in records)
+    assert all(b.f_x == a.f_next for a, b in zip(records, records[1:]))

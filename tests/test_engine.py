@@ -1,5 +1,6 @@
-"""Engine tests: config validation, the record types, the seed stream, and
-what a comparison with the reference method misses.
+"""Engine tests: the sign of the forcing that the acceptance rule relies
+on, config validation, the record types, the seed stream, and what a
+comparison with the reference method misses.
 
 Every record of criterion 9's 1000 runs and of the 300 n-D runs here is
 compared, leaf by leaf by ``repr``, with ``tests/reference.py``, a textbook
@@ -68,6 +69,32 @@ from helpers import (
 )
 from reference import iterate as reference_iterate
 from reference import leaves
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(steps._FORCING)),
+    f_x=st.floats(allow_nan=False, allow_infinity=False),
+    below=st.floats(min_value=0.0, max_value=1e-3),
+    distance=st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2.225073858507201e-308),  # subnormal
+        st.floats(min_value=0.0, allow_infinity=False),
+        st.just(math.inf),
+    ),
+)
+@example(name="quadratic", f_x=1.0, below=0.0, distance=5e-324)
+@example(name="zero", f_x=-0.0, below=0.0, distance=math.inf)
+def test_no_forcing_accepts_a_value_that_is_not_below_the_incumbent(name, f_x, below, distance):
+    # A forcing is never negative, so engine.iterate may test best < f_x
+    # before sufficient decrease, best < f_x - forcing(d): the first test
+    # cannot change the verdict.
+    forcing = steps.get_forcing(name)
+    assert forcing(distance) >= 0.0
+    near = [f_x - below * abs(f_x), math.nextafter(f_x, -math.inf), f_x, math.nextafter(f_x, math.inf), math.inf]
+    for f_trial in near:
+        if f_trial < f_x - forcing(distance):
+            assert f_trial < f_x, (f_trial, f_x, distance)
 
 
 _POLL_POINTS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
@@ -264,16 +291,14 @@ def test_records_are_exactly_the_record_classes(counterexample_objective):
 
 
 def test_f_next_is_the_winners_value_on_success_else_f_x(counterexample_objective):
-    # Together these say that the incumbent value never increases along a run.
-    for overrides in (dict(seed=77, max_iterations=60), dict(seed=21)):
-        records = run(revealing_config(**overrides), counterexample_objective).records
-        assert {record.success for record in records} == {True, False}
-        assert [record.f_next for record in records[:-1]] == [record.f_x for record in records[1:]]
-        for record in records:
-            if record.success:
-                assert record.f_next == counterexample_objective.evaluator(record.x_next) < record.f_x
-            else:
-                assert record.f_next == record.f_x
+    records = run(revealing_config(seed=77, max_iterations=60), counterexample_objective).records
+    assert {record.success for record in records} == {True, False}
+    for record, following in zip(records, records[1:]):
+        assert record.f_next == following.f_x
+        if record.success:
+            assert record.f_next == counterexample_objective.evaluator(record.x_next) < record.f_x
+        else:
+            assert record.f_next == record.f_x
 
 
 def test_run_dimension_mismatch():
