@@ -12,9 +12,10 @@ suite's runner, pytest.
 The tests in ``SKIPPED`` are deselected by name: they run the package in a
 child process, which the tracer does not see.  Each starts it through
 ``_fresh_python`` in tests/test_cli.py, the suite's one launcher of a child
-process.  The tracer hooks the frames of src/ddsearch only, so the
-``tracemalloc`` bounds and the time bounds of the suite hold under it, and
-those tests run.
+process.  A collection hook deselects them, not ``-k``, so that a caller's
+``-k``, which replaces any earlier one, cannot bring them back.  The tracer
+hooks the frames of src/ddsearch only, so the ``tracemalloc`` bounds and
+the time bounds of the suite hold under it, and those tests run.
 
 Usage: python scripts/reach.py [extra pytest arguments]
 """
@@ -70,6 +71,16 @@ def _scopes(tree: ast.Module) -> dict[int, str]:
     return scope
 
 
+class _DeselectSkipped:
+    """pytest plugin that deselects every test whose id holds a fragment of ``SKIPPED``."""
+
+    def pytest_collection_modifyitems(self, config, items) -> None:
+        skipped = [item for item in items if any(fragment in item.nodeid for fragment in SKIPPED)]
+        if skipped:
+            config.hook.pytest_deselected(items=skipped)
+            items[:] = [item for item in items if item not in skipped]
+
+
 def main(argv: list[str]) -> int:
     import pytest
 
@@ -91,7 +102,7 @@ def main(argv: list[str]) -> int:
     sys.settrace(tracer)
     try:
         status = pytest.main(
-            ["-q", "-p", "no:cacheprovider", "-k", f"not ({' or '.join(SKIPPED)})", str(ROOT / "tests"), *argv]
+            ["-q", "-p", "no:cacheprovider", str(ROOT / "tests"), *argv], plugins=[_DeselectSkipped()]
         )
     finally:
         sys.settrace(None)

@@ -469,7 +469,12 @@ def monte_carlo_escape(
 
     A trial escapes when some incumbent reaches objective value <= 0, which
     on this objective is equivalent to entering [-sqrt(2)-1, 0]; it converges
-    when its final incumbent is within 1e-3 of the global minimizer -1.
+    when an incumbent comes within 1e-3 of the global minimizer -1, and it
+    ends there.  That stop changes no count: incumbent values strictly
+    decrease, the right branch is positive (least value 121/128 * 2**l on
+    band l), and on the left branch the float value ``(x+1)*(x+1) - 2`` is
+    monotone in |fl(x + 1)|, ``math.dist``'s value in 1-D.  So no later
+    incumbent leaves the ball, and the first escape (f <= 0) came no later.
     Results depend only on (master_seed, trial index), so aggregation order
     is deterministic.  Both tests fit the dyadic objective only, so any other
     objective raises ConfigError.  Trials run through ``engine.run`` in groups
@@ -488,11 +493,16 @@ def monte_carlo_escape(
     n_escaped = 0
     n_converged = 0
     first_escapes: dict[int, int] = {}
+
+    def converged(x: Vector) -> bool:
+        return math.dist(x, GLOBAL_MINIMIZER) <= CONVERGENCE_TOL
+
     for start in range(0, n_trials, _SEED_BATCH):
         seeds = [derive_trial_seed(master_seed, trial) for trial in range(start, min(start + _SEED_BATCH, n_trials))]
         engine.hash_seed_blocks(seeds, 0)
         for seed in seeds:
-            trace = engine.run(dataclasses.replace(base_config, seed=seed), objective)
+            config = dataclasses.replace(base_config, seed=seed)
+            trace = engine.run(config, objective, until=lambda record: converged(record.x_next))
             records, final = trace.records, trace.final_incumbent()
             # Incumbent values never increase, so the first escape is at 0 if
             # f(x_0) <= 0, else at k + 1 for the first record with f_next <= 0.
@@ -501,7 +511,7 @@ def monte_carlo_escape(
             if escaped_at is not None:
                 n_escaped += 1
                 first_escapes[escaped_at] = first_escapes.get(escaped_at, 0) + 1
-            if math.dist(final, GLOBAL_MINIMIZER) <= CONVERGENCE_TOL:
+            if converged(final):
                 n_converged += 1
     return EscapeStats(
         n_trials=n_trials,

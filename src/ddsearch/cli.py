@@ -10,6 +10,7 @@ config error, 3 runtime objective error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import os
@@ -51,7 +52,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         trace = engine.run(experiment.algo, objective)
         traceio.write_trace(trace, path)
     except BaseException:
-        os.remove(path)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
         raise
     print(f"wrote {path}: {len(trace.records)} iterations, termination={trace.termination}")
     return EXIT_OK
@@ -140,7 +142,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 handle.write("".join(rows))
     except ObjectiveError:
         # No partial CSV is left behind.
-        os.remove(args.out)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(args.out)
         raise
     print(f"wrote {args.out}: {n} rows")
     return EXIT_OK

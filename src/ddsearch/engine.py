@@ -51,7 +51,7 @@ import operator
 import reprlib
 import sys
 import typing
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from . import steps
@@ -251,7 +251,7 @@ _iteration_record = functools.partial(tuple.__new__, IterationRecord)
 
 @dataclass(frozen=True)
 class Trace:
-    """Immutable record of a complete run; the unit of persistence."""
+    """Immutable record of a run, or of its first records; the unit of persistence."""
 
     config: AlgoConfig
     objective_name: str
@@ -556,6 +556,13 @@ def iterate(config: AlgoConfig, objective: ObjectiveSpec) -> Iterator[IterationR
         k += 1
 
 
-def run(config: AlgoConfig, objective: ObjectiveSpec) -> Trace:
-    """Execute the solver (see ``iterate``) and return the complete trace."""
-    return Trace(config, objective.name, tuple(iterate(config, objective)))
+def run(config: AlgoConfig, objective: ObjectiveSpec, until: Callable[[IterationRecord], bool] | None = None) -> Trace:
+    """Execute the solver (see ``iterate``) and return its trace, ended after
+    the first record for which ``until(record)`` holds, if one does.  A run
+    ended so before the stop rule ends it has ``termination`` None."""
+    records = []
+    for record in iterate(config, objective):
+        records.append(record)
+        if until is not None and until(record):
+            break
+    return Trace(config, objective.name, tuple(records))

@@ -12,7 +12,10 @@ points, subnormal offsets and far samples among the samples; the oracle
 writes its grid by the formula, not by ``objective.grid_axis``.  The
 Clarke estimator must evaluate the points of the scalar stream
 (``_van_der_corput``) in order, and its ``float.hex`` pins at n = 1, 4095,
-4096, 4097 and 9000 cross the block edges."""
+4096, 4097 and 9000 cross the block edges.  ``monte_carlo_escape``, which
+ends each trial at its first incumbent within 1e-3 of -1, must give the
+statistics of an oracle that runs every trial in full, over a fixed grid
+of twelve cells."""
 
 from __future__ import annotations
 
@@ -29,8 +32,10 @@ from hypothesis import strategies as st
 from ddsearch import AlgoConfig, ConfigError, analysis, engine, get_objective, run, steps
 from ddsearch.analysis import (
     AnalysisError,
+    EscapeStats,
     clarke_estimate,
     covering_radius,
+    derive_trial_seed,
     extract_refining,
     monte_carlo_escape,
     trial_points,
@@ -39,7 +44,7 @@ from ddsearch.analysis import (
 from ddsearch.engine import IterationRecord, ObjectiveError
 from ddsearch.objective import ObjectiveSpec, counterexample_value
 
-from helpers import WEDGE, counterexample_config, peak_memory, revealing_config, wedge_value
+from helpers import WEDGE, CountingObjective, counterexample_config, peak_memory, revealing_config, wedge_value
 
 
 # --------------------------------------------------------------------------
@@ -690,3 +695,43 @@ def test_incumbents_never_increase(counterexample_objective):
     records = run(revealing_config(seed=21), counterexample_objective).records
     assert all(r.f_next <= r.f_x for r in records)
     assert all(b.f_x == a.f_next for a, b in zip(records, records[1:]))
+
+
+# configs/revealing.cfg at three master seeds and three radii, and three
+# variants at master seed 7.  A miss is a finding about the stop, not a
+# reason to change the grid.
+_ESCAPE_GRID = [
+    *[(seed, dict(revealing_radius=radius)) for seed in (7, 8, 6102) for radius in (0.5, 2.0, 16.0)],
+    (7, dict(gamma=2.0)),
+    (7, dict(revealing_count=4, forcing="quadratic")),
+    (7, dict(alpha_min=0.0, max_iterations=300)),
+]
+
+
+@pytest.mark.parametrize(
+    "master_seed, overrides",
+    _ESCAPE_GRID,
+    ids=[f"{seed} " + " ".join(f"{key}={value}" for key, value in rows.items()) for seed, rows in _ESCAPE_GRID],
+)
+def test_monte_carlo_stop_changes_no_statistic(counterexample_objective, master_seed, overrides):
+    # The oracle runs each trial in full and restates both rules: a trial
+    # escapes at the first incumbent of value <= 0 (index 0 for x0, k + 1
+    # after record k), and converges if its last incumbent is within 1e-3
+    # of -1.
+    counting = CountingObjective(counterexample_objective)
+    spec, config = counting.spec, revealing_config(**overrides)
+    n_escaped, n_converged, first_escapes = 0, 0, {}
+    for trial in range(200):
+        records = run(dataclasses.replace(config, seed=derive_trial_seed(master_seed, trial)), spec).records
+        values = [records[0].f_x] + [record.f_next for record in records]
+        escaped_at = next((i for i, value in enumerate(values) if value <= 0.0), None)
+        if escaped_at is not None:
+            n_escaped += 1
+            first_escapes[escaped_at] = first_escapes.get(escaped_at, 0) + 1
+        n_converged += abs(records[-1].x_next[0] + 1.0) <= 1e-3
+    oracle_calls, counting.calls = counting.calls, 0
+    stats = monte_carlo_escape(config, spec, 200, master_seed)
+    assert stats == EscapeStats(200, n_escaped, n_converged, tuple(sorted(first_escapes.items())))
+    if (master_seed, overrides) == (7, dict(revealing_radius=2.0)):
+        # Equal counts alone would not notice a stop that was dropped.
+        assert counting.calls < oracle_calls / 2, (counting.calls, oracle_calls)

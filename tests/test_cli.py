@@ -371,6 +371,29 @@ def test_sample_evaluator_error_after_a_written_block_exits_3(workdir, capsys, m
     assert not (workdir / "f.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [(["run", "c.cfg"], "trace.jsonl"), (["sample", "counterexample", "0", "1", "3", "f.csv"], "f.csv")],
+    ids=["run", "sample"],
+)
+def test_an_objective_error_is_reported_when_the_output_file_is_already_gone(
+    workdir, capsys, monkeypatch, argv, path
+):
+    # The evaluator removes the output file and then fails: the cleanup that
+    # finds no file must not report it in place of the objective's error.
+    def remove_and_fail(point):
+        os.remove(path)
+        raise ValueError("no value here")
+
+    write_config(workdir / "c.cfg")
+    failing = dataclasses.replace(get_objective("counterexample"), evaluator=remove_and_fail)
+    monkeypatch.setattr(cli, "get_objective", lambda name: failing)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: objective 'counterexample' failed at ") and err.endswith(": no value here\n")
+    assert not os.path.exists(path)
+
+
 def test_sample_memory_does_not_grow_with_the_grid(workdir, monkeypatch):
     # In blocks of 64 rows the two peaks differ by about 1 kB; a writer that
     # held every row would add about 1.5 MB for the 9000 more rows.

@@ -357,6 +357,14 @@ def test_trace_termination_is_derived_from_the_records(counterexample_objective,
     # A prefix that does not end the run reports no termination.
     for k in range(len(trace.records)):
         assert dataclasses.replace(trace, records=trace.records[:k]).termination is None
+    # ``until`` ends the run after the first record where it holds; one that
+    # never holds leaves the run whole.
+    assert run(config, counterexample_objective, until=lambda record: False) == trace
+    last = len(trace.records) - 1
+    for k in (0, last // 2, last):
+        stopped = run(config, counterexample_objective, until=lambda record: record.k >= k)
+        assert stopped.records == trace.records[: k + 1]
+        assert stopped.termination == (termination if k == last else None)
 
 
 def test_trials_at_the_incumbent_take_its_value_unevaluated():
